@@ -21,7 +21,7 @@ from .conllu import parse_conllu
 from .dataset import load_bundles
 from .errors import DataError, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
-from .metrics import compute_metrics, evaluate_matrix
+from .metrics import evaluate_matrix
 from .params import init_params, load_checkpoint, save_checkpoint
 from .pipeline import build_pair_features
 from .scoring import dsl_postprocess, score_matrix
@@ -45,7 +45,9 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--config", help="JSON file overriding default configuration")
-        sp.add_argument("--threads", type=int, help="worker threads for cross-pair builds")
+        sp.add_argument("--threads", type=int,
+                        help="accepted for compatibility (must be >= 1); changes neither "
+                        "speed nor output")
 
     g = sub.add_parser("gen-fixtures", help="write a seeded synthetic dataset")
     g.add_argument("--seed", type=int, required=True)
@@ -100,7 +102,7 @@ def _load_cfg(args) -> tuple[RunConfig, TrainConfig]:
         run, tr = load_config(args.config)
     else:
         run, tr = config_from_dict({})
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         run.threads = args.threads
     if getattr(args, "literal_patch_norm", False):
         run.literal_patch_norm = True
@@ -206,7 +208,10 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out, seed=run.seed)
     write_loss_log(curve, out / "loss.csv")
-    print(f"trained {len(curve)} steps, final loss {curve[-1][1]!r}; checkpoint in {out}")
+    if curve:
+        print(f"trained {len(curve)} steps, final loss {curve[-1][1]!r}; checkpoint in {out}")
+    else:
+        print(f"trained 0 steps; initial checkpoint in {out}")
     return 0
 
 
@@ -219,16 +224,11 @@ def _cmd_eval(args) -> int:
     if not np.isfinite(s).all():
         raise NumericalError("score matrix contains non-finite values")
     if args.dsl:
-        report = {
-            "t2v": compute_metrics(dsl_postprocess(s, run.tau_dsl, "t2v"), "t2v").to_dict(),
-            "v2t": compute_metrics(dsl_postprocess(s, run.tau_dsl, "v2t"), "v2t").to_dict(),
-        }
-        report["rsum"] = sum(report["t2v"][f"r{k}"] for k in (1, 5, 10)) + \
-            sum(report["v2t"][f"r{k}"] for k in (1, 5, 10))
-        report["dsl"] = True
+        report = evaluate_matrix(dsl_postprocess(s, run.tau_dsl, "t2v"),
+                                 dsl_postprocess(s, run.tau_dsl, "v2t"))
     else:
         report = evaluate_matrix(s)
-        report["dsl"] = False
+    report["dsl"] = bool(args.dsl)
     report["pairs"] = len(bundles)
     Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")

@@ -57,11 +57,19 @@ def compute_metrics(s: np.ndarray, direction: str) -> RetrievalMetrics:
     return RetrievalMetrics(r_at=r_at, mdr=mdr, meanr=meanr)
 
 
-def evaluate_matrix(s: np.ndarray) -> dict:
-    """Both directions plus their aggregated recall sum (square matrices only)."""
-    if s.shape[0] != s.shape[1]:
-        raise DataError("aggregated recall sum needs a square score matrix")
-    t2v = compute_metrics(s, "t2v")
-    v2t = compute_metrics(s, "v2t")
+def evaluate_matrix(s_t2v: np.ndarray, s_v2t: np.ndarray | None = None) -> dict:
+    """Both directions plus their aggregated recall sum (square matrices only).
+
+    Each direction ranks its own matrix, so a direction-specific
+    post-processing such as the dual-softmax prior can be passed per
+    direction; `s_v2t` defaults to `s_t2v`.
+    """
+    if s_v2t is None:
+        s_v2t = s_t2v
+    for s in (s_t2v, s_v2t):
+        if s.shape[0] != s.shape[1]:
+            raise DataError("aggregated recall sum needs a square score matrix")
+    t2v = compute_metrics(s_t2v, "t2v")
+    v2t = compute_metrics(s_v2t, "v2t")
     rsum = sum(t2v.r_at.values()) + sum(v2t.r_at.values())
     return {"t2v": t2v.to_dict(), "v2t": v2t.to_dict(), "rsum": rsum}

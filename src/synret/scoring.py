@@ -9,7 +9,6 @@ layer scores. An empty entity layer contributes 0 while the divisor stays 3
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .pipeline import (
     PairFeatures,
     TextCache,
     TextGrad,
-    pair_forward,
+    VideoCache,
     text_forward,
     video_forward,
 )
@@ -151,34 +150,109 @@ def score_pair_backward(final_bar: float, tc: TextCache, wc: WeightCache,
 
 
 # ---------------------------------------------------------------------------
-# Cross-pair score matrix
+# Cross-pair score matrix: one video against every caption at once
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class CaptionStack:
+    """Every caption's node features and weights stacked along one axis, with
+    the caption that owns each node and, for entities, the stacked row of
+    the parent action."""
+    e1: np.ndarray       # (T, d)
+    e2: np.ndarray       # (A, d) action nodes of all captions
+    w2: np.ndarray       # (A,)
+    owner2: np.ndarray   # (A,) caption row of each action
+    e3: np.ndarray       # (M, d) entity nodes of all captions
+    w3: np.ndarray       # (M,)
+    owner3: np.ndarray   # (M,) caption row of each entity
+    parent3: np.ndarray  # (M,) row of each entity's parent action in e2
+
+
+def stack_captions(tcs: list[TextCache]) -> CaptionStack:
+    wcs = [text_weights(tc) for tc in tcs]
+    n2 = [tc.e2.shape[0] for tc in tcs]
+    n3 = [tc.e3.shape[0] for tc in tcs]
+    first2 = np.cumsum([0] + n2[:-1])
+    rows = np.arange(len(tcs))
+    return CaptionStack(
+        e1=np.stack([tc.e1 for tc in tcs]),
+        e2=np.concatenate([tc.e2 for tc in tcs]),
+        w2=np.concatenate([wc.w2 for wc in wcs]),
+        owner2=np.repeat(rows, n2),
+        e3=np.concatenate([tc.e3 for tc in tcs]),
+        w3=np.concatenate([wc.w3 for wc in wcs]),
+        owner3=np.repeat(rows, n3),
+        parent3=np.concatenate([np.asarray(tc.index.parent3, dtype=np.intp) + off
+                                for tc, off in zip(tcs, first2)]),
+    )
+
+
+@dataclass
+class VideoColumn:
+    scores: np.ndarray   # (T,) final score of every caption against the video
+    ranked2: np.ndarray  # (A, N_v) action-frame scores, descending
+    ranked3: np.ndarray  # (M, min(lambda_frame, N_v), N_p) entity-patch scores
+                         # inside the parent's picked frames, descending
+
+
+def score_video(cs: CaptionStack, vc: VideoCache, cfg: RunConfig) -> VideoColumn:
+    """Scores of every stacked caption against one video, equal to
+    `score_pair(pair_forward(...))` per caption up to rounding.
+
+    Each layer's node score is an average of dot products, so it is computed
+    from one score GEMM per layer without gathering feature rows: e1.ev1 is
+    the attention-weighted mean of the frame logits, e2.ev2 the mean of the
+    picked frame scores, and e3.ev3 the frame-average of the mean top patch
+    scores.
+    """
+    n_t = cs.e1.shape[0]
+    n_v, n_p, d = vc.patches.shape
+    k_frame = min(cfg.lambda_frame, n_v)
+
+    logits = cs.e1 @ vc.frames.T
+    s1 = (softmax(logits) * logits).sum(axis=1)
+
+    # a stable sort of the negated scores keeps the ties-to-lower-index rule
+    frame_scores = cs.e2 @ vc.g.T
+    order = np.argsort(-frame_scores, axis=1, kind="stable")
+    ranked2 = np.take_along_axis(frame_scores, order, axis=1)
+    score2 = ranked2[:, :k_frame].mean(axis=1)
+
+    # only the values of the top patches enter the score, so which of two
+    # tied patches is picked does not matter and a plain sort suffices
+    patch_scores = (cs.e3 @ vc.patches.reshape(n_v * n_p, d).T).reshape(-1, n_v, n_p)
+    picked = order[cs.parent3, :k_frame]
+    in_picked = np.take_along_axis(patch_scores, picked[:, :, None], axis=1)
+    ranked3 = np.sort(in_picked, axis=2)[:, :, ::-1]
+    frame_means = ranked3[:, :, :cfg.lambda_patch].mean(axis=2)
+    if cfg.literal_patch_norm:
+        score3 = frame_means.sum(axis=1) / cfg.lambda_patch
+    else:
+        score3 = frame_means.mean(axis=1)
+
+    s2 = np.bincount(cs.owner2, weights=cs.w2 * score2, minlength=n_t)
+    s3 = np.bincount(cs.owner3, weights=cs.w3 * score3, minlength=n_t)
+    return VideoColumn(scores=(s1 + s2 + s3) / 3.0, ranked2=ranked2, ranked3=ranked3)
 
 
 def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
                  params: ModelParams, cfg: RunConfig,
                  threads: int = 1) -> np.ndarray:
     """Rows are captions, columns are videos. Fusion is caption-guided, so
-    the matrix is not symmetric even on the diagonal manifest."""
+    the matrix is not symmetric even on the diagonal manifest.
+
+    Each video is encoded once and scored against all captions by
+    `score_video`. `threads` is still accepted but changes neither speed nor
+    output.
+    """
     tcs = [text_forward(b, params) for b in bundles_t]
-    wcs = [text_weights(tc) for tc in tcs]
-    vcs = [video_forward(b, params) for b in bundles_v]
-    n_t, n_v = len(tcs), len(vcs)
-    out = np.zeros((n_t, n_v))
-
-    def cell(ij: tuple[int, int]) -> float:
-        i, j = ij
-        pf = pair_forward(tcs[i], vcs[j], cfg)
-        return score_pair(tcs[i], wcs[i], pf).final
-
-    coords = [(i, j) for i in range(n_t) for j in range(n_v)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(cell, coords))
-    else:
-        values = [cell(c) for c in coords]
-    for (i, j), v in zip(coords, values):
-        out[i, j] = v
+    out = np.zeros((len(tcs), len(bundles_v)))
+    if not tcs:
+        return out
+    cs = stack_captions(tcs)
+    for j, b in enumerate(bundles_v):
+        out[:, j] = score_video(cs, video_forward(b, params), cfg).scores
     return out
 
 

@@ -21,6 +21,7 @@ from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
+from .scoring import score_matrix
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import (
     batch_loss,
@@ -173,6 +174,20 @@ def _check_weight_normalization() -> str:
     return "per-caption weight sums on 4 synthetic pairs"
 
 
+def _check_score_kernel() -> str:
+    bundles = synthetic_bundles(37, 4, 6, 3, 5, 8)
+    params = init_params(37, 8, max_frames=3)
+    worst = 0.0
+    for literal in (False, True):
+        cfg = RunConfig(d=8, max_frames=3, seed=37, literal_patch_norm=literal)
+        got = score_matrix(bundles, bundles, params, cfg)
+        want = evaluate_batch(bundles, params, cfg).scores  # per-pair path
+        worst = max(worst, float(np.abs(got - want).max()))
+    if worst > 1e-10:
+        raise SynretError(f"score_matrix differs from the per-pair path by {worst:.2e}")
+    return f"4x4 vs per-pair path, both patch norms, max diff {worst:.1e}"
+
+
 def _check_gradients() -> str:
     cfg = RunConfig(d=8, max_frames=3, seed=0)
     bundles = params = None
@@ -216,6 +231,7 @@ CHECKS = [
     ("loss", _check_loss_identities),
     ("metrics", _check_metrics),
     ("weights", _check_weight_normalization),
+    ("score-kernel", _check_score_kernel),
     ("gradients", _check_gradients),
     ("determinism", _check_determinism),
 ]

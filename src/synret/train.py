@@ -22,7 +22,14 @@ from .pipeline import (
     video_forward,
 )
 from .rng import SplitMix64
-from .scoring import ScoreBreakdown, score_pair, score_pair_backward, text_weights
+from .scoring import (
+    ScoreBreakdown,
+    score_pair,
+    score_pair_backward,
+    score_video,
+    stack_captions,
+    text_weights,
+)
 
 
 def symmetric_ce_loss(s: np.ndarray, tau: float):
@@ -132,25 +139,21 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     Finite-difference checks need this to be comfortably larger than the
     probe step so no selection flips during perturbation.
     """
-    ev = evaluate_batch(bundles, params, cfg)
+    cs = stack_captions([text_forward(b, params) for b in bundles])
     margin = np.inf
-    for i, tc in enumerate(ev.tcs):
-        for j, vc in enumerate(ev.vcs):
-            frame_scores = tc.e2 @ vc.g.T
-            for row in frame_scores:
-                margin = min(margin, _kth_gap(row, cfg.lambda_frame))
-            for ei in range(tc.index.n_entities):
-                for fj in ev.pfs[i][j].psi2[tc.index.parent3[ei]]:
-                    patch_scores = vc.patches[fj] @ tc.e3[ei]
-                    margin = min(margin, _kth_gap(patch_scores, cfg.lambda_patch))
+    for b in bundles:
+        col = score_video(cs, video_forward(b, params), cfg)
+        margin = min(margin, _kth_gap(col.ranked2, cfg.lambda_frame),
+                     _kth_gap(col.ranked3, cfg.lambda_patch))
     return float(margin)
 
 
-def _kth_gap(scores: np.ndarray, k: int) -> float:
-    if k >= scores.size:
+def _kth_gap(ranked: np.ndarray, k: int) -> float:
+    """Smallest gap between the kth and (k+1)th entries of rows sorted
+    descending along the last axis."""
+    if k >= ranked.shape[-1] or ranked.size == 0:
         return np.inf
-    ordered = np.sort(scores)[::-1]
-    return float(ordered[k - 1] - ordered[k])
+    return float((ranked[..., k - 1] - ranked[..., k]).min())
 
 
 # ---------------------------------------------------------------------------

@@ -190,3 +190,39 @@ def test_train_deterministic_checkpoints(fixture_dir, train_cfg_path, tmp_path):
                      "--out", str(out)]) == 0
     for f in sorted(a.iterdir()):
         assert f.read_bytes() == (b / f.name).read_bytes(), f.name
+
+
+def test_threads_zero_is_usage_error(tmp_path, capsys):
+    rc = main(["score", "--manifest", str(tmp_path / "m.json"), "--params", str(tmp_path),
+               "--out", str(tmp_path / "s.shet"), "--threads", "0"])
+    assert rc == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def test_train_zero_steps_writes_initial_checkpoint(fixture_dir, tmp_path, capsys):
+    from synret.params import init_params, save_checkpoint
+
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 3, "seed": 3, "batch_size": 2, "steps": 0}))
+    ckpt = tmp_path / "ckpt0"
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(ckpt)]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and len(out.out.splitlines()) == 1
+    assert (ckpt / "loss.csv").read_text() == "step,loss\n"
+    ref = tmp_path / "ref"
+    save_checkpoint(init_params(3, 8, max_frames=3), ref, seed=3)
+    written = sorted(f.name for f in ckpt.iterdir() if f.name != "loss.csv")
+    assert written == sorted(f.name for f in ref.iterdir())
+    for name in written:
+        assert (ckpt / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_selfcheck_passes(capsys):
+    assert main(["selfcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = lines[:-1]
+    assert checks and all(line.startswith("ok ") for line in checks)
+    assert any("score-kernel" in line for line in checks)
+    assert lines[-1] == f"selfcheck: {len(checks)}/{len(checks)} checks passed"

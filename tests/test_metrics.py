@@ -91,6 +91,16 @@ def test_rsum_aggregates_both_directions():
     assert rep["rsum"] == want
 
 
+def test_directions_rank_their_own_matrix():
+    rng = SplitMix64(106)
+    a, b = rng.uniform_sym((12, 12)), rng.uniform_sym((12, 12))
+    rep = evaluate_matrix(a, b)
+    assert rep["t2v"] == compute_metrics(a, "t2v").to_dict()
+    assert rep["v2t"] == compute_metrics(b, "v2t").to_dict()
+    assert rep["rsum"] == sum(rep["t2v"][f"r{k}"] for k in (1, 5, 10)) + \
+        sum(rep["v2t"][f"r{k}"] for k in (1, 5, 10))
+
+
 def test_rsum_requires_square():
     with pytest.raises(DataError, match="square"):
         evaluate_matrix(np.zeros((3, 4)))

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from synret.blocks import softmax
+from synret.config import RunConfig
+from synret.conllu import parse_conllu
+from synret.dataset import FeatureBundle
 from synret.errors import DataError
+from synret.hierarchy import build_hierarchy, index_hierarchy
+from synret.params import init_params
 from synret.pipeline import pair_forward, text_forward, video_forward
 from synret.rng import SplitMix64
 from synret.scoring import (
@@ -19,8 +24,12 @@ from synret.scoring import (
     node_scores,
     score_matrix,
     score_pair,
+    score_video,
+    stack_captions,
     text_weights,
 )
+
+from conftest import GOLDEN_NAMES
 
 
 def stub(e1, e2, e3, ev1, ev2, ev3):
@@ -158,7 +167,7 @@ class TestScoreMatrix:
         tc = text_forward(bundles[0], params)
         bd = score_pair(tc, text_weights(tc),
                         pair_forward(tc, video_forward(bundles[0], params), cfg))
-        assert s.shape == (1, 1) and s[0, 0] == bd.final
+        assert s.shape == (1, 1) and abs(s[0, 0] - bd.final) <= 1e-10
 
     def test_cells_equal_standalone_evaluation(self, small_setup):
         bundles, params, cfg = small_setup
@@ -168,7 +177,7 @@ class TestScoreMatrix:
             wc = text_weights(tc)
             for j in range(2):
                 pf = pair_forward(tc, video_forward(bundles[j], params), cfg)
-                assert s[i, j] == score_pair(tc, wc, pf).final
+                assert abs(s[i, j] - score_pair(tc, wc, pf).final) <= 1e-10
 
     def test_not_symmetric(self, small_setup):
         bundles, params, cfg = small_setup
@@ -180,6 +189,88 @@ class TestScoreMatrix:
         s1 = score_matrix(bundles, bundles, params, cfg, threads=1)
         s4 = score_matrix(bundles, bundles, params, cfg, threads=4)
         assert np.array_equal(s1, s4)
+
+
+def _bundle(pair_id, conllu, text, frames, patches):
+    h = build_hierarchy(parse_conllu(conllu))
+    return FeatureBundle(pair_id=pair_id, hierarchy=h, index=index_hierarchy(h),
+                         text=text, frames=frames, patches=patches)
+
+
+def _cross_gallery(golden_dir, rng, d, ties):
+    """The golden captions against seven videos of mixed frame and patch
+    counts. With ties, each video repeats its first frame (with its patches)
+    as its last and its first patch row as its last."""
+    captions = []
+    for name in GOLDEN_NAMES:
+        conllu = (golden_dir / f"{name}.conllu").read_text()
+        n_tokens = len(parse_conllu(conllu))
+        captions.append(_bundle(name, conllu, rng.uniform_sym((n_tokens + 1, d)),
+                                rng.uniform_sym((1, d)), rng.uniform_sym((1, 1, d))))
+    videos = []
+    for k, (n_v, n_p) in enumerate([(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9), (2, 1)]):
+        frames, patches = rng.uniform_sym((n_v, d)), rng.uniform_sym((n_v, n_p, d))
+        if ties:
+            frames[-1], patches[-1] = frames[0], patches[0]
+            patches[:, -1] = patches[:, 0]
+        videos.append(_bundle(f"video{k}", "1\tcat\tcat\tNOUN\t_\t_\t0\troot\t_\t_\n",
+                              rng.uniform_sym((2, d)), frames, patches))
+    return captions, videos
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("lambda_frame,lambda_patch,literal", [
+    (2, 4, False), (2, 4, True), (1, 1, False), (4, 9, True), (9, 20, False),
+])
+def test_score_matrix_cells_match_per_pair_path(golden_dir, ties, lambda_frame,
+                                                lambda_patch, literal):
+    d = 8
+    captions, videos = _cross_gallery(golden_dir, SplitMix64(91 + lambda_patch), d, ties)
+    assert any(c.index.n_entities == 0 for c in captions)
+    assert any(c.hierarchy.exist_node_used for c in captions)
+    params = init_params(92, d, max_frames=4)
+    if ties:  # without positions, repeated frames also tie after the temporal encoder
+        params.pos_emb[...] = 0.0
+    cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame,
+                    lambda_patch=lambda_patch, literal_patch_norm=literal)
+    s = score_matrix(captions, videos, params, cfg)
+    assert s.shape == (len(captions), len(videos))
+    for i, bt in enumerate(captions):
+        tc = text_forward(bt, params)
+        wc = text_weights(tc)
+        for j, bv in enumerate(videos):
+            want = score_pair(tc, wc, pair_forward(tc, video_forward(bv, params), cfg)).final
+            assert abs(s[i, j] - want) <= 1e-10, (i, j)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("lambda_patch", [1, 2, 3])
+@pytest.mark.parametrize("lambda_frame", [1, 2, 3])
+def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch, literal):
+    # small integer features make every node score exact in both paths, and
+    # frames 0 and 2 tie while holding different patches, so a tie broken
+    # the other way changes the entity scores
+    g = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+    patches = np.array([
+        [[0.0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        [[0, 0, 0, 2], [0, 0, 2, 0], [1, 1, 1, 1]],
+        [[0, 0, 3, 0], [0, 0, 0, -1], [0, 0, 0, 3]],
+    ])
+    vc = SimpleNamespace(frames=g, g=g, patches=patches)
+    e2 = np.array([[2.0, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0]])
+    tcs = [
+        SimpleNamespace(e1=np.array([1.0, 0, 0, 0]), e2=e2, m2=e2,
+                        e3=np.array([[0.0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
+                        index=SimpleNamespace(parent3=[0, 1, 2])),
+        SimpleNamespace(e1=np.array([0.0, 1, 0, 0]), e2=e2[2:], m2=e2[2:],
+                        e3=np.zeros((0, 4)), index=SimpleNamespace(parent3=[])),
+    ]
+    cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
+                    lambda_patch=lambda_patch, literal_patch_norm=literal)
+    got = score_video(stack_captions(tcs), vc, cfg).scores
+    for i, tc in enumerate(tcs):
+        want = score_pair(tc, text_weights(tc), pair_forward(tc, vc, cfg)).final
+        assert abs(got[i] - want) <= 1e-10
 
 
 class TestDsl:

@@ -8,7 +8,13 @@ from synret.dataset import synthetic_bundles
 from synret.errors import DataError
 from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
 from synret.rng import SplitMix64
-from synret.train import symmetric_ce_loss, train, write_loss_log
+from synret.train import (
+    evaluate_batch,
+    selection_margins,
+    symmetric_ce_loss,
+    train,
+    write_loss_log,
+)
 
 
 class TestSymmetricLoss:
@@ -147,6 +153,29 @@ class TestTraining:
                       TrainConfig(batch_size=4, steps=500, lr=1e-3, stop_loss=0.5))
         assert len(curve) < 500
         assert curve[-1][1] < 0.5
+
+
+@pytest.mark.parametrize("lambda_frame,lambda_patch", [(2, 4), (1, 1), (4, 9), (3, 2)])
+def test_selection_margins_match_per_pair_loop(small_setup, lambda_frame, lambda_patch):
+    bundles, params, cfg = small_setup
+    cfg = RunConfig(d=cfg.d, max_frames=cfg.max_frames, seed=cfg.seed,
+                    lambda_frame=lambda_frame, lambda_patch=lambda_patch)
+
+    def kth_gap(scores, k):
+        ordered = np.sort(scores)[::-1]
+        return ordered[k - 1] - ordered[k] if k < ordered.size else np.inf
+
+    ev = evaluate_batch(bundles, params, cfg)  # per-pair path
+    want = np.inf
+    for i, tc in enumerate(ev.tcs):
+        for j, vc in enumerate(ev.vcs):
+            for row in tc.e2 @ vc.g.T:
+                want = min(want, kth_gap(row, lambda_frame))
+            for ei in range(tc.index.n_entities):
+                for fj in ev.pfs[i][j].psi2[tc.index.parent3[ei]]:
+                    want = min(want, kth_gap(vc.patches[fj] @ tc.e3[ei], lambda_patch))
+    got = selection_margins(bundles, params, cfg)
+    assert got == want or abs(got - want) <= 1e-12
 
 
 class TestCheckpointRoundtrip:
