@@ -1,7 +1,7 @@
 """Parameterized numerical blocks with paired forward/backward passes.
 
 Everything here is float64 and shape-light: vectors are (d,), stacked node
-features are (n, d). Each forward returns a cache consumed by the matching
+features are (n, d), and row-wise blocks take any number of stacked rows. Each forward returns a cache consumed by the matching
 backward; backwards accumulate parameter gradients into a ModelParams-shaped
 container and return the gradient w.r.t. their input.
 """
@@ -185,35 +185,58 @@ def dot_softmax_attend_backward(pooled_bar: np.ndarray, cache: AttendCache):
 
 @dataclass
 class TransformerCache:
+    lengths: list[int]     # frame count of each stacked video
+    positions: np.ndarray  # (R,) position of each row inside its video
     x0: np.ndarray
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    attn: np.ndarray      # (heads, N, N)
-    heads_out: np.ndarray  # (N, d), concatenated head outputs
+    attn: list[np.ndarray]  # per video: (heads, N_v, N_v)
+    heads_out: np.ndarray   # (R, d), concatenated head outputs
     ln_attn_cache: LayerNormCache
     x1: np.ndarray
     ffn_cache: MlpCache
     ln_ffn_cache: LayerNormCache
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    n, d = x.shape
+    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)  # (heads, N, dh)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    heads, n, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+
+
 def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.ndarray,
-                       heads: int) -> tuple[np.ndarray, TransformerCache]:
-    n, d = frames.shape
-    if n > pos_emb.shape[0]:
-        raise DataError(f"{n} frames exceed positional table of {pos_emb.shape[0]}")
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-    x0 = frames + pos_emb[:n]
+                       heads: int, lengths: list[int] | None = None,
+                       ) -> tuple[np.ndarray, TransformerCache]:
+    """One post-norm encoder layer over the stacked frame rows of one or more
+    videos; `lengths` gives each video's frame count (default: one video).
+    Attention stays inside each video; the projections, LayerNorms and FFN
+    run once over all rows."""
+    rows, d = frames.shape
+    lengths = [rows] if lengths is None else list(lengths)
+    if max(lengths) > pos_emb.shape[0]:
+        raise DataError(f"{max(lengths)} frames exceed positional table of {pos_emb.shape[0]}")
+    scale = 1.0 / np.sqrt(d // heads)
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    x0 = frames + pos_emb[positions]
 
     q = x0 @ tp.wq.T
     k = x0 @ tp.wk.T
     v = x0 @ tp.wv.T
-    qh = q.reshape(n, heads, dh).transpose(1, 0, 2)  # (heads, N, dh)
-    kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
-    attn = softmax(np.einsum("hid,hjd->hij", qh, kh) * scale, axis=-1)
-    heads_out = np.einsum("hij,hjd->hid", attn, vh).transpose(1, 0, 2).reshape(n, d)
+    attn = []
+    heads_out = np.empty((rows, d))
+    start = 0
+    for n in lengths:
+        sl = slice(start, start + n)
+        start += n
+        a = softmax(np.einsum("hid,hjd->hij", _split_heads(q[sl], heads),
+                              _split_heads(k[sl], heads)) * scale, axis=-1)
+        heads_out[sl] = _merge_heads(np.einsum("hij,hjd->hid", a, _split_heads(v[sl], heads)))
+        attn.append(a)
     attn_out = heads_out @ tp.wo.T
 
     x1, ln_attn_cache = layer_norm(x0 + attn_out, tp.ln_attn)
@@ -222,8 +245,8 @@ def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.nd
     x2, ln_ffn_cache = layer_norm(x1 + ffn_out, tp.ln_ffn)
 
     cache = TransformerCache(
-        x0=x0, q=q, k=k, v=v, attn=attn, heads_out=heads_out,
-        ln_attn_cache=ln_attn_cache, x1=x1, ffn_cache=ffn_cache,
+        lengths=lengths, positions=positions, x0=x0, q=q, k=k, v=v, attn=attn,
+        heads_out=heads_out, ln_attn_cache=ln_attn_cache, x1=x1, ffn_cache=ffn_cache,
         ln_ffn_cache=ln_ffn_cache,
     )
     return x2, cache
@@ -233,9 +256,8 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
                          tp: TransformerParams, tp_grad: TransformerParams,
                          pos_grad: np.ndarray, heads: int) -> np.ndarray:
     """Accumulates into tp_grad/pos_grad; returns gradient w.r.t. frames."""
-    n, d = ybar.shape
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
+    rows, d = ybar.shape
+    scale = 1.0 / np.sqrt(d // heads)
 
     ubar = layer_norm_backward(ybar, cache.ln_ffn_cache, tp.ln_ffn, tp_grad.ln_ffn)
     ffn_mp = MlpParams(w1=tp.ffn_w1, b1=tp.ffn_b1, w2=tp.ffn_w2, b2=tp.ffn_b2)
@@ -248,26 +270,27 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
     attn_out_bar = wbar
 
     tp_grad.wo += attn_out_bar.T @ cache.heads_out
-    heads_out_bar = (attn_out_bar @ tp.wo).reshape(n, heads, dh).transpose(1, 0, 2)
+    heads_out_bar = attn_out_bar @ tp.wo
 
-    qh = cache.q.reshape(n, heads, dh).transpose(1, 0, 2)
-    kh = cache.k.reshape(n, heads, dh).transpose(1, 0, 2)
-    vh = cache.v.reshape(n, heads, dh).transpose(1, 0, 2)
-    attn_bar = np.einsum("hid,hjd->hij", heads_out_bar, vh)
-    vh_bar = np.einsum("hij,hid->hjd", cache.attn, heads_out_bar)
-    sbar = softmax_vjp(cache.attn, attn_bar, axis=-1) * scale
-    qh_bar = np.einsum("hij,hjd->hid", sbar, kh)
-    kh_bar = np.einsum("hij,hid->hjd", sbar, qh)
+    qbar, kbar, vbar = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
+    start = 0
+    for n, a in zip(cache.lengths, cache.attn):
+        sl = slice(start, start + n)
+        start += n
+        ho_bar = _split_heads(heads_out_bar[sl], heads)
+        qh, kh = _split_heads(cache.q[sl], heads), _split_heads(cache.k[sl], heads)
+        attn_bar = np.einsum("hid,hjd->hij", ho_bar, _split_heads(cache.v[sl], heads))
+        vbar[sl] = _merge_heads(np.einsum("hij,hid->hjd", a, ho_bar))
+        sbar = softmax_vjp(a, attn_bar, axis=-1) * scale
+        qbar[sl] = _merge_heads(np.einsum("hij,hjd->hid", sbar, kh))
+        kbar[sl] = _merge_heads(np.einsum("hij,hid->hjd", sbar, qh))
 
-    qbar = qh_bar.transpose(1, 0, 2).reshape(n, d)
-    kbar = kh_bar.transpose(1, 0, 2).reshape(n, d)
-    vbar = vh_bar.transpose(1, 0, 2).reshape(n, d)
     tp_grad.wq += qbar.T @ cache.x0
     tp_grad.wk += kbar.T @ cache.x0
     tp_grad.wv += vbar.T @ cache.x0
     x0bar += qbar @ tp.wq + kbar @ tp.wk + vbar @ tp.wv
 
-    pos_grad[:n] += x0bar
+    np.add.at(pos_grad, cache.positions, x0bar)
     return x0bar
 
 

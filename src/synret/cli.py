@@ -23,7 +23,7 @@ from .errors import DataError, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
 from .params import init_params, load_checkpoint, save_checkpoint
-from .pipeline import build_pair_features
+from .pipeline import pair_forward, text_forward, video_forward
 from .scoring import dsl_postprocess, score_matrix
 from .selfcheck import run_selfcheck
 from .tensor_store import gen_fixture, write_tensor
@@ -149,10 +149,12 @@ def _cmd_fuse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     index = {}
     for b in bundles:
-        tc, vc, pf = build_pair_features(b, params, run)
+        cap = text_forward([b], params).caption(0)
+        vid = video_forward([b], params).videos[0]
+        pf = pair_forward(cap, vid, run)
         tensors = {
-            "e1": tc.e1, "e2": tc.e2, "e3": tc.e3, "e3p": tc.e3p, "f3p": tc.f3p,
-            "ev1": pf.ev1, "g": vc.g, "ev2": pf.ev2, "ev3": pf.ev3,
+            "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
+            "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3,
         }
         files = {}
         for name, value in tensors.items():

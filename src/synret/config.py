@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,14 +56,38 @@ class TrainConfig:
             raise UsageError("steps and lr must be non-negative")
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _check_type(key: str, value, hint) -> None:
+    """bool is not int, int is not str; float fields take ints and finite
+    floats; an optional field also takes null."""
+    optional = type(None) in typing.get_args(hint)
+    if optional and value is None:
+        return
+    kind = next(t for t in _KINDS if hint is t or t in typing.get_args(hint))
+    if kind is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        null = " or null" if optional else ""
+        raise UsageError(f"config key {key!r} must be {_KINDS[kind]}{null}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> tuple[RunConfig, TrainConfig]:
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)}
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    run_hints = typing.get_type_hints(RunConfig)
+    train_hints = typing.get_type_hints(TrainConfig)
     run_kwargs, train_kwargs = {}, {}
     for key, value in data.items():
-        if key in run_fields:
+        if key in run_hints:
+            _check_type(key, value, run_hints[key])
             run_kwargs[key] = value
-        elif key in train_fields:
+        elif key in train_hints:
+            _check_type(key, value, train_hints[key])
             train_kwargs[key] = value
         else:
             raise UsageError(f"unknown config key {key!r}")

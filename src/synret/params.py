@@ -72,17 +72,7 @@ class ModelParams:
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Fixed-order flat view; the order defines checkpoint and Adam layout."""
         out: list[tuple[str, np.ndarray]] = []
-
-        def emit(prefix: str, obj) -> None:
-            for f in fields(obj):
-                value = getattr(obj, f.name)
-                name = f"{prefix}.{f.name}" if prefix else f.name
-                if isinstance(value, np.ndarray):
-                    out.append((name, value))
-                elif isinstance(value, (MlpParams, LayerNormParams, TransformerParams)):
-                    emit(name, value)
-
-        emit("", self)
+        _emit_tensors("", self, out)
         return out
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
@@ -100,6 +90,18 @@ class ModelParams:
         for (_, dst), (_, src) in zip(fresh.named_tensors(), self.named_tensors()):
             dst[...] = src
         return fresh
+
+
+def _emit_tensors(prefix: str, obj, out: list) -> None:
+    # a module-level helper: a nested recursive closure would form a reference
+    # cycle that keeps every listed tensor alive until the next GC pass
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        name = f"{prefix}.{f.name}" if prefix else f.name
+        if isinstance(value, np.ndarray):
+            out.append((name, value))
+        elif isinstance(value, (MlpParams, LayerNormParams, TransformerParams)):
+            _emit_tensors(name, value, out)
 
 
 def _zero_mlp(d_out: int, d_hidden: int, d_in: int) -> MlpParams:

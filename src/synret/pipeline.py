@@ -2,10 +2,14 @@
 
 Text side: node features are gathered from encoder token rows, entity nodes
 are enhanced by their adjectives, and each layer gets a residual+norm
-projection. Video side: a temporal encoder runs over frame features once per
-video; each action node then picks its top frames and each entity node picks
-top patches inside those frames. Selection indices are treated as constants
-of the forward pass, so gradients flow only through the averaged features.
+projection. Video side: a temporal encoder runs over frame features. Both
+sides take a batch: `text_forward` stacks the nodes of every caption so that
+each projection is one matrix product, and `video_forward` runs the temporal
+layer over the concatenated frame rows of every video, with attention kept
+inside each video. For one (caption, video) pair, each action node then picks
+its top frames and each entity node picks top patches inside those frames.
+Selection indices are treated as constants of the forward pass, so gradients
+flow only through the averaged features.
 """
 
 from __future__ import annotations
@@ -66,85 +70,105 @@ def init_node_features(index: HierarchyIndex, text: np.ndarray):
 
 @dataclass
 class EnhanceCache:
-    attend: AttendCache
-    fusion: MlpCache
+    e3p: ResNormCache
+    rows: np.ndarray            # entities that have adjectives
+    attends: list[AttendCache]  # one per such entity
+    fusion: MlpCache | None     # stacked over those entities
 
 
 def enhance_entities(f3: np.ndarray, f4: np.ndarray, adj_children: list[list[int]],
                      params: ModelParams):
     """Entity features attend over their adjective children and fuse the
     pooled description back in; entities without adjectives keep their
-    projected feature unchanged."""
-    n3 = f3.shape[0]
-    d = params.d
-    if n3 == 0:
-        empty = np.zeros((0, d))
-        return empty, empty, None, []
+    projected feature unchanged. The fusion MLP runs once over every entity
+    that has adjectives."""
     e3p, e3p_cache = res_norm(f3, params.mlp4, params.ln_enhance)
-    f3p = e3p.copy()
-    caches: list[EnhanceCache | None] = []
-    for i in range(n3):
-        kids = adj_children[i]
-        if not kids:
-            caches.append(None)
-            continue
-        adj = f4[kids]
+    rows = np.array([i for i, kids in enumerate(adj_children) if kids], dtype=np.intp)
+    attends, gammas = [], []
+    for i in rows:
+        adj = f4[adj_children[i]]
         _, gamma, at_cache = dot_softmax_attend(e3p[i], adj, adj)
-        fused, fu_cache = mlp(np.concatenate([e3p[i], gamma]), params.fusion)
-        f3p[i] = e3p[i] + fused
-        caches.append(EnhanceCache(attend=at_cache, fusion=fu_cache))
-    return e3p, f3p, e3p_cache, caches
+        attends.append(at_cache)
+        gammas.append(gamma)
+    f3p = e3p.copy()
+    fusion = None
+    if gammas:
+        fused, fusion = mlp(np.concatenate([e3p[rows], np.stack(gammas)], axis=1), params.fusion)
+        f3p[rows] += fused
+    return e3p, f3p, EnhanceCache(e3p=e3p_cache, rows=rows, attends=attends, fusion=fusion)
 
 
-def enhance_entities_backward(f3p_bar: np.ndarray, e3p: np.ndarray,
-                              e3p_cache: ResNormCache,
-                              caches: list[EnhanceCache | None],
+def enhance_entities_backward(f3p_bar: np.ndarray, cache: EnhanceCache,
                               params: ModelParams, grads: ModelParams) -> None:
-    n3 = f3p_bar.shape[0]
-    if n3 == 0:
-        return
     d = params.d
     e3p_bar = f3p_bar.copy()
-    for i, cache in enumerate(caches):
-        if cache is None:
-            continue
-        cat_bar = mlp_backward(f3p_bar[i], cache.fusion, params.fusion, grads.fusion)
-        e3p_bar[i] += cat_bar[:d]
-        gamma_bar = cat_bar[d:]
-        qbar, _, _ = dot_softmax_attend_backward(gamma_bar, cache.attend)
-        e3p_bar[i] += qbar
-    res_norm_backward(e3p_bar, e3p_cache, params.mlp4, params.ln_enhance,
+    if cache.fusion is not None:
+        cat_bar = mlp_backward(f3p_bar[cache.rows], cache.fusion, params.fusion, grads.fusion)
+        e3p_bar[cache.rows] += cat_bar[:, :d]
+        for i, gamma_bar, at_cache in zip(cache.rows, cat_bar[:, d:], cache.attends):
+            qbar, _, _ = dot_softmax_attend_backward(gamma_bar, at_cache)
+            e3p_bar[i] += qbar
+    res_norm_backward(e3p_bar, cache.e3p, params.mlp4, params.ln_enhance,
                       grads.mlp4, grads.ln_enhance)
 
 
 # ---------------------------------------------------------------------------
-# Per-caption forward (everything that does not depend on the video)
+# Caption forward over a batch (everything that does not depend on the video)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class TextCache:
+class Caption:
+    """One caption's node features, as views into a TextCache."""
     index: HierarchyIndex
-    f3p: np.ndarray
-    e3p: np.ndarray
-    e3p_cache: ResNormCache | None
-    enhance_caches: list
     e1: np.ndarray   # (d,)
     e2: np.ndarray   # (n2, d)
     e3: np.ndarray   # (n3, d)
     m2: np.ndarray   # (n2, d)
+    e3p: np.ndarray  # (n3, d)
+    f3p: np.ndarray  # (n3, d)
+
+
+@dataclass
+class TextCache:
+    """Node features of a batch of captions. Action and entity rows of all
+    captions are stacked in caption order; owner2/owner3 give the caption of
+    each row and parent3 the stacked row of each entity's parent action."""
+    indexes: list[HierarchyIndex]
+    first2: np.ndarray   # (T+1,) first action row of each caption, then A
+    first3: np.ndarray   # (T+1,) first entity row of each caption, then M
+    owner2: np.ndarray   # (A,)
+    owner3: np.ndarray   # (M,)
+    parent3: np.ndarray  # (M,)
+    e1: np.ndarray       # (T, d)
+    e2: np.ndarray       # (A, d)
+    e3: np.ndarray       # (M, d)
+    m2: np.ndarray       # (A, d)
+    e3p: np.ndarray      # (M, d)
+    f3p: np.ndarray      # (M, d)
     e1_cache: ResNormCache
     e2_cache: ResNormCache
-    e3_cache: ResNormCache | None
     m2_cache: ResNormCache
+    e3_cache: ResNormCache | None     # None when the batch has no entities
+    enhance_cache: EnhanceCache | None
+
+    def caption(self, i: int) -> Caption:
+        s2 = slice(self.first2[i], self.first2[i + 1])
+        s3 = slice(self.first3[i], self.first3[i + 1])
+        return Caption(index=self.indexes[i], e1=self.e1[i], e2=self.e2[s2], e3=self.e3[s3],
+                       m2=self.m2[s2], e3p=self.e3p[s3], f3p=self.f3p[s3])
 
 
 @dataclass
 class TextGrad:
+    """Gradients of the stacked caption quantities, including the node
+    weights w2/w3 that scoring derives from them."""
     e1: np.ndarray
     e2: np.ndarray
     e3: np.ndarray
     m2: np.ndarray
+    w2: np.ndarray
+    w3: np.ndarray
 
     @classmethod
     def zeros(cls, tc: TextCache) -> "TextGrad":
@@ -153,76 +177,103 @@ class TextGrad:
             e2=np.zeros_like(tc.e2),
             e3=np.zeros_like(tc.e3),
             m2=np.zeros_like(tc.m2),
+            w2=np.zeros(tc.e2.shape[0]),
+            w3=np.zeros(tc.e3.shape[0]),
         )
 
 
-def text_forward(bundle: FeatureBundle, params: ModelParams) -> TextCache:
-    if bundle.d != params.d:
-        raise DataError(f"{bundle.pair_id}: dimension mismatch (features d={bundle.d}, model d={params.d})")
-    idx = bundle.index
-    f1, f2, f3, f4 = init_node_features(idx, bundle.text)
-    e3p, f3p, e3p_cache, enh_caches = enhance_entities(f3, f4, idx.adj_children, params)
+def _offsets(counts: list[int]) -> np.ndarray:
+    return np.cumsum([0] + counts)
+
+
+def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> TextCache:
+    feats = []
+    for b in bundles:
+        if b.d != params.d:
+            raise DataError(f"{b.pair_id}: dimension mismatch (features d={b.d}, model d={params.d})")
+        feats.append(init_node_features(b.index, b.text))
+    indexes = [b.index for b in bundles]
+    first2 = _offsets([idx.n_actions for idx in indexes])
+    first3 = _offsets([idx.n_entities for idx in indexes])
+    first4 = _offsets([len(idx.mu4) for idx in indexes])
+    rows = np.arange(len(indexes))
+    f1s, f2s, f3s, f4s = zip(*feats)
+    f1, f2, f3, f4 = np.stack(f1s), np.concatenate(f2s), np.concatenate(f3s), np.concatenate(f4s)
+
     e1, e1_cache = res_norm(f1, params.mlp1, params.ln_global)
     e2, e2_cache = res_norm(f2, params.mlp2, params.ln_action)
-    if idx.n_entities:
+    m2, m2_cache = res_norm(e2, params.mlp5, params.ln_weight)
+    if f3.shape[0]:
+        adj_children = [[first4[t] + j for j in kids]
+                        for t, idx in enumerate(indexes) for kids in idx.adj_children]
+        e3p, f3p, enhance_cache = enhance_entities(f3, f4, adj_children, params)
         e3, e3_cache = res_norm(f3p, params.mlp3, params.ln_entity)
     else:
-        e3, e3_cache = np.zeros((0, params.d)), None
-    m2, m2_cache = res_norm(e2, params.mlp5, params.ln_weight)
+        e3p = f3p = e3 = np.zeros((0, params.d))
+        e3_cache = enhance_cache = None
     return TextCache(
-        index=idx, f3p=f3p, e3p=e3p, e3p_cache=e3p_cache, enhance_caches=enh_caches,
-        e1=e1, e2=e2, e3=e3, m2=m2,
-        e1_cache=e1_cache, e2_cache=e2_cache, e3_cache=e3_cache, m2_cache=m2_cache,
+        indexes=indexes, first2=first2, first3=first3,
+        owner2=np.repeat(rows, np.diff(first2)), owner3=np.repeat(rows, np.diff(first3)),
+        parent3=np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
+                                for t, idx in enumerate(indexes)]),
+        e1=e1, e2=e2, e3=e3, m2=m2, e3p=e3p, f3p=f3p,
+        e1_cache=e1_cache, e2_cache=e2_cache, m2_cache=m2_cache, e3_cache=e3_cache,
+        enhance_cache=enhance_cache,
     )
 
 
 def text_backward(tg: TextGrad, tc: TextCache, params: ModelParams,
                   grads: ModelParams) -> None:
+    """One backward per projection over the whole stack; tg.e1/e2/e3/m2 must
+    already hold everything, including what the weights w2/w3 pass on."""
     e2_bar = tg.e2 + res_norm_backward(tg.m2, tc.m2_cache, params.mlp5,
                                        params.ln_weight, grads.mlp5, grads.ln_weight)
     res_norm_backward(e2_bar, tc.e2_cache, params.mlp2, params.ln_action,
                       grads.mlp2, grads.ln_action)
-    if tc.index.n_entities:
+    if tc.e3_cache is not None:
         f3p_bar = res_norm_backward(tg.e3, tc.e3_cache, params.mlp3,
                                     params.ln_entity, grads.mlp3, grads.ln_entity)
-        enhance_entities_backward(f3p_bar, tc.e3p, tc.e3p_cache, tc.enhance_caches,
-                                  params, grads)
+        enhance_entities_backward(f3p_bar, tc.enhance_cache, params, grads)
     res_norm_backward(tg.e1, tc.e1_cache, params.mlp1, params.ln_global,
                       grads.mlp1, grads.ln_global)
 
 
 # ---------------------------------------------------------------------------
-# Per-video forward (temporal encoding, independent of the caption)
+# Video forward over a batch (temporal encoding, independent of the caption)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class VideoCache:
+class Video:
     frames: np.ndarray   # raw frame features (N_v, d)
     patches: np.ndarray  # (N_v, N_p, d)
-    g: np.ndarray        # temporal-encoded frames (N_v, d)
-    tf_cache: TransformerCache
+    g: np.ndarray        # temporal-encoded frames (N_v, d), a view into VideoCache.g
+    rows: slice          # this video's rows in VideoCache.g
 
 
 @dataclass
-class VideoGrad:
-    g: np.ndarray
-
-    @classmethod
-    def zeros(cls, vc: VideoCache) -> "VideoGrad":
-        return cls(g=np.zeros_like(vc.g))
+class VideoCache:
+    videos: list[Video]
+    g: np.ndarray        # (R, d) every video's encoded frames, stacked
+    tf_cache: TransformerCache
 
 
-def video_forward(bundle: FeatureBundle, params: ModelParams) -> VideoCache:
-    if bundle.frames.shape[1] != params.d:
-        raise DataError(f"{bundle.pair_id}: dimension mismatch (frames d={bundle.frames.shape[1]}, model d={params.d})")
-    g, tf_cache = transformer_encode(bundle.frames, params.temporal, params.pos_emb, params.heads)
-    return VideoCache(frames=bundle.frames, patches=bundle.patches, g=g, tf_cache=tf_cache)
+def video_forward(bundles: list[FeatureBundle], params: ModelParams) -> VideoCache:
+    for b in bundles:
+        if b.frames.shape[1] != params.d:
+            raise DataError(f"{b.pair_id}: dimension mismatch (frames d={b.frames.shape[1]}, model d={params.d})")
+    lengths = [b.frames.shape[0] for b in bundles]
+    g, tf_cache = transformer_encode(np.concatenate([b.frames for b in bundles]),
+                                     params.temporal, params.pos_emb, params.heads, lengths)
+    first = _offsets(lengths)
+    videos = [Video(frames=b.frames, patches=b.patches, g=g[lo:hi], rows=slice(lo, hi))
+              for b, lo, hi in zip(bundles, first[:-1], first[1:])]
+    return VideoCache(videos=videos, g=g, tf_cache=tf_cache)
 
 
-def video_backward(vg: VideoGrad, vc: VideoCache, params: ModelParams,
+def video_backward(g_bar: np.ndarray, vc: VideoCache, params: ModelParams,
                    grads: ModelParams) -> None:
-    transformer_backward(vg.g, vc.tf_cache, params.temporal, grads.temporal,
+    transformer_backward(g_bar, vc.tf_cache, params.temporal, grads.temporal,
                          grads.pos_emb, params.heads)
 
 
@@ -290,33 +341,15 @@ def fuse_entities(e3: np.ndarray, patches: np.ndarray, parent3: list[int],
     return psi3, ev3_frames, ev3
 
 
-def pair_forward(tc: TextCache, vc: VideoCache, cfg: RunConfig) -> PairFeatures:
-    alpha_cls, ev1, attend_cache = fuse_global(tc.e1, vc.frames)
-    psi2, ev2 = fuse_actions(tc.e2, vc.g, cfg.lambda_frame)
+def pair_forward(cap: Caption, vid: Video, cfg: RunConfig) -> PairFeatures:
+    """The per-pair reference path: one caption against one video."""
+    alpha_cls, ev1, attend_cache = fuse_global(cap.e1, vid.frames)
+    psi2, ev2 = fuse_actions(cap.e2, vid.g, cfg.lambda_frame)
     psi3, ev3_frames, ev3 = fuse_entities(
-        tc.e3, vc.patches, tc.index.parent3, psi2, cfg.lambda_patch,
+        cap.e3, vid.patches, cap.index.parent3, psi2, cfg.lambda_patch,
         cfg.literal_patch_norm,
     )
     return PairFeatures(
         alpha_cls=alpha_cls, ev1=ev1, attend_cache=attend_cache,
         psi2=psi2, ev2=ev2, psi3=psi3, ev3_frames=ev3_frames, ev3=ev3,
     )
-
-
-def pair_backward(ev1_bar: np.ndarray, ev2_bar: np.ndarray, pf: PairFeatures,
-                  tg: TextGrad, vg: VideoGrad) -> None:
-    """Backprop from pooled video features to the caption projections and the
-    temporal encoding. Entity-level pooled features are plain averages of
-    frozen patch rows, so they carry no parameter gradient."""
-    qbar, _, _ = dot_softmax_attend_backward(ev1_bar, pf.attend_cache)
-    tg.e1 += qbar
-    for i, sel in enumerate(pf.psi2):
-        vg.g[sel] += ev2_bar[i] / len(sel)
-
-
-def build_pair_features(bundle: FeatureBundle, params: ModelParams, cfg: RunConfig):
-    """Full pipeline for a record's own caption-video pair."""
-    tc = text_forward(bundle, params)
-    vc = video_forward(bundle, params)
-    pf = pair_forward(tc, vc, cfg)
-    return tc, vc, pf

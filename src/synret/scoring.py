@@ -9,20 +9,21 @@ layer scores. An empty entity layer contributes 0 while the divisor stays 3
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blocks import softmax, softmax_vjp
+from .blocks import softmax
 from .config import RunConfig
 from .dataset import FeatureBundle
 from .errors import DataError
 from .params import ModelParams
 from .pipeline import (
+    Caption,
     PairFeatures,
     TextCache,
     TextGrad,
-    VideoCache,
+    Video,
     text_forward,
     video_forward,
 )
@@ -37,6 +38,8 @@ LAYER_COUNT = 3
 
 @dataclass
 class WeightCache:
+    """Node weights, stacked like the nodes they weight (one caption's nodes
+    for a Caption, every caption's for a TextCache)."""
     sim2: np.ndarray  # (n2,)
     w2: np.ndarray    # (n2,)
     sim3: np.ndarray  # (n3,)
@@ -60,14 +63,45 @@ def layer3_weights(m2: np.ndarray, e3: np.ndarray, parent3: list[int],
     return sim3, softmax(sim2[parents] + sim3)
 
 
-def text_weights(tc: TextCache) -> WeightCache:
-    sim2, w2 = layer2_weights(tc.e1, tc.m2)
-    sim3, w3 = layer3_weights(tc.m2, tc.e3, tc.index.parent3, sim2)
+def caption_weights(cap: Caption) -> WeightCache:
+    sim2, w2 = layer2_weights(cap.e1, cap.m2)
+    sim3, w3 = layer3_weights(cap.m2, cap.e3, cap.index.parent3, sim2)
     return WeightCache(sim2=sim2, w2=w2, sim3=sim3, w3=w3)
 
 
+def text_weights(tc: TextCache) -> WeightCache:
+    """Every caption's weights (a softmax per caption), stacked."""
+    wcs = [caption_weights(tc.caption(i)) for i in range(len(tc.indexes))]
+    return WeightCache(*(np.concatenate([getattr(wc, f.name) for wc in wcs])
+                         for f in fields(WeightCache)))
+
+
+def _segment_softmax_vjp(y: np.ndarray, ybar: np.ndarray, owner: np.ndarray,
+                         n: int) -> np.ndarray:
+    """softmax_vjp applied to each caption's segment of stacked weights."""
+    inner = np.bincount(owner, weights=y * ybar, minlength=n)
+    return y * (ybar - inner[owner])
+
+
+def text_weights_backward(tg: TextGrad, tc: TextCache, wc: WeightCache) -> None:
+    """Folds the weight gradients tg.w2/tg.w3, summed over every video, into
+    tg.e1, tg.m2 and tg.e3."""
+    n_t = tc.e1.shape[0]
+    sim2_bar = _segment_softmax_vjp(wc.w2, tg.w2, tc.owner2, n_t)
+    if tc.e3.shape[0]:
+        # w3 = softmax(sim2[parent] + sim3) with sim3 = m2[parent] . e3;
+        # parents repeat, so scatter-add rather than fancy-index +=
+        z_bar = _segment_softmax_vjp(wc.w3, tg.w3, tc.owner3, n_t)
+        np.add.at(sim2_bar, tc.parent3, z_bar)
+        np.add.at(tg.m2, tc.parent3, z_bar[:, None] * tc.e3)
+        tg.e3 += z_bar[:, None] * tc.m2[tc.parent3]
+    # sim2 = m2 . e1 of the owning caption
+    np.add.at(tg.e1, tc.owner2, sim2_bar[:, None] * tc.m2)
+    tg.m2 += sim2_bar[:, None] * tc.e1[tc.owner2]
+
+
 # ---------------------------------------------------------------------------
-# Per-pair score assembly
+# Per-pair score assembly (the reference path)
 # ---------------------------------------------------------------------------
 
 
@@ -76,18 +110,14 @@ class ScoreBreakdown:
     score1: float
     score2: np.ndarray  # (n2,)
     score3: np.ndarray  # (n3,)
-    sim2: np.ndarray
-    sim3: np.ndarray
-    w2: np.ndarray
-    w3: np.ndarray
     layer_scores: tuple[float, float, float]
     final: float
 
 
-def node_scores(tc: TextCache, pf: PairFeatures):
-    score1 = float(tc.e1 @ pf.ev1)
-    score2 = (tc.e2 * pf.ev2).sum(axis=1)
-    score3 = (tc.e3 * pf.ev3).sum(axis=1)
+def node_scores(cap: Caption, pf: PairFeatures):
+    score1 = float(cap.e1 @ pf.ev1)
+    score2 = (cap.e2 * pf.ev2).sum(axis=1)
+    score3 = (cap.e3 * pf.ev3).sum(axis=1)
     return score1, score2, score3
 
 
@@ -97,106 +127,34 @@ def final_score(score1: float, score2: np.ndarray, score3: np.ndarray,
     s2 = float(wc.w2 @ score2)
     s3 = float(wc.w3 @ score3) if score3.size else 0.0
     final = (s1 + s2 + s3) / 3.0
-    return ScoreBreakdown(
-        score1=score1, score2=score2, score3=score3,
-        sim2=wc.sim2, sim3=wc.sim3, w2=wc.w2, w3=wc.w3,
-        layer_scores=(s1, s2, s3), final=final,
-    )
+    return ScoreBreakdown(score1=score1, score2=score2, score3=score3,
+                          layer_scores=(s1, s2, s3), final=final)
 
 
-def score_pair(tc: TextCache, wc: WeightCache, pf: PairFeatures) -> ScoreBreakdown:
-    s1, s2, s3 = node_scores(tc, pf)
+def score_pair(cap: Caption, wc: WeightCache, pf: PairFeatures) -> ScoreBreakdown:
+    s1, s2, s3 = node_scores(cap, pf)
     return final_score(s1, s2, s3, wc)
 
 
-def score_pair_backward(final_bar: float, tc: TextCache, wc: WeightCache,
-                        pf: PairFeatures, bd: ScoreBreakdown, tg: TextGrad):
-    """Backprop final -> (boundary grads on caption projections, pooled-video
-    grads). Returns (ev1_bar, ev2_bar); entity-level pooled features carry no
-    parameter gradient (frozen patch averages)."""
-    lbar = final_bar / 3.0
-    n3 = bd.score3.size
-
-    # layer 1
-    tg.e1 += lbar * pf.ev1
-    ev1_bar = lbar * tc.e1
-
-    # layer 2 weighted sum
-    w2_bar = lbar * bd.score2
-    score2_bar = lbar * wc.w2
-    tg.e2 += score2_bar[:, None] * pf.ev2
-    ev2_bar = score2_bar[:, None] * tc.e2
-
-    # layer 3 weighted sum (pooled patch means are constants)
-    sim2_bar = softmax_vjp(wc.w2, w2_bar)
-    if n3:
-        w3_bar = lbar * bd.score3
-        score3_bar = lbar * wc.w3
-        tg.e3 += score3_bar[:, None] * pf.ev3
-
-        z_bar = softmax_vjp(wc.w3, w3_bar)
-        parents = np.asarray(tc.index.parent3)
-        np.add.at(sim2_bar, parents, z_bar)
-        sim3_bar = z_bar
-        # parents may repeat, so scatter-add rather than fancy-index +=
-        np.add.at(tg.m2, parents, sim3_bar[:, None] * tc.e3)
-        tg.e3 += sim3_bar[:, None] * tc.m2[parents]
-
-    # layer 2 weight similarities
-    tg.e1 += sim2_bar @ tc.m2
-    tg.m2 += sim2_bar[:, None] * tc.e1
-
-    return ev1_bar, ev2_bar
-
-
 # ---------------------------------------------------------------------------
-# Cross-pair score matrix: one video against every caption at once
+# Cross scoring: one video against every caption at once
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CaptionStack:
-    """Every caption's node features and weights stacked along one axis, with
-    the caption that owns each node and, for entities, the stacked row of
-    the parent action."""
-    e1: np.ndarray       # (T, d)
-    e2: np.ndarray       # (A, d) action nodes of all captions
-    w2: np.ndarray       # (A,)
-    owner2: np.ndarray   # (A,) caption row of each action
-    e3: np.ndarray       # (M, d) entity nodes of all captions
-    w3: np.ndarray       # (M,)
-    owner3: np.ndarray   # (M,) caption row of each entity
-    parent3: np.ndarray  # (M,) row of each entity's parent action in e2
-
-
-def stack_captions(tcs: list[TextCache]) -> CaptionStack:
-    wcs = [text_weights(tc) for tc in tcs]
-    n2 = [tc.e2.shape[0] for tc in tcs]
-    n3 = [tc.e3.shape[0] for tc in tcs]
-    first2 = np.cumsum([0] + n2[:-1])
-    rows = np.arange(len(tcs))
-    return CaptionStack(
-        e1=np.stack([tc.e1 for tc in tcs]),
-        e2=np.concatenate([tc.e2 for tc in tcs]),
-        w2=np.concatenate([wc.w2 for wc in wcs]),
-        owner2=np.repeat(rows, n2),
-        e3=np.concatenate([tc.e3 for tc in tcs]),
-        w3=np.concatenate([wc.w3 for wc in wcs]),
-        owner3=np.repeat(rows, n3),
-        parent3=np.concatenate([np.asarray(tc.index.parent3, dtype=np.intp) + off
-                                for tc, off in zip(tcs, first2)]),
-    )
 
 
 @dataclass
 class VideoColumn:
     scores: np.ndarray   # (T,) final score of every caption against the video
-    ranked2: np.ndarray  # (A, N_v) action-frame scores, descending
-    ranked3: np.ndarray  # (M, min(lambda_frame, N_v), N_p) entity-patch scores
-                         # inside the parent's picked frames, descending
+    logits: np.ndarray   # (T, N_v) caption-frame logits of layer 1
+    order2: np.ndarray   # (A, N_v) frames by descending action-frame score
+    ranked2: np.ndarray  # (A, N_v) those scores
+    score2: np.ndarray   # (A,) action node scores
+    order3: np.ndarray   # (M, min(lambda_frame, N_v), N_p) patches inside the
+                         # parent's picked frames by descending entity-patch score
+    ranked3: np.ndarray  # (M, min(lambda_frame, N_v), N_p) those scores
+    score3: np.ndarray   # (M,) entity node scores
 
 
-def score_video(cs: CaptionStack, vc: VideoCache, cfg: RunConfig) -> VideoColumn:
+def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> VideoColumn:
     """Scores of every stacked caption against one video, equal to
     `score_pair(pair_forward(...))` per caption up to rounding.
 
@@ -204,36 +162,71 @@ def score_video(cs: CaptionStack, vc: VideoCache, cfg: RunConfig) -> VideoColumn
     from one score GEMM per layer without gathering feature rows: e1.ev1 is
     the attention-weighted mean of the frame logits, e2.ev2 the mean of the
     picked frame scores, and e3.ev3 the frame-average of the mean top patch
-    scores.
+    scores. A stable sort of the negated scores keeps the ties-to-lower-index
+    rule for frames and patches.
     """
-    n_t = cs.e1.shape[0]
-    n_v, n_p, d = vc.patches.shape
+    n_t = tc.e1.shape[0]
+    n_v, n_p, d = vid.patches.shape
     k_frame = min(cfg.lambda_frame, n_v)
 
-    logits = cs.e1 @ vc.frames.T
+    logits = tc.e1 @ vid.frames.T
     s1 = (softmax(logits) * logits).sum(axis=1)
 
-    # a stable sort of the negated scores keeps the ties-to-lower-index rule
-    frame_scores = cs.e2 @ vc.g.T
-    order = np.argsort(-frame_scores, axis=1, kind="stable")
-    ranked2 = np.take_along_axis(frame_scores, order, axis=1)
+    frame_scores = tc.e2 @ vid.g.T
+    order2 = np.argsort(-frame_scores, axis=1, kind="stable")
+    ranked2 = np.take_along_axis(frame_scores, order2, axis=1)
     score2 = ranked2[:, :k_frame].mean(axis=1)
 
-    # only the values of the top patches enter the score, so which of two
-    # tied patches is picked does not matter and a plain sort suffices
-    patch_scores = (cs.e3 @ vc.patches.reshape(n_v * n_p, d).T).reshape(-1, n_v, n_p)
-    picked = order[cs.parent3, :k_frame]
+    patch_scores = (tc.e3 @ vid.patches.reshape(n_v * n_p, d).T).reshape(-1, n_v, n_p)
+    picked = order2[tc.parent3, :k_frame]
     in_picked = np.take_along_axis(patch_scores, picked[:, :, None], axis=1)
-    ranked3 = np.sort(in_picked, axis=2)[:, :, ::-1]
+    order3 = np.argsort(-in_picked, axis=2, kind="stable")
+    ranked3 = np.take_along_axis(in_picked, order3, axis=2)
     frame_means = ranked3[:, :, :cfg.lambda_patch].mean(axis=2)
     if cfg.literal_patch_norm:
         score3 = frame_means.sum(axis=1) / cfg.lambda_patch
     else:
         score3 = frame_means.mean(axis=1)
 
-    s2 = np.bincount(cs.owner2, weights=cs.w2 * score2, minlength=n_t)
-    s3 = np.bincount(cs.owner3, weights=cs.w3 * score3, minlength=n_t)
-    return VideoColumn(scores=(s1 + s2 + s3) / 3.0, ranked2=ranked2, ranked3=ranked3)
+    s2 = np.bincount(tc.owner2, weights=wc.w2 * score2, minlength=n_t)
+    s3 = np.bincount(tc.owner3, weights=wc.w3 * score3, minlength=n_t)
+    return VideoColumn(scores=(s1 + s2 + s3) / 3.0, logits=logits, order2=order2,
+                       ranked2=ranked2, score2=score2, order3=order3, ranked3=ranked3,
+                       score3=score3)
+
+
+def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid: Video,
+                         col: VideoColumn, cfg: RunConfig, tg: TextGrad,
+                         g_bar: np.ndarray) -> None:
+    """Adds the gradient of one column of scores, s_bar = dloss/ds[:, j], to
+    the stacked caption gradients `tg` and to this video's temporal-encoding
+    gradient `g_bar`, using the forward pass's frame and patch selections.
+    Patch rows are frozen inputs, so layer 3 reaches only e3 and w3."""
+    lbar = s_bar / 3.0
+    n_v, n_p, d = vid.patches.shape
+    k_frame = min(cfg.lambda_frame, n_v)
+
+    # layer 1: s1 = a . l with a = softmax(l), so ds1/dl = a * (1 + l - s1)
+    a = softmax(col.logits)
+    s1 = (a * col.logits).sum(axis=1)
+    tg.e1 += (lbar[:, None] * a * (1.0 + col.logits - s1[:, None])) @ vid.frames
+
+    # layer 2: e2 . (mean of the picked frames' g rows)
+    picked2 = col.order2[:, :k_frame]
+    c2 = lbar[tc.owner2] * wc.w2
+    tg.e2 += c2[:, None] * vid.g[picked2].mean(axis=1)
+    np.add.at(g_bar, picked2, (c2 / k_frame)[:, None, None] * tc.e2[:, None, :])
+    tg.w2 += lbar[tc.owner2] * col.score2
+
+    # layer 3: e3 . (average of the picked patch rows)
+    if tc.e3.shape[0]:
+        k_patch = min(cfg.lambda_patch, n_p)
+        frames3 = col.order2[tc.parent3, :k_frame]
+        rows = frames3[:, :, None] * n_p + col.order3[:, :, :k_patch]
+        norm = cfg.lambda_patch if cfg.literal_patch_norm else k_frame
+        ev3 = vid.patches.reshape(n_v * n_p, d)[rows].sum(axis=(1, 2)) / (k_patch * norm)
+        tg.e3 += (lbar[tc.owner3] * wc.w3)[:, None] * ev3
+        tg.w3 += lbar[tc.owner3] * col.score3
 
 
 def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
@@ -242,17 +235,17 @@ def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
     """Rows are captions, columns are videos. Fusion is caption-guided, so
     the matrix is not symmetric even on the diagonal manifest.
 
-    Each video is encoded once and scored against all captions by
+    Each video is encoded on its own and scored against all captions by
     `score_video`. `threads` is still accepted but changes neither speed nor
     output.
     """
-    tcs = [text_forward(b, params) for b in bundles_t]
-    out = np.zeros((len(tcs), len(bundles_v)))
-    if not tcs:
+    out = np.zeros((len(bundles_t), len(bundles_v)))
+    if not bundles_t:
         return out
-    cs = stack_captions(tcs)
+    tc = text_forward(bundles_t, params)
+    wc = text_weights(tc)
     for j, b in enumerate(bundles_v):
-        out[:, j] = score_video(cs, video_forward(b, params), cfg).scores
+        out[:, j] = score_video(tc, wc, video_forward([b], params).videos[0], cfg).scores
     return out
 
 

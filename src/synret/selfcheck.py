@@ -21,15 +21,10 @@ from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
-from .scoring import score_matrix
+from .pipeline import pair_forward, text_forward, video_forward
+from .scoring import score_matrix, score_pair, text_weights
 from .tensor_store import gen_fixture, read_tensor, write_tensor
-from .train import (
-    batch_loss,
-    batch_loss_and_grads,
-    evaluate_batch,
-    selection_margins,
-    symmetric_ce_loss,
-)
+from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 
 _SAMPLE_CONLLU = """\
 1\ta\ta\tDET\t_\t_\t2\tdet\t_\t_
@@ -164,13 +159,13 @@ def _check_metrics() -> str:
 def _check_weight_normalization() -> str:
     bundles = synthetic_bundles(13, 4, 6, 3, 4, 8)
     params = init_params(13, 8, max_frames=3)
-    cfg = RunConfig(d=8, max_frames=3, seed=13)
-    ev = evaluate_batch(bundles, params, cfg)
-    for wc in ev.wcs:
-        if abs(wc.w2.sum() - 1.0) > 1e-9:
-            raise SynretError("action weights do not sum to 1")
-        if wc.w3.size and abs(wc.w3.sum() - 1.0) > 1e-9:
-            raise SynretError("entity weights do not sum to 1")
+    tc = text_forward(bundles, params)
+    wc = text_weights(tc)
+    if np.abs(np.bincount(tc.owner2, wc.w2) - 1.0).max() > 1e-9:
+        raise SynretError("action weights do not sum to 1")
+    w3_sums = np.bincount(tc.owner3, wc.w3, minlength=len(bundles))
+    if np.abs(w3_sums - 1.0)[np.diff(tc.first3) > 0].max(initial=0.0) > 1e-9:
+        raise SynretError("entity weights do not sum to 1")
     return "per-caption weight sums on 4 synthetic pairs"
 
 
@@ -181,8 +176,12 @@ def _check_score_kernel() -> str:
     for literal in (False, True):
         cfg = RunConfig(d=8, max_frames=3, seed=37, literal_patch_norm=literal)
         got = score_matrix(bundles, bundles, params, cfg)
-        want = evaluate_batch(bundles, params, cfg).scores  # per-pair path
-        worst = max(worst, float(np.abs(got - want).max()))
+        for i, bt in enumerate(bundles):
+            tc = text_forward([bt], params)
+            cap, wc = tc.caption(0), text_weights(tc)
+            for j, bv in enumerate(bundles):
+                pf = pair_forward(cap, video_forward([bv], params).videos[0], cfg)  # per-pair path
+                worst = max(worst, abs(got[i, j] - score_pair(cap, wc, pf).final))
     if worst > 1e-10:
         raise SynretError(f"score_matrix differs from the per-pair path by {worst:.2e}")
     return f"4x4 vs per-pair path, both patch norms, max diff {worst:.1e}"

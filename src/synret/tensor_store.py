@@ -96,6 +96,8 @@ class PairRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PairRecord":
+        if not isinstance(d, dict):
+            raise DataError(f"manifest record must be a JSON object, got {d!r}")
         try:
             return cls(
                 pair_id=str(d["pair_id"]),
@@ -120,7 +122,16 @@ def read_manifest(path) -> list[PairRecord]:
         raise DataError(f"cannot read manifest {path}: {e}") from None
     if not isinstance(data, list):
         raise DataError(f"{path}: manifest must be a JSON array")
-    return [PairRecord.from_dict(d) for d in data]
+    records = [PairRecord.from_dict(d) for d in data]
+    seen = set()
+    for r in records:
+        # fuse names its output files after the id
+        if r.pair_id in ("", ".", "..") or any(c in r.pair_id for c in "/\\\0"):
+            raise DataError(f"{path}: pair_id {r.pair_id!r} is not a safe file name stem")
+        if r.pair_id in seen:
+            raise DataError(f"{path}: duplicate pair_id {r.pair_id!r}")
+        seen.add(r.pair_id)
+    return records
 
 
 def resolve(manifest_path, rel: str) -> Path:

@@ -2,33 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import RunConfig, TrainConfig
 from .dataset import FeatureBundle
 from .errors import DataError, NumericalError
-from .params import Adam, ModelParams
-from .pipeline import (
-    PairFeatures,
-    TextGrad,
-    VideoGrad,
-    pair_backward,
-    pair_forward,
-    text_backward,
-    text_forward,
-    video_backward,
-    video_forward,
-)
+from .params import Adam, ModelParams, zeros_like
+from .pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
 from .rng import SplitMix64
 from .scoring import (
-    ScoreBreakdown,
-    score_pair,
-    score_pair_backward,
     score_video,
-    stack_captions,
+    score_video_backward,
     text_weights,
+    text_weights_backward,
 )
 
 
@@ -63,42 +49,20 @@ def symmetric_ce_loss(s: np.ndarray, tau: float):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BatchEval:
-    tcs: list
-    wcs: list
-    vcs: list
-    pfs: list[list[PairFeatures]]
-    bds: list[list[ScoreBreakdown]]
-    scores: np.ndarray
-
-
-def evaluate_batch(bundles: list[FeatureBundle], params: ModelParams,
-                   cfg: RunConfig) -> BatchEval:
-    """Cross-score every caption in the batch against every video."""
-    tcs = [text_forward(b, params) for b in bundles]
-    wcs = [text_weights(tc) for tc in tcs]
-    vcs = [video_forward(b, params) for b in bundles]
-    n = len(bundles)
-    scores = np.zeros((n, n))
-    pfs, bds = [], []
-    for i in range(n):
-        row_pf, row_bd = [], []
-        for j in range(n):
-            pf = pair_forward(tcs[i], vcs[j], cfg)
-            bd = score_pair(tcs[i], wcs[i], pf)
-            scores[i, j] = bd.final
-            row_pf.append(pf)
-            row_bd.append(bd)
-        pfs.append(row_pf)
-        bds.append(row_bd)
-    return BatchEval(tcs=tcs, wcs=wcs, vcs=vcs, pfs=pfs, bds=bds, scores=scores)
+def _batch_forward(bundles: list[FeatureBundle], params: ModelParams, cfg: RunConfig):
+    """Every caption in the batch against every video: one stacked caption
+    forward, one temporal pass over all frame rows, one kernel call per
+    video."""
+    tc = text_forward(bundles, params)
+    wc = text_weights(tc)
+    vc = video_forward(bundles, params)
+    cols = [score_video(tc, wc, vid, cfg) for vid in vc.videos]
+    return tc, wc, vc, cols, np.stack([col.scores for col in cols], axis=1)
 
 
 def batch_loss(bundles: list[FeatureBundle], params: ModelParams,
                cfg: RunConfig) -> float:
-    ev = evaluate_batch(bundles, params, cfg)
-    loss, _ = symmetric_ce_loss(ev.scores, cfg.tau)
+    loss, _ = symmetric_ce_loss(_batch_forward(bundles, params, cfg)[-1], cfg.tau)
     return loss
 
 
@@ -106,30 +70,25 @@ def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
                          cfg: RunConfig):
     """Forward, loss, and full analytic backward pass.
 
-    Per-pair contributions hit per-caption / per-video boundary buffers
-    first; the shared caption and temporal chains then run once each, in
-    fixed order, so accumulation is bit-reproducible.
+    Each video's column of dloss/ds lands on the stacked caption gradients
+    and on that video's rows of the temporal-encoding gradient; the weight
+    gradients, summed over videos, then pass through one softmax VJP per
+    caption. The caption projections and the temporal layer then run their
+    backward once each over the whole batch. Every sum runs in a fixed
+    order, so gradients are bit-reproducible.
     """
-    from .params import zeros_like
-
-    ev = evaluate_batch(bundles, params, cfg)
-    loss, ds = symmetric_ce_loss(ev.scores, cfg.tau)
+    tc, wc, vc, cols, scores = _batch_forward(bundles, params, cfg)
+    loss, ds = symmetric_ce_loss(scores, cfg.tau)
 
     grads = zeros_like(params)
-    n = len(bundles)
-    tgs = [TextGrad.zeros(tc) for tc in ev.tcs]
-    vgs = [VideoGrad.zeros(vc) for vc in ev.vcs]
-    for i in range(n):
-        for j in range(n):
-            ev1_bar, ev2_bar = score_pair_backward(
-                ds[i, j], ev.tcs[i], ev.wcs[i], ev.pfs[i][j], ev.bds[i][j], tgs[i]
-            )
-            pair_backward(ev1_bar, ev2_bar, ev.pfs[i][j], tgs[i], vgs[j])
-    for i in range(n):
-        text_backward(tgs[i], ev.tcs[i], params, grads)
-    for j in range(n):
-        video_backward(vgs[j], ev.vcs[j], params, grads)
-    return loss, grads, ev.scores
+    tg = TextGrad.zeros(tc)
+    g_bar = np.zeros_like(vc.g)
+    for j, (vid, col) in enumerate(zip(vc.videos, cols)):
+        score_video_backward(ds[:, j], tc, wc, vid, col, cfg, tg, g_bar[vid.rows])
+    text_weights_backward(tg, tc, wc)
+    text_backward(tg, tc, params, grads)
+    video_backward(g_bar, vc, params, grads)
+    return loss, grads, scores
 
 
 def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
@@ -139,10 +98,8 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     Finite-difference checks need this to be comfortably larger than the
     probe step so no selection flips during perturbation.
     """
-    cs = stack_captions([text_forward(b, params) for b in bundles])
     margin = np.inf
-    for b in bundles:
-        col = score_video(cs, video_forward(b, params), cfg)
+    for col in _batch_forward(bundles, params, cfg)[3]:
         margin = min(margin, _kth_gap(col.ranked2, cfg.lambda_frame),
                      _kth_gap(col.ranked3, cfg.lambda_patch))
     return float(margin)

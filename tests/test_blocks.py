@@ -14,6 +14,7 @@ from synret.blocks import (
     mlp,
     softmax,
     top_k_indices,
+    transformer_backward,
     transformer_encode,
 )
 from synret.errors import DataError
@@ -182,7 +183,30 @@ class TestTransformer:
         params = init_params(4, 8, max_frames=3)
         x = SplitMix64(8).uniform_sym((1, 8))
         _, cache = transformer_encode(x, params.temporal, params.pos_emb, params.heads)
-        assert np.array_equal(cache.attn, np.ones((8, 1, 1)))
+        assert np.array_equal(cache.attn[0], np.ones((8, 1, 1)))
+
+    def test_stacked_videos_match_one_at_a_time(self):
+        # attention stays inside each video; every row-wise part runs once
+        params = init_params(6, 8, max_frames=4)
+        rng = SplitMix64(6)
+        videos = [rng.uniform_sym((n, 8)) for n in (3, 1, 4, 2)]
+        ybars = [rng.uniform_sym(v.shape) for v in videos]
+        got, cache = transformer_encode(np.concatenate(videos), params.temporal,
+                                        params.pos_emb, params.heads, [3, 1, 4, 2])
+        g_stacked = zeros_like(params)
+        xbar = transformer_backward(np.concatenate(ybars), cache, params.temporal,
+                                    g_stacked.temporal, g_stacked.pos_emb, params.heads)
+        g_single = zeros_like(params)
+        want, want_xbar = [], []
+        for v, ybar in zip(videos, ybars):
+            y, c = transformer_encode(v, params.temporal, params.pos_emb, params.heads)
+            want.append(y)
+            want_xbar.append(transformer_backward(ybar, c, params.temporal, g_single.temporal,
+                                                  g_single.pos_emb, params.heads))
+        assert np.abs(got - np.concatenate(want)).max() < 1e-12
+        assert np.abs(xbar - np.concatenate(want_xbar)).max() < 1e-12
+        for (name, a), (_, b) in zip(g_stacked.named_tensors(), g_single.named_tensors()):
+            assert np.abs(a - b).max() < 1e-12, name
 
     def test_zero_params_give_double_layernorm(self):
         # with all projections zero the layer reduces to LN(LN(x + pos))

@@ -226,3 +226,48 @@ def test_selfcheck_passes(capsys):
     assert checks and all(line.startswith("ok ") for line in checks)
     assert any("score-kernel" in line for line in checks)
     assert lines[-1] == f"selfcheck: {len(checks)}/{len(checks)} checks passed"
+
+
+@pytest.mark.parametrize("override", [
+    '"d": "8"',                     # int is not str
+    '"d": 8.0',                     # a float is not an int
+    '"literal_patch_norm": 1',      # int is not bool
+    '"steps": true',                # bool is not int
+    '"lr": 1e309',                  # JSON overflow reads as inf
+    '"stop_loss": "0.01"',          # str is not float
+])
+def test_config_value_of_wrong_type_is_usage_error(fixture_dir, tmp_path, capsys, override):
+    path = tmp_path / "bad.json"
+    # the JSON reader keeps the last of duplicate keys
+    path.write_text('{"d": 8, "max_frames": 3, "seed": 3, "batch_size": 2, "steps": 2, '
+                    + override + "}")
+    ckpt = tmp_path / "ckpt"
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(path), "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synret: usage error: config key") and len(err.splitlines()) == 1
+    assert not ckpt.exists()
+
+
+def test_config_float_fields_take_ints_and_null():
+    from synret.config import config_from_dict
+
+    run, tr = config_from_dict({"tau": 4, "lr": 1, "stop_loss": None})
+    assert run.tau == 4 and tr.lr == 1 and tr.stop_loss is None
+
+
+def test_fuse_rejects_unsafe_and_duplicate_pair_ids(fixture_dir, checkpoint, tmp_path, capsys):
+    manifest = fixture_dir / "manifest.json"
+    records = json.loads(manifest.read_text())
+    out = tmp_path / "nested" / "fused"
+    for ids, message in ((["../escape"] + [r["pair_id"] for r in records[1:]], "not a safe"),
+                         ([records[0]["pair_id"]] * len(records), "duplicate pair_id")):
+        for rec, pair_id in zip(records, ids):
+            rec["pair_id"] = pair_id
+        manifest.write_text(json.dumps(records))
+        capsys.readouterr()
+        assert main(["fuse", "--manifest", str(manifest), "--params", str(checkpoint),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()

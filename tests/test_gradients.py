@@ -7,6 +7,8 @@ model through the contrastive loss on a tie-free fixture.
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from synret.blocks import (
     dot_softmax_attend,
     dot_softmax_attend_backward,
@@ -14,15 +16,29 @@ from synret.blocks import (
     layer_norm_backward,
     mlp,
     mlp_backward,
+    softmax_vjp,
     transformer_encode,
     transformer_backward,
 )
 from synret.config import RunConfig
-from synret.dataset import synthetic_bundles
+from synret.conllu import parse_conllu
+from synret.dataset import FeatureBundle, synthetic_bundles
 from synret.gradcheck import grad_check, max_relative_error
+from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import LayerNormParams, MlpParams, init_params, zeros_like
+from synret.pipeline import TextGrad, pair_forward, text_backward, text_forward, video_backward, video_forward
 from synret.rng import SplitMix64
-from synret.train import batch_loss, batch_loss_and_grads, selection_margins
+from synret.scoring import (
+    caption_weights,
+    score_pair,
+    score_video,
+    score_video_backward,
+    text_weights,
+    text_weights_backward,
+)
+from synret.train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
+
+from conftest import tie_fixture
 
 
 def fd(fn, arr, h=1e-6):
@@ -170,3 +186,147 @@ def test_full_pipeline_gradients_small():
     _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
     report = grad_check(lambda: batch_loss(bundles, params, cfg), grads, params)
     assert max_relative_error(report) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# The batched training step against the per-pair reference
+# ---------------------------------------------------------------------------
+
+
+def pair_backward_reference(lbar, cap, wc, pf, bd, bar, g_bar):
+    """Backward of lbar * (s1 + s2 + s3) for one (caption, video) cell into
+    the caption's node gradients `bar` (e1, e2, e3, m2) and the video's
+    g_bar, from the per-pair path's pooled features and selections."""
+    # layer 1: e1 . ev1, where ev1 pools the frames by e1-attention
+    qbar, _, _ = dot_softmax_attend_backward(lbar * cap.e1, pf.attend_cache)
+    bar.e1 += lbar * pf.ev1 + qbar
+    # layer 2: w2 . (e2 . ev2), where ev2 is the mean of the picked g rows
+    bar.e2 += (lbar * wc.w2)[:, None] * pf.ev2
+    for i, sel in enumerate(pf.psi2):
+        g_bar[sel] += lbar * wc.w2[i] * cap.e2[i] / len(sel)
+    sim2_bar = softmax_vjp(wc.w2, lbar * bd.score2)
+    # layer 3: w3 . (e3 . ev3); the pooled patch rows are frozen
+    if bd.score3.size:
+        bar.e3 += (lbar * wc.w3)[:, None] * pf.ev3
+        z_bar = softmax_vjp(wc.w3, lbar * bd.score3)
+        parents = np.asarray(cap.index.parent3)
+        np.add.at(sim2_bar, parents, z_bar)
+        np.add.at(bar.m2, parents, z_bar[:, None] * cap.e3)
+        bar.e3 += z_bar[:, None] * cap.m2[parents]
+    bar.e1 += sim2_bar @ cap.m2
+    bar.m2 += sim2_bar[:, None] * cap.e1
+
+
+def per_pair_loss_and_grads(bundles, params, cfg):
+    """pair_forward + score_pair per cell, the per-pair backward above, and
+    each caption's and each video's chain run on its own."""
+    tcs = [text_forward([b], params) for b in bundles]
+    wcs = [text_weights(tc) for tc in tcs]
+    vcs = [video_forward([b], params) for b in bundles]
+    pfs = [[pair_forward(tc.caption(0), vc.videos[0], cfg) for vc in vcs] for tc in tcs]
+    bds = [[score_pair(tc.caption(0), wc, pf) for pf in row]
+           for tc, wc, row in zip(tcs, wcs, pfs)]
+    scores = np.array([[bd.final for bd in row] for row in bds])
+    loss, ds = symmetric_ce_loss(scores, cfg.tau)
+    grads = zeros_like(params)
+    g_bars = [np.zeros_like(vc.g) for vc in vcs]
+    for i, (tc, wc) in enumerate(zip(tcs, wcs)):
+        tg = TextGrad.zeros(tc)
+        for j, g_bar in enumerate(g_bars):
+            pair_backward_reference(ds[i, j] / 3.0, tc.caption(0), wc, pfs[i][j], bds[i][j],
+                                    tg, g_bar)
+        text_backward(tg, tc, params, grads)
+    for vc, g_bar in zip(vcs, g_bars):
+        video_backward(g_bar, vc, params, grads)
+    return loss, grads, scores
+
+
+_TWO_ADJ_ENTITIES = """\
+1\tbig\tbig\tADJ\t_\t_\t3\tamod\t_\t_
+2\tred\tred\tADJ\t_\t_\t3\tamod\t_\t_
+3\tdog\tdog\tNOUN\t_\t_\t4\tnsubj\t_\t_
+4\tchases\tchase\tVERB\t_\t_\t0\troot\t_\t_
+5\tsmall\tsmall\tADJ\t_\t_\t6\tamod\t_\t_
+6\tcat\tcat\tNOUN\t_\t_\t4\tobj\t_\t_
+"""
+
+
+def mixed_batch(golden_dir, d):
+    """Golden captions (verbless/EXIST, entity-less, several verbs) plus one
+    with adjectives on two entities, each paired with a video of its own
+    frame and patch count."""
+    parses = [(golden_dir / f"{name}.conllu").read_text()
+              for name in ("verbless", "punct_only", "two_verbs", "deep_chain", "simple")]
+    parses.append(_TWO_ADJ_ENTITIES)
+    shapes = [(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9)]
+    rng = SplitMix64(404)
+    bundles = []
+    for k, (conllu, (n_v, n_p)) in enumerate(zip(parses, shapes)):
+        h = build_hierarchy(parse_conllu(conllu))
+        bundles.append(FeatureBundle(
+            pair_id=f"pair{k}", hierarchy=h, index=index_hierarchy(h),
+            text=rng.uniform_sym((len(parse_conllu(conllu)) + 1, d)),
+            frames=rng.uniform_sym((n_v, d)), patches=rng.uniform_sym((n_v, n_p, d))))
+    return bundles
+
+
+@pytest.mark.parametrize("lambda_frame,lambda_patch,literal", [
+    (2, 4, False), (2, 4, True), (1, 1, False), (9, 20, True),
+])
+def test_batched_step_matches_per_pair_reference(golden_dir, lambda_frame, lambda_patch,
+                                                 literal):
+    d = 8
+    bundles = mixed_batch(golden_dir, d)
+    assert any(b.hierarchy.exist_node_used for b in bundles)
+    assert any(b.index.n_entities == 0 for b in bundles)
+    assert sum(bool(kids) for b in bundles for kids in b.index.adj_children) >= 3
+    params = init_params(405, d, max_frames=4)
+    cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame, lambda_patch=lambda_patch,
+                    literal_patch_norm=literal)
+    loss, grads, scores = batch_loss_and_grads(bundles, params, cfg)
+    ref_loss, ref_grads, ref_scores = per_pair_loss_and_grads(bundles, params, cfg)
+    assert abs(loss - ref_loss) <= 1e-10 and np.abs(scores - ref_scores).max() <= 1e-10
+    assert batch_loss(bundles, params, cfg) == loss
+    for (name, got), (_, want) in zip(grads.named_tensors(), ref_grads.named_tensors()):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), name
+    assert any(np.abs(g).max() > 0 for _, g in grads.named_tensors())
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("lambda_patch", [1, 2, 3])
+@pytest.mark.parametrize("lambda_frame", [1, 2, 3])
+def test_training_selections_equal_score_video_on_exact_ties(lambda_frame, lambda_patch,
+                                                              literal):
+    # frames 0 and 2 tie while holding different patches, and patch rows tie
+    # inside frames: a tie broken the other way moves the g gradient to
+    # another frame or changes the pooled patch rows e3 is pulled towards
+    vid, caps, stack = tie_fixture()
+    cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
+                    lambda_patch=lambda_patch, literal_patch_norm=literal)
+    wc = text_weights(stack)
+    col = score_video(stack, wc, vid, cfg)
+    s_bar = np.array([1.0, -0.5])
+    tg = SimpleNamespace(**{k: np.zeros_like(getattr(stack, k)) for k in ("e1", "e2", "e3", "m2")},
+                         w2=np.zeros_like(wc.w2), w3=np.zeros_like(wc.w3))
+    g_bar = np.zeros_like(vid.g)
+    score_video_backward(s_bar, stack, wc, vid, col, cfg, tg, g_bar)
+    text_weights_backward(tg, stack, wc)
+
+    ref_g_bar = np.zeros_like(vid.g)
+    rows2 = rows3 = 0
+    for i, cap in enumerate(caps):
+        cw = caption_weights(cap)
+        pf = pair_forward(cap, vid, cfg)
+        n2, n3 = cap.e2.shape[0], cap.e3.shape[0]
+        k = min(lambda_frame, 3)
+        assert [sel.tolist() for sel in pf.psi2] == \
+            [sorted(o) for o in col.order2[rows2:rows2 + n2, :k].tolist()]
+        bar = SimpleNamespace(e1=np.zeros(4), e2=np.zeros((n2, 4)), e3=np.zeros((n3, 4)),
+                              m2=np.zeros((n2, 4)))
+        pair_backward_reference(s_bar[i] / 3.0, cap, cw, pf, score_pair(cap, cw, pf), bar,
+                                ref_g_bar)
+        assert np.abs(tg.e1[i] - bar.e1).max() <= 1e-12
+        for name, rows, n in (("e2", rows2, n2), ("m2", rows2, n2), ("e3", rows3, n3)):
+            assert np.abs(getattr(tg, name)[rows:rows + n] - getattr(bar, name)).max(initial=0) <= 1e-12
+        rows2, rows3 = rows2 + n2, rows3 + n3
+    assert np.abs(g_bar - ref_g_bar).max() <= 1e-12

@@ -71,7 +71,7 @@ class TestEnhanceEntities:
 
     def test_no_adjectives_keeps_projection(self):
         f3 = self.rng.uniform_sym((1, 8))
-        e3p, f3p, _, _ = enhance_entities(f3, np.zeros((0, 8)), [[]], self.params)
+        e3p, f3p, _ = enhance_entities(f3, np.zeros((0, 8)), [[]], self.params)
         u, _ = mlp(f3[0], self.params.mlp4)
         want, _ = layer_norm(f3[0] + u, self.params.ln_enhance)
         assert np.abs(e3p[0] - want).max() < 1e-14
@@ -80,15 +80,15 @@ class TestEnhanceEntities:
     def test_single_adjective_full_weight(self):
         f3 = self.rng.uniform_sym((1, 8))
         f4 = self.rng.uniform_sym((1, 8))
-        e3p, f3p, _, caches = enhance_entities(f3, f4, [[0]], self.params)
-        assert np.array_equal(caches[0].attend.weights, [1.0])
+        e3p, f3p, cache = enhance_entities(f3, f4, [[0]], self.params)
+        assert np.array_equal(cache.attends[0].weights, [1.0])
         fused, _ = mlp(np.concatenate([e3p[0], f4[0]]), self.params.fusion)
         assert np.abs(f3p[0] - (e3p[0] + fused)).max() < 1e-14
 
     def test_two_adjectives_match_formula_oracle(self):
         f3 = self.rng.uniform_sym((1, 8))
         f4 = self.rng.uniform_sym((2, 8))
-        e3p, f3p, _, _ = enhance_entities(f3, f4, [[0, 1]], self.params)
+        e3p, f3p, _ = enhance_entities(f3, f4, [[0, 1]], self.params)
         # straight-line recompute
         u = self.params.mlp4.w2 @ _gelu(self.params.mlp4.w1 @ f3[0] + self.params.mlp4.b1) + self.params.mlp4.b2
         want_e = _ln(f3[0] + u, self.params.ln_enhance)
@@ -220,15 +220,15 @@ class TestPairInvariants:
         params = params.copy()
         params.pos_emb[...] = 0.0  # temporal encoding must not pin frame order
         b = bundles[0]
-        tc = text_forward(b, params)
-        vc = video_forward(b, params)
-        pf = pair_forward(tc, vc, cfg)
+        cap = text_forward([b], params).caption(0)
+        vc = video_forward([b], params).videos[0]
+        pf = pair_forward(cap, vc, cfg)
 
         perm = [2, 0, 3, 1]
         b2 = type(b)(pair_id=b.pair_id, hierarchy=b.hierarchy, index=b.index,
                      text=b.text, frames=b.frames[perm], patches=b.patches[perm])
-        vc2 = video_forward(b2, params)
-        pf2 = pair_forward(tc, vc2, cfg)
+        vc2 = video_forward([b2], params).videos[0]
+        pf2 = pair_forward(cap, vc2, cfg)
 
         assert np.allclose(pf2.ev1, pf.ev1, atol=1e-12)
         assert np.allclose(pf2.ev2, pf.ev2, atol=1e-12)
@@ -240,13 +240,13 @@ class TestPairInvariants:
     def test_pooled_features_are_exact_means(self, small_setup):
         bundles, params, cfg = small_setup
         for b in bundles:
-            tc = text_forward(b, params)
-            vc = video_forward(b, params)
-            pf = pair_forward(tc, vc, cfg)
+            cap = text_forward([b], params).caption(0)
+            vc = video_forward([b], params).videos[0]
+            pf = pair_forward(cap, vc, cfg)
             for i, sel in enumerate(pf.psi2):
                 assert np.array_equal(pf.ev2[i], vc.g[sel].mean(axis=0))
-            for i in range(tc.index.n_entities):
-                sel_frames = pf.psi2[tc.index.parent3[i]]
+            for i in range(cap.index.n_entities):
+                sel_frames = pf.psi2[cap.index.parent3[i]]
                 rebuilt = [
                     vc.patches[j][pf.psi3[i][jj]].mean(axis=0)
                     for jj, j in enumerate(sel_frames)

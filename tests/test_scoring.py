@@ -13,10 +13,11 @@ from synret.dataset import FeatureBundle
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
-from synret.pipeline import pair_forward, text_forward, video_forward
+from synret.pipeline import pair_forward
 from synret.rng import SplitMix64
 from synret.scoring import (
     WeightCache,
+    caption_weights,
     dsl_postprocess,
     final_score,
     layer2_weights,
@@ -25,11 +26,10 @@ from synret.scoring import (
     score_matrix,
     score_pair,
     score_video,
-    stack_captions,
     text_weights,
 )
 
-from conftest import GOLDEN_NAMES
+from conftest import GOLDEN_NAMES, encode_pair, reference_score, tie_fixture
 
 
 def stub(e1, e2, e3, ev1, ev2, ev3):
@@ -140,23 +140,19 @@ class TestFinalScore:
 
     def test_final_is_exact_mean_of_layer_scores(self, small_setup):
         bundles, params, cfg = small_setup
-        tc = text_forward(bundles[0], params)
-        wc = text_weights(tc)
-        vc = video_forward(bundles[1], params)
-        bd = score_pair(tc, wc, pair_forward(tc, vc, cfg))
+        cap, wc, vid = encode_pair(bundles[0], bundles[1], params)
+        bd = score_pair(cap, wc, pair_forward(cap, vid, cfg))
         s1, s2, s3 = bd.layer_scores
         assert bd.final == (s1 + s2 + s3) / 3.0
 
     def test_matches_composed_oracle(self, small_setup):
         bundles, params, cfg = small_setup
-        tc = text_forward(bundles[2], params)
-        wc = text_weights(tc)
-        vc = video_forward(bundles[3], params)
-        pf = pair_forward(tc, vc, cfg)
-        bd = score_pair(tc, wc, pf)
-        s1 = float(tc.e1 @ pf.ev1)
-        s2 = sum(float(wc.w2[i]) * float(tc.e2[i] @ pf.ev2[i]) for i in range(tc.e2.shape[0]))
-        s3 = sum(float(wc.w3[i]) * float(tc.e3[i] @ pf.ev3[i]) for i in range(tc.e3.shape[0]))
+        cap, wc, vid = encode_pair(bundles[2], bundles[3], params)
+        pf = pair_forward(cap, vid, cfg)
+        bd = score_pair(cap, wc, pf)
+        s1 = float(cap.e1 @ pf.ev1)
+        s2 = sum(float(wc.w2[i]) * float(cap.e2[i] @ pf.ev2[i]) for i in range(cap.e2.shape[0]))
+        s3 = sum(float(wc.w3[i]) * float(cap.e3[i] @ pf.ev3[i]) for i in range(cap.e3.shape[0]))
         assert abs(bd.final - (s1 + s2 + s3) / 3.0) < 1e-12
 
 
@@ -164,20 +160,15 @@ class TestScoreMatrix:
     def test_1x1(self, small_setup):
         bundles, params, cfg = small_setup
         s = score_matrix(bundles[:1], bundles[:1], params, cfg)
-        tc = text_forward(bundles[0], params)
-        bd = score_pair(tc, text_weights(tc),
-                        pair_forward(tc, video_forward(bundles[0], params), cfg))
-        assert s.shape == (1, 1) and abs(s[0, 0] - bd.final) <= 1e-10
+        want = reference_score(bundles[0], bundles[0], params, cfg)
+        assert s.shape == (1, 1) and abs(s[0, 0] - want) <= 1e-10
 
     def test_cells_equal_standalone_evaluation(self, small_setup):
         bundles, params, cfg = small_setup
         s = score_matrix(bundles[:2], bundles[:2], params, cfg)
         for i in range(2):
-            tc = text_forward(bundles[i], params)
-            wc = text_weights(tc)
             for j in range(2):
-                pf = pair_forward(tc, video_forward(bundles[j], params), cfg)
-                assert abs(s[i, j] - score_pair(tc, wc, pf).final) <= 1e-10
+                assert abs(s[i, j] - reference_score(bundles[i], bundles[j], params, cfg)) <= 1e-10
 
     def test_not_symmetric(self, small_setup):
         bundles, params, cfg = small_setup
@@ -236,40 +227,20 @@ def test_score_matrix_cells_match_per_pair_path(golden_dir, ties, lambda_frame,
     s = score_matrix(captions, videos, params, cfg)
     assert s.shape == (len(captions), len(videos))
     for i, bt in enumerate(captions):
-        tc = text_forward(bt, params)
-        wc = text_weights(tc)
         for j, bv in enumerate(videos):
-            want = score_pair(tc, wc, pair_forward(tc, video_forward(bv, params), cfg)).final
-            assert abs(s[i, j] - want) <= 1e-10, (i, j)
+            assert abs(s[i, j] - reference_score(bt, bv, params, cfg)) <= 1e-10, (i, j)
 
 
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("lambda_patch", [1, 2, 3])
 @pytest.mark.parametrize("lambda_frame", [1, 2, 3])
 def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch, literal):
-    # small integer features make every node score exact in both paths, and
-    # frames 0 and 2 tie while holding different patches, so a tie broken
-    # the other way changes the entity scores
-    g = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    patches = np.array([
-        [[0.0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        [[0, 0, 0, 2], [0, 0, 2, 0], [1, 1, 1, 1]],
-        [[0, 0, 3, 0], [0, 0, 0, -1], [0, 0, 0, 3]],
-    ])
-    vc = SimpleNamespace(frames=g, g=g, patches=patches)
-    e2 = np.array([[2.0, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0]])
-    tcs = [
-        SimpleNamespace(e1=np.array([1.0, 0, 0, 0]), e2=e2, m2=e2,
-                        e3=np.array([[0.0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
-                        index=SimpleNamespace(parent3=[0, 1, 2])),
-        SimpleNamespace(e1=np.array([0.0, 1, 0, 0]), e2=e2[2:], m2=e2[2:],
-                        e3=np.zeros((0, 4)), index=SimpleNamespace(parent3=[])),
-    ]
+    vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    got = score_video(stack_captions(tcs), vc, cfg).scores
-    for i, tc in enumerate(tcs):
-        want = score_pair(tc, text_weights(tc), pair_forward(tc, vc, cfg)).final
+    got = score_video(stack, text_weights(stack), vid, cfg).scores
+    for i, cap in enumerate(caps):
+        want = score_pair(cap, caption_weights(cap), pair_forward(cap, vid, cfg)).final
         assert abs(got[i] - want) <= 1e-10
 
 

@@ -1,5 +1,6 @@
 """Binary container format, manifests, and fixture generation."""
 
+import json
 import struct
 
 import numpy as np
@@ -148,3 +149,35 @@ class TestFixtures:
     def test_rejects_bad_dims(self, tmp_path):
         with pytest.raises(DataError):
             gen_fixture(1, 0, 4, 3, 4, 8, tmp_path)
+
+
+class TestManifestIds:
+    def _manifest_with_ids(self, tmp_path, ids):
+        manifest = gen_fixture(1, len(ids), 4, 3, 4, 8, tmp_path)
+        records = json.loads(manifest.read_text())
+        for rec, pair_id in zip(records, ids):
+            rec["pair_id"] = pair_id
+        manifest.write_text(json.dumps(records))
+        return manifest
+
+    @pytest.mark.parametrize("pair_id", ["../x", "a/b", "a\\b", "", ".", "..", "/abs"])
+    def test_rejects_unsafe_pair_id(self, tmp_path, pair_id):
+        manifest = self._manifest_with_ids(tmp_path, ["ok", pair_id])
+        with pytest.raises(DataError, match="not a safe file name stem") as err:
+            read_manifest(manifest)
+        assert repr(pair_id) in str(err.value)
+
+    def test_rejects_duplicate_pair_id(self, tmp_path):
+        manifest = self._manifest_with_ids(tmp_path, ["a", "b", "a"])
+        with pytest.raises(DataError, match="duplicate pair_id 'a'"):
+            read_manifest(manifest)
+
+    def test_accepts_plain_stems(self, tmp_path):
+        manifest = self._manifest_with_ids(tmp_path, ["clip-1", "clip_2.v2"])
+        assert [r.pair_id for r in read_manifest(manifest)] == ["clip-1", "clip_2.v2"]
+
+    def test_rejects_non_object_record(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('["pair0000"]')
+        with pytest.raises(DataError, match="must be a JSON object"):
+            read_manifest(manifest)

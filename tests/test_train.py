@@ -8,13 +8,15 @@ from synret.dataset import synthetic_bundles
 from synret.errors import DataError
 from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
 from synret.rng import SplitMix64
+from synret.pipeline import pair_forward
 from synret.train import (
-    evaluate_batch,
     selection_margins,
     symmetric_ce_loss,
     train,
     write_loss_log,
 )
+
+from conftest import encode_pair
 
 
 class TestSymmetricLoss:
@@ -165,15 +167,16 @@ def test_selection_margins_match_per_pair_loop(small_setup, lambda_frame, lambda
         ordered = np.sort(scores)[::-1]
         return ordered[k - 1] - ordered[k] if k < ordered.size else np.inf
 
-    ev = evaluate_batch(bundles, params, cfg)  # per-pair path
     want = np.inf
-    for i, tc in enumerate(ev.tcs):
-        for j, vc in enumerate(ev.vcs):
-            for row in tc.e2 @ vc.g.T:
+    for bt in bundles:
+        for bv in bundles:
+            cap, _, vc = encode_pair(bt, bv, params)
+            pf = pair_forward(cap, vc, cfg)  # per-pair path
+            for row in cap.e2 @ vc.g.T:
                 want = min(want, kth_gap(row, lambda_frame))
-            for ei in range(tc.index.n_entities):
-                for fj in ev.pfs[i][j].psi2[tc.index.parent3[ei]]:
-                    want = min(want, kth_gap(vc.patches[fj] @ tc.e3[ei], lambda_patch))
+            for ei in range(cap.index.n_entities):
+                for fj in pf.psi2[cap.index.parent3[ei]]:
+                    want = min(want, kth_gap(vc.patches[fj] @ cap.e3[ei], lambda_patch))
     got = selection_margins(bundles, params, cfg)
     assert got == want or abs(got - want) <= 1e-12
 
