@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import DataError, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
 from .params import init_params, load_checkpoint, save_checkpoint
-from .pipeline import pair_forward, text_forward, video_forward
+from .pipeline import ENCODE_CHUNK, pair_forward, text_forward, video_forward
 from .scoring import dsl_postprocess, score_matrix
 from .selfcheck import run_selfcheck
 from .tensor_store import gen_fixture, write_tensor
@@ -111,6 +112,16 @@ def _load_cfg(args) -> tuple[RunConfig, TrainConfig]:
     return run, tr
 
 
+@contextmanager
+def _writing(path):
+    """An output that cannot be written is a usage error: the path came from
+    the command line."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot write {e.filename or path}: {e.strerror or e}") from None
+
+
 def _cfg_for_checkpoint(run: RunConfig, params) -> RunConfig:
     """Model geometry always comes from the checkpoint."""
     run.d = params.d
@@ -121,8 +132,9 @@ def _cfg_for_checkpoint(run: RunConfig, params) -> RunConfig:
 
 
 def _cmd_gen_fixtures(args) -> int:
-    manifest = gen_fixture(args.seed, args.pairs, args.tokens, args.frames,
-                           args.patches, args.dim, args.out)
+    with _writing(args.out):
+        manifest = gen_fixture(args.seed, args.pairs, args.tokens, args.frames,
+                               args.patches, args.dim, args.out)
     print(manifest)
     return 0
 
@@ -134,7 +146,8 @@ def _cmd_build_hierarchy(args) -> int:
         raise DataError(f"cannot read {args.conllu}: {e}") from None
     doc = hierarchy_to_json(build_hierarchy(parse_conllu(raw)))
     if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(doc, encoding="utf-8")
     else:
         sys.stdout.write(doc)
     return 0
@@ -146,28 +159,36 @@ def _cmd_fuse(args) -> int:
     run = _cfg_for_checkpoint(run, params)
     bundles = load_bundles(args.manifest)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     index = {}
-    for b in bundles:
-        cap = text_forward([b], params).caption(0)
-        vid = video_forward([b], params).videos[0]
-        pf = pair_forward(cap, vid, run)
-        tensors = {
-            "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
-            "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3,
-        }
-        files = {}
-        for name, value in tensors.items():
-            fname = f"{b.pair_id}.{name}.shet"
-            write_tensor(np.asarray(value, dtype=np.float32), out / fname)
-            files[name] = fname
-        index[b.pair_id] = {
-            "tensors": files,
-            "frame_selection": [sel.tolist() for sel in pf.psi2],
-            "patch_selection": [[sel.tolist() for sel in per_entity] for per_entity in pf.psi3],
-        }
-    (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
-                                    encoding="utf-8")
+    for lo in range(0, len(bundles), ENCODE_CHUNK):
+        chunk = bundles[lo:lo + ENCODE_CHUNK]
+        # keep only the outputs: the backward caches would otherwise stay
+        # alive while the next chunk is encoded
+        tc = text_forward(chunk, params)
+        tc.drop_backward_caches()
+        videos = video_forward(chunk, params).videos
+        for i, b in enumerate(chunk):
+            cap, vid = tc.caption(i), videos[i]
+            pf = pair_forward(cap, vid, run)
+            tensors = {
+                "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
+                "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3,
+            }
+            files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
+            with _writing(out):
+                for name, value in tensors.items():
+                    write_tensor(np.asarray(value, dtype=np.float32), out / files[name])
+            index[b.pair_id] = {
+                "tensors": files,
+                "frame_selection": [sel.tolist() for sel in pf.psi2],
+                "patch_selection": [[sel.tolist() for sel in per_entity]
+                                    for per_entity in pf.psi3],
+            }
+    with _writing(out):
+        (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
+                                        encoding="utf-8")
     print(f"wrote features for {len(bundles)} pairs to {out}")
     return 0
 
@@ -182,7 +203,6 @@ def _cmd_score(args) -> int:
         s = dsl_postprocess(s, run.tau_dsl, "t2v")
     if not np.isfinite(s).all():
         raise NumericalError("score matrix contains non-finite values")
-    write_tensor(s.astype(np.float32), args.out)
     sidecar = {
         "rows": [b.pair_id for b in bundles],
         "cols": [b.pair_id for b in bundles],
@@ -191,8 +211,10 @@ def _cmd_score(args) -> int:
         "tau_dsl": run.tau_dsl if args.dsl else None,
         "literal_patch_norm": run.literal_patch_norm,
     }
-    Path(str(args.out) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _writing(args.out):
+        write_tensor(s.astype(np.float32), args.out)
+        Path(str(args.out) + ".json").write_text(
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {s.shape[0]}x{s.shape[1]} score matrix to {args.out}")
     return 0
 
@@ -207,9 +229,9 @@ def _cmd_train(args) -> int:
                          max_frames=run.max_frames, tau=run.tau)
     curve = train(bundles, params, run, tr)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(params, out, seed=run.seed)
-    write_loss_log(curve, out / "loss.csv")
+    with _writing(out):
+        save_checkpoint(params, out, seed=run.seed)
+        write_loss_log(curve, out / "loss.csv")
     if curve:
         print(f"trained {len(curve)} steps, final loss {curve[-1][1]!r}; checkpoint in {out}")
     else:
@@ -232,8 +254,9 @@ def _cmd_eval(args) -> int:
         report = evaluate_matrix(s)
     report["dsl"] = bool(args.dsl)
     report["pairs"] = len(bundles)
-    Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
+    with _writing(args.report):
+        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
     print(json.dumps(report, sort_keys=True))
     return 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +31,8 @@ class RunConfig:
             raise UsageError("d and max_frames must be positive")
         if self.lambda_frame < 1 or self.lambda_patch < 1:
             raise UsageError("lambda_frame and lambda_patch must be >= 1")
+        if self.heads < 1:
+            raise UsageError("heads must be >= 1")
         if self.d % self.heads != 0:
             raise UsageError(f"d={self.d} must be divisible by heads={self.heads}")
         if self.empty_layer_policy != "zero":
@@ -60,15 +62,16 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", st
 
 
 def _check_type(key: str, value, hint) -> None:
-    """bool is not int, int is not str; float fields take ints and finite
-    floats; an optional field also takes null."""
+    """bool is not int, int is not str; float fields take finite floats and
+    ints within the float range; an optional field also takes null."""
     optional = type(None) in typing.get_args(hint)
     if optional and value is None:
         return
     kind = next(t for t in _KINDS if hint is t or t in typing.get_args(hint))
     if kind is float:
+        # compared, not converted: an int beyond the float range cannot be converted
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
+              and abs(value) <= sys.float_info.max)
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:

@@ -39,6 +39,11 @@ from .errors import DataError
 from .hierarchy import HierarchyIndex
 from .params import ModelParams
 
+# Gallery paths (`score_matrix` and the `fuse` CLI) encode this many items per
+# `text_forward`/`video_forward` call: enough rows to pay for one pass over the
+# weights, few enough to keep one chunk's activations small.
+ENCODE_CHUNK = 16
+
 
 # ---------------------------------------------------------------------------
 # Node feature initialization
@@ -146,10 +151,10 @@ class TextCache:
     m2: np.ndarray       # (A, d)
     e3p: np.ndarray      # (M, d)
     f3p: np.ndarray      # (M, d)
-    e1_cache: ResNormCache
-    e2_cache: ResNormCache
-    m2_cache: ResNormCache
-    e3_cache: ResNormCache | None     # None when the batch has no entities
+    e1_cache: ResNormCache | None     # the caches are None after drop_backward_caches
+    e2_cache: ResNormCache | None
+    m2_cache: ResNormCache | None
+    e3_cache: ResNormCache | None     # None also when the batch has no entities
     enhance_cache: EnhanceCache | None
 
     def caption(self, i: int) -> Caption:
@@ -157,6 +162,12 @@ class TextCache:
         s3 = slice(self.first3[i], self.first3[i + 1])
         return Caption(index=self.indexes[i], e1=self.e1[i], e2=self.e2[s2], e3=self.e3[s3],
                        m2=self.m2[s2], e3p=self.e3p[s3], f3p=self.f3p[s3])
+
+    def drop_backward_caches(self) -> None:
+        """Frees what only text_backward reads, for callers that score without
+        training; text_backward cannot run afterwards."""
+        self.e1_cache = self.e2_cache = self.m2_cache = None
+        self.e3_cache = self.enhance_cache = None
 
 
 @dataclass

@@ -19,6 +19,7 @@ from .dataset import FeatureBundle
 from .errors import DataError
 from .params import ModelParams
 from .pipeline import (
+    ENCODE_CHUNK,
     Caption,
     PairFeatures,
     TextCache,
@@ -158,15 +159,17 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     """Scores of every stacked caption against one video, equal to
     `score_pair(pair_forward(...))` per caption up to rounding.
 
-    Each layer's node score is an average of dot products, so it is computed
-    from one score GEMM per layer without gathering feature rows: e1.ev1 is
-    the attention-weighted mean of the frame logits, e2.ev2 the mean of the
+    Each node score is an average of dot products, so it is computed from
+    score GEMMs without gathering feature rows: e1.ev1 is the
+    attention-weighted mean of the frame logits, e2.ev2 the mean of the
     picked frame scores, and e3.ev3 the frame-average of the mean top patch
-    scores. A stable sort of the negated scores keeps the ties-to-lower-index
-    rule for frames and patches.
+    scores. Patches are scored only inside the frames each entity's parent
+    action picked, with one GEMM per frame over the entities that picked it.
+    A stable sort of the negated scores keeps the ties-to-lower-index rule
+    for frames and patches.
     """
     n_t = tc.e1.shape[0]
-    n_v, n_p, d = vid.patches.shape
+    n_v, n_p, _ = vid.patches.shape
     k_frame = min(cfg.lambda_frame, n_v)
 
     logits = tc.e1 @ vid.frames.T
@@ -177,9 +180,12 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     ranked2 = np.take_along_axis(frame_scores, order2, axis=1)
     score2 = ranked2[:, :k_frame].mean(axis=1)
 
-    patch_scores = (tc.e3 @ vid.patches.reshape(n_v * n_p, d).T).reshape(-1, n_v, n_p)
     picked = order2[tc.parent3, :k_frame]
-    in_picked = np.take_along_axis(patch_scores, picked[:, :, None], axis=1)
+    in_picked = np.empty((picked.shape[0], k_frame, n_p))
+    for j in range(n_v):
+        ent, slot = np.nonzero(picked == j)
+        if ent.size:
+            in_picked[ent, slot] = tc.e3[ent] @ vid.patches[j].T
     order3 = np.argsort(-in_picked, axis=2, kind="stable")
     ranked3 = np.take_along_axis(in_picked, order3, axis=2)
     frame_means = ranked3[:, :, :cfg.lambda_patch].mean(axis=2)
@@ -235,17 +241,21 @@ def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
     """Rows are captions, columns are videos. Fusion is caption-guided, so
     the matrix is not symmetric even on the diagonal manifest.
 
-    Each video is encoded on its own and scored against all captions by
-    `score_video`. `threads` is still accepted but changes neither speed nor
-    output.
+    Captions are encoded in one batch, videos in chunks of ENCODE_CHUNK, and
+    each video is scored against all captions by `score_video`. `threads` is
+    still accepted but changes neither speed nor output.
     """
     out = np.zeros((len(bundles_t), len(bundles_v)))
     if not bundles_t:
         return out
     tc = text_forward(bundles_t, params)
+    tc.drop_backward_caches()
     wc = text_weights(tc)
-    for j, b in enumerate(bundles_v):
-        out[:, j] = score_video(tc, wc, video_forward([b], params).videos[0], cfg).scores
+    for lo in range(0, len(bundles_v), ENCODE_CHUNK):
+        # only the encoded videos are kept, not the temporal layer's backward cache
+        videos = video_forward(bundles_v[lo:lo + ENCODE_CHUNK], params).videos
+        for j, vid in enumerate(videos, start=lo):
+            out[:, j] = score_video(tc, wc, vid, cfg).scores
     return out
 
 

@@ -21,7 +21,7 @@ from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
-from .pipeline import pair_forward, text_forward, video_forward
+from .pipeline import ENCODE_CHUNK, pair_forward, text_forward, video_forward
 from .scoring import score_matrix, score_pair, text_weights
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
@@ -170,21 +170,25 @@ def _check_weight_normalization() -> str:
 
 
 def _check_score_kernel() -> str:
-    bundles = synthetic_bundles(37, 4, 6, 3, 5, 8)
+    # more videos than one encode chunk, so a chunk boundary is crossed
+    bundles = synthetic_bundles(37, ENCODE_CHUNK + 4, 6, 3, 5, 8)
+    captions = bundles[:4]
     params = init_params(37, 8, max_frames=3)
+    vids = [video_forward([bv], params).videos[0] for bv in bundles]
     worst = 0.0
     for literal in (False, True):
         cfg = RunConfig(d=8, max_frames=3, seed=37, literal_patch_norm=literal)
-        got = score_matrix(bundles, bundles, params, cfg)
-        for i, bt in enumerate(bundles):
+        got = score_matrix(captions, bundles, params, cfg)
+        for i, bt in enumerate(captions):
             tc = text_forward([bt], params)
             cap, wc = tc.caption(0), text_weights(tc)
-            for j, bv in enumerate(bundles):
-                pf = pair_forward(cap, video_forward([bv], params).videos[0], cfg)  # per-pair path
+            for j, vid in enumerate(vids):
+                pf = pair_forward(cap, vid, cfg)  # per-pair path
                 worst = max(worst, abs(got[i, j] - score_pair(cap, wc, pf).final))
     if worst > 1e-10:
         raise SynretError(f"score_matrix differs from the per-pair path by {worst:.2e}")
-    return f"4x4 vs per-pair path, both patch norms, max diff {worst:.1e}"
+    return (f"{len(captions)}x{len(bundles)} vs per-pair path, both patch norms, "
+            f"max diff {worst:.1e}")
 
 
 def _check_gradients() -> str:

@@ -45,8 +45,11 @@ def write_tensor(t: np.ndarray, path) -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Inverse of write_tensor. Returns float32; callers widen to f64."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
     if len(raw) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
     magic, version, dtype, ndim = _HEADER.unpack_from(raw, 0)

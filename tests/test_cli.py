@@ -235,6 +235,7 @@ def test_selfcheck_passes(capsys):
     '"steps": true',                # bool is not int
     '"lr": 1e309',                  # JSON overflow reads as inf
     '"stop_loss": "0.01"',          # str is not float
+    pytest.param('"lr": 1' + "0" * 400, id="lr-int-beyond-float-range"),
 ])
 def test_config_value_of_wrong_type_is_usage_error(fixture_dir, tmp_path, capsys, override):
     path = tmp_path / "bad.json"
@@ -271,3 +272,94 @@ def test_fuse_rejects_unsafe_and_duplicate_pair_ids(fixture_dir, checkpoint, tmp
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "nested").exists()
+
+
+def test_missing_tensor_file_is_data_error(fixture_dir, checkpoint, tmp_path, capsys):
+    manifest = str(fixture_dir / "manifest.json")
+    report = tmp_path / "r.json"
+    (fixture_dir / "pair0000.frames.shet").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--manifest", manifest, "--params", str(checkpoint),
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("synret: data error: cannot read ") and len(err.splitlines()) == 1
+    assert "pair0000.frames.shet" in err
+    assert not report.exists()
+
+
+def test_checkpoint_missing_tensor_is_data_error(fixture_dir, checkpoint, tmp_path, capsys):
+    (checkpoint / "mlp1.w1.shet").unlink()
+    capsys.readouterr()
+    assert main(["score", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--params", str(checkpoint), "--out", str(tmp_path / "s.shet")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("synret: data error: cannot read ") and len(err.splitlines()) == 1
+    assert "mlp1.w1.shet" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "score", "fuse"])
+def test_unwritable_output_is_usage_error(fixture_dir, checkpoint, train_cfg_path, tmp_path,
+                                          capsys, command):
+    regular_file = tmp_path / "file"
+    regular_file.write_text("keep\n")
+    target = {"eval": ["--report", str(tmp_path / "nodir" / "x.json")],
+              "score": ["--out", str(tmp_path / "nodir" / "x.shet")],
+              "fuse": ["--out", str(regular_file)]}[command]
+    capsys.readouterr()
+    assert main([command, "--manifest", str(fixture_dir / "manifest.json"),
+                 "--params", str(checkpoint), "--config", str(train_cfg_path)] + target) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synret: usage error: cannot write ") and len(err.splitlines()) == 1
+    assert regular_file.read_text() == "keep\n"
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("heads", [0, -8])
+def test_heads_below_one_is_usage_error(fixture_dir, tmp_path, capsys, heads):
+    path = tmp_path / "heads.json"
+    path.write_text(json.dumps({"d": 8, "max_frames": 3, "batch_size": 2, "steps": 2,
+                                "heads": heads}))
+    ckpt = tmp_path / "ckpt"
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(path), "--out", str(ckpt)]) == 1
+    assert capsys.readouterr().err == "synret: usage error: heads must be >= 1\n"
+    assert not ckpt.exists()
+
+
+def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
+    from synret.config import RunConfig
+    from synret.dataset import load_bundles
+    from synret.params import load_checkpoint
+    from synret.pipeline import ENCODE_CHUNK, pair_forward
+
+    from conftest import encode_pair
+
+    fx, ckpt, out = tmp_path / "fx", tmp_path / "ckpt", tmp_path / "fused"
+    assert main(["gen-fixtures", "--seed", "5", "--pairs", str(ENCODE_CHUNK + 5),
+                 "--tokens", "7", "--frames", "5", "--patches", "6", "--dim", "8",
+                 "--out", str(fx)]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 5, "seed": 4, "batch_size": 2,
+                               "steps": 0}))
+    manifest = str(fx / "manifest.json")
+    assert main(["train", "--manifest", manifest, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    assert main(["fuse", "--manifest", manifest, "--params", str(ckpt), "--out", str(out)]) == 0
+    index = json.loads((out / "index.json").read_text())
+    params, run = load_checkpoint(ckpt), RunConfig(d=8, max_frames=5)
+    bundles = load_bundles(manifest)
+    assert sorted(index) == [b.pair_id for b in bundles]
+    for b in bundles:
+        cap, _, vid = encode_pair(b, b, params)  # text_forward([b]), video_forward([b])
+        pf = pair_forward(cap, vid, run)
+        want = {"e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
+                "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3}
+        entry = index[b.pair_id]
+        assert sorted(entry["tensors"]) == sorted(want)
+        for name, value in want.items():
+            got = read_tensor(out / entry["tensors"][name])
+            ulp = np.spacing(np.abs(value).astype(np.float32))
+            assert got.shape == value.shape and (np.abs(got - value) <= ulp).all(), name
+        assert entry["frame_selection"] == [sel.tolist() for sel in pf.psi2]
+        assert entry["patch_selection"] == [[sel.tolist() for sel in per_entity]
+                                            for per_entity in pf.psi3]

@@ -13,7 +13,7 @@ from synret.dataset import FeatureBundle
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
-from synret.pipeline import pair_forward
+from synret.pipeline import ENCODE_CHUNK, pair_forward, video_forward
 from synret.rng import SplitMix64
 from synret.scoring import (
     WeightCache,
@@ -188,10 +188,14 @@ def _bundle(pair_id, conllu, text, frames, patches):
                          text=text, frames=frames, patches=patches)
 
 
-def _cross_gallery(golden_dir, rng, d, ties):
-    """The golden captions against seven videos of mixed frame and patch
-    counts. With ties, each video repeats its first frame (with its patches)
-    as its last and its first patch row as its last."""
+_VIDEO_SHAPES = [(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9), (2, 1)]
+
+
+def _cross_gallery(golden_dir, rng, d, ties, n_videos=len(_VIDEO_SHAPES)):
+    """The golden captions against videos of mixed frame and patch counts
+    (cycling through seven shapes). With ties, each video repeats its first
+    frame (with its patches) as its last and its first patch row as its
+    last."""
     captions = []
     for name in GOLDEN_NAMES:
         conllu = (golden_dir / f"{name}.conllu").read_text()
@@ -199,7 +203,8 @@ def _cross_gallery(golden_dir, rng, d, ties):
         captions.append(_bundle(name, conllu, rng.uniform_sym((n_tokens + 1, d)),
                                 rng.uniform_sym((1, d)), rng.uniform_sym((1, 1, d))))
     videos = []
-    for k, (n_v, n_p) in enumerate([(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9), (2, 1)]):
+    for k in range(n_videos):
+        n_v, n_p = _VIDEO_SHAPES[k % len(_VIDEO_SHAPES)]
         frames, patches = rng.uniform_sym((n_v, d)), rng.uniform_sym((n_v, n_p, d))
         if ties:
             frames[-1], patches[-1] = frames[0], patches[0]
@@ -229,6 +234,28 @@ def test_score_matrix_cells_match_per_pair_path(golden_dir, ties, lambda_frame,
     for i, bt in enumerate(captions):
         for j, bv in enumerate(videos):
             assert abs(s[i, j] - reference_score(bt, bv, params, cfg)) <= 1e-10, (i, j)
+
+
+@pytest.mark.parametrize("lambda_frame,lambda_patch,literal", [(2, 4, False), (9, 3, True)])
+def test_score_matrix_spans_encode_chunks(golden_dir, lambda_frame, lambda_patch, literal):
+    """More videos than two encode chunks, against the per-pair path with every
+    caption and video encoded on its own."""
+    d = 8
+    n_videos = 2 * ENCODE_CHUNK + 5
+    captions, videos = _cross_gallery(golden_dir, SplitMix64(131), d, False, n_videos)
+    assert any(c.index.n_entities == 0 for c in captions)
+    assert any(c.hierarchy.exist_node_used for c in captions)
+    params = init_params(132, d, max_frames=4)
+    cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame,
+                    lambda_patch=lambda_patch, literal_patch_norm=literal)
+    s = score_matrix(captions, videos, params, cfg)
+    assert s.shape == (len(captions), n_videos)
+    encoded = [encode_pair(bt, bt, params)[:2] for bt in captions]
+    vids = [video_forward([bv], params).videos[0] for bv in videos]
+    for i, (cap, wc) in enumerate(encoded):
+        for j, vid in enumerate(vids):
+            want = score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
+            assert abs(s[i, j] - want) <= 1e-10, (i, j)
 
 
 @pytest.mark.parametrize("literal", [False, True])
