@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import traceback
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,7 +28,7 @@ from .params import init_params, load_checkpoint, save_checkpoint
 from .pipeline import ENCODE_CHUNK, pair_forward, text_forward, video_forward
 from .scoring import dsl_postprocess, score_matrix
 from .selfcheck import run_selfcheck
-from .tensor_store import gen_fixture, write_tensor
+from .tensor_store import gen_fixture, write_file, write_tensor
 from .train import train, write_loss_log
 
 
@@ -122,6 +123,10 @@ def _writing(path):
         raise UsageError(f"cannot write {e.filename or path}: {e.strerror or e}") from None
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _cfg_for_checkpoint(run: RunConfig, params) -> RunConfig:
     """Model geometry always comes from the checkpoint."""
     run.d = params.d
@@ -147,7 +152,7 @@ def _cmd_build_hierarchy(args) -> int:
     doc = hierarchy_to_json(build_hierarchy(parse_conllu(raw)))
     if args.out:
         with _writing(args.out):
-            Path(args.out).write_text(doc, encoding="utf-8")
+            write_file(args.out, doc)
     else:
         sys.stdout.write(doc)
     return 0
@@ -187,8 +192,7 @@ def _cmd_fuse(args) -> int:
                                     for per_entity in pf.psi3],
             }
     with _writing(out):
-        (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n",
-                                        encoding="utf-8")
+        write_file(out / "index.json", _json(index))
     print(f"wrote features for {len(bundles)} pairs to {out}")
     return 0
 
@@ -213,8 +217,7 @@ def _cmd_score(args) -> int:
     }
     with _writing(args.out):
         write_tensor(s.astype(np.float32), args.out)
-        Path(str(args.out) + ".json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_file(str(args.out) + ".json", _json(sidecar))
     print(f"wrote {s.shape[0]}x{s.shape[1]} score matrix to {args.out}")
     return 0
 
@@ -227,8 +230,11 @@ def _cmd_train(args) -> int:
         raise DataError(f"dimension mismatch: config d={run.d}, manifest features d={d}")
     params = init_params(run.seed, run.d, heads=run.heads,
                          max_frames=run.max_frames, tau=run.tau)
-    curve = train(bundles, params, run, tr)
     out = Path(args.out)
+    with _writing(out):  # before step 1: an unusable --out must not cost a training run
+        out.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=out).close()
+    curve = train(bundles, params, run, tr)
     with _writing(out):
         save_checkpoint(params, out, seed=run.seed)
         write_loss_log(curve, out / "loss.csv")
@@ -255,8 +261,7 @@ def _cmd_eval(args) -> int:
     report["dsl"] = bool(args.dsl)
     report["pairs"] = len(bundles)
     with _writing(args.report):
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+        write_file(args.report, _json(report))
     print(json.dumps(report, sort_keys=True))
     return 0
 

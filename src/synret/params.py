@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .rng import SplitMix64
-from .tensor_store import read_tensor, write_tensor
+from .tensor_store import read_tensor, write_file, write_tensor
 
 CHECKPOINT_VERSION = 1
 
@@ -195,7 +195,7 @@ def save_checkpoint(p: ModelParams, out_dir, *, seed: int) -> None:
         "seed": seed,
         "tensors": names,
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(ckpt_dir) -> ModelParams:

@@ -130,8 +130,8 @@ class Caption:
     e2: np.ndarray   # (n2, d)
     e3: np.ndarray   # (n3, d)
     m2: np.ndarray   # (n2, d)
-    e3p: np.ndarray  # (n3, d)
-    f3p: np.ndarray  # (n3, d)
+    e3p: np.ndarray | None  # (n3, d); None when the TextCache is a concat
+    f3p: np.ndarray | None  # (n3, d)
 
 
 @dataclass
@@ -149,8 +149,8 @@ class TextCache:
     e2: np.ndarray       # (A, d)
     e3: np.ndarray       # (M, d)
     m2: np.ndarray       # (A, d)
-    e3p: np.ndarray      # (M, d)
-    f3p: np.ndarray      # (M, d)
+    e3p: np.ndarray | None  # (M, d); e3p and f3p are None in a concat
+    f3p: np.ndarray | None  # (M, d)
     e1_cache: ResNormCache | None     # the caches are None after drop_backward_caches
     e2_cache: ResNormCache | None
     m2_cache: ResNormCache | None
@@ -160,8 +160,24 @@ class TextCache:
     def caption(self, i: int) -> Caption:
         s2 = slice(self.first2[i], self.first2[i + 1])
         s3 = slice(self.first3[i], self.first3[i + 1])
+        e3p = f3p = None
+        if self.e3p is not None:
+            e3p, f3p = self.e3p[s3], self.f3p[s3]
         return Caption(index=self.indexes[i], e1=self.e1[i], e2=self.e2[s2], e3=self.e3[s3],
-                       m2=self.m2[s2], e3p=self.e3p[s3], f3p=self.f3p[s3])
+                       m2=self.m2[s2], e3p=e3p, f3p=f3p)
+
+    @classmethod
+    def concat(cls, parts: list["TextCache"]) -> "TextCache":
+        """Consecutive batches as one, keeping only what scoring reads: the
+        node features e1/e2/e3/m2 and the row bookkeeping."""
+        def cat(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        return cls(
+            **_stack_rows([idx for p in parts for idx in p.indexes]),
+            e1=cat("e1"), e2=cat("e2"), e3=cat("e3"), m2=cat("m2"), e3p=None, f3p=None,
+            e1_cache=None, e2_cache=None, m2_cache=None, e3_cache=None, enhance_cache=None,
+        )
 
     def drop_backward_caches(self) -> None:
         """Frees what only text_backward reads, for callers that score without
@@ -197,6 +213,19 @@ def _offsets(counts: list[int]) -> np.ndarray:
     return np.cumsum([0] + counts)
 
 
+def _stack_rows(indexes: list[HierarchyIndex]) -> dict:
+    """TextCache's row bookkeeping for captions stacked in this order."""
+    first2 = _offsets([idx.n_actions for idx in indexes])
+    first3 = _offsets([idx.n_entities for idx in indexes])
+    rows = np.arange(len(indexes))
+    return dict(
+        indexes=indexes, first2=first2, first3=first3,
+        owner2=np.repeat(rows, np.diff(first2)), owner3=np.repeat(rows, np.diff(first3)),
+        parent3=np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
+                                for t, idx in enumerate(indexes)]),
+    )
+
+
 def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> TextCache:
     feats = []
     for b in bundles:
@@ -204,10 +233,7 @@ def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> TextCache
             raise DataError(f"{b.pair_id}: dimension mismatch (features d={b.d}, model d={params.d})")
         feats.append(init_node_features(b.index, b.text))
     indexes = [b.index for b in bundles]
-    first2 = _offsets([idx.n_actions for idx in indexes])
-    first3 = _offsets([idx.n_entities for idx in indexes])
     first4 = _offsets([len(idx.mu4) for idx in indexes])
-    rows = np.arange(len(indexes))
     f1s, f2s, f3s, f4s = zip(*feats)
     f1, f2, f3, f4 = np.stack(f1s), np.concatenate(f2s), np.concatenate(f3s), np.concatenate(f4s)
 
@@ -223,10 +249,7 @@ def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> TextCache
         e3p = f3p = e3 = np.zeros((0, params.d))
         e3_cache = enhance_cache = None
     return TextCache(
-        indexes=indexes, first2=first2, first3=first3,
-        owner2=np.repeat(rows, np.diff(first2)), owner3=np.repeat(rows, np.diff(first3)),
-        parent3=np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
-                                for t, idx in enumerate(indexes)]),
+        **_stack_rows(indexes),
         e1=e1, e2=e2, e3=e3, m2=m2, e3p=e3p, f3p=f3p,
         e1_cache=e1_cache, e2_cache=e2_cache, m2_cache=m2_cache, e3_cache=e3_cache,
         enhance_cache=enhance_cache,
@@ -257,7 +280,7 @@ def text_backward(tg: TextGrad, tc: TextCache, params: ModelParams,
 @dataclass
 class Video:
     frames: np.ndarray   # raw frame features (N_v, d)
-    patches: np.ndarray  # (N_v, N_p, d)
+    patches: np.ndarray  # (N_v, N_p, d), the bundle's float32 array
     g: np.ndarray        # temporal-encoded frames (N_v, d), a view into VideoCache.g
     rows: slice          # this video's rows in VideoCache.g
 
@@ -325,6 +348,7 @@ def fuse_entities(e3: np.ndarray, patches: np.ndarray, parent3: list[int],
                   literal_patch_norm: bool = False):
     """Each entity node picks top patches inside the frames selected by its
     parent action, averages per frame, then averages across those frames.
+    Each picked frame's patches are widened to float64 before use.
 
     literal_patch_norm replaces the across-frame mean with a fixed
     1/lambda_patch normalizer.
@@ -339,10 +363,10 @@ def fuse_entities(e3: np.ndarray, patches: np.ndarray, parent3: list[int],
         per_frame_sel: list[np.ndarray] = []
         means = np.zeros((len(sel_frames), d))
         for jj, j in enumerate(sel_frames):
-            patch_scores = patches[j] @ e3[i]
-            sel = top_k_indices(patch_scores, lambda_patch)
+            frame = patches[j].astype(np.float64)
+            sel = top_k_indices(frame @ e3[i], lambda_patch)
             per_frame_sel.append(sel)
-            means[jj] = patches[j][sel].mean(axis=0)
+            means[jj] = frame[sel].mean(axis=0)
         psi3.append(per_frame_sel)
         ev3_frames.append(means)
         if literal_patch_norm:

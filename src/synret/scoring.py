@@ -164,7 +164,8 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     attention-weighted mean of the frame logits, e2.ev2 the mean of the
     picked frame scores, and e3.ev3 the frame-average of the mean top patch
     scores. Patches are scored only inside the frames each entity's parent
-    action picked, with one GEMM per frame over the entities that picked it.
+    action picked, with one GEMM per frame over the entities that picked it,
+    on a float64 copy of that frame's patches.
     A stable sort of the negated scores keeps the ties-to-lower-index rule
     for frames and patches.
     """
@@ -185,7 +186,8 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     for j in range(n_v):
         ent, slot = np.nonzero(picked == j)
         if ent.size:
-            in_picked[ent, slot] = tc.e3[ent] @ vid.patches[j].T
+            # widened first: a float32 operand in `@` rounds differently
+            in_picked[ent, slot] = tc.e3[ent] @ vid.patches[j].astype(np.float64).T
     order3 = np.argsort(-in_picked, axis=2, kind="stable")
     ranked3 = np.take_along_axis(in_picked, order3, axis=2)
     frame_means = ranked3[:, :, :cfg.lambda_patch].mean(axis=2)
@@ -207,7 +209,8 @@ def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid:
     """Adds the gradient of one column of scores, s_bar = dloss/ds[:, j], to
     the stacked caption gradients `tg` and to this video's temporal-encoding
     gradient `g_bar`, using the forward pass's frame and patch selections.
-    Patch rows are frozen inputs, so layer 3 reaches only e3 and w3."""
+    Patch rows are frozen inputs, so layer 3 reaches only e3 and w3; only the
+    picked rows are widened to float64."""
     lbar = s_bar / 3.0
     n_v, n_p, d = vid.patches.shape
     k_frame = min(cfg.lambda_frame, n_v)
@@ -230,7 +233,8 @@ def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid:
         frames3 = col.order2[tc.parent3, :k_frame]
         rows = frames3[:, :, None] * n_p + col.order3[:, :, :k_patch]
         norm = cfg.lambda_patch if cfg.literal_patch_norm else k_frame
-        ev3 = vid.patches.reshape(n_v * n_p, d)[rows].sum(axis=(1, 2)) / (k_patch * norm)
+        picked3 = vid.patches.reshape(n_v * n_p, d)[rows].astype(np.float64)
+        ev3 = picked3.sum(axis=(1, 2)) / (k_patch * norm)
         tg.e3 += (lbar[tc.owner3] * wc.w3)[:, None] * ev3
         tg.w3 += lbar[tc.owner3] * col.score3
 
@@ -241,15 +245,20 @@ def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
     """Rows are captions, columns are videos. Fusion is caption-guided, so
     the matrix is not symmetric even on the diagonal manifest.
 
-    Captions are encoded in one batch, videos in chunks of ENCODE_CHUNK, and
-    each video is scored against all captions by `score_video`. `threads` is
-    still accepted but changes neither speed nor output.
+    Captions and videos are encoded in chunks of ENCODE_CHUNK, and each
+    video is scored against all captions by `score_video`. Each caption
+    chunk's backward caches are dropped before the next chunk is encoded.
+    `threads` is still accepted but changes neither speed nor output.
     """
     out = np.zeros((len(bundles_t), len(bundles_v)))
     if not bundles_t:
         return out
-    tc = text_forward(bundles_t, params)
-    tc.drop_backward_caches()
+    parts = []
+    for lo in range(0, len(bundles_t), ENCODE_CHUNK):
+        parts.append(text_forward(bundles_t[lo:lo + ENCODE_CHUNK], params))
+        parts[-1].drop_backward_caches()
+    tc = TextCache.concat(parts)
+    del parts  # their e3p/f3p, which scoring does not read
     wc = text_weights(tc)
     for lo in range(0, len(bundles_v), ENCODE_CHUNK):
         # only the encoded videos are kept, not the temporal layer's backward cache

@@ -15,7 +15,10 @@ Loads reject anything non-finite so downstream math never sees NaN/Inf.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,51 +34,101 @@ DTYPE_F32 = 0
 _HEADER = struct.Struct("<4sBBI")
 
 
+def write_file(path, data: bytes | str) -> None:
+    """Writes `data` (a str as UTF-8) to a temporary file in `path`'s
+    directory and only then moves it to `path`, so a write that fails
+    part-way leaves `path` as it was; the temporary file is removed and the
+    error names `path`.
+
+    The old `path` is unlinked just before the move. Renaming over an
+    existing file makes ext4 (auto_da_alloc) start writeback of the new file
+    at once, which made rewriting a `fuse` directory's 900 files about three
+    times slower than unlink-then-rename. Nothing here promises durability:
+    no output is fsynced, before or after this.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        os.replace(tmp, path)
+    except BaseException as e:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from None
+        raise
+
+
 def write_tensor(t: np.ndarray, path) -> None:
     """Write an array as an f32 SHET file. Values must be finite."""
     arr = np.asarray(t, dtype=np.float32)
     if arr.size and not np.isfinite(arr).all():
         raise NumericalError(f"refusing to write non-finite tensor to {path}")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, arr.ndim))
-        for dim in arr.shape:
-            f.write(struct.pack("<Q", dim))
-        f.write(np.ascontiguousarray(arr).tobytes())
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, arr.ndim)
+    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    write_file(path, header + dims + np.ascontiguousarray(arr).tobytes())
 
 
-def read_tensor(path) -> np.ndarray:
-    """Inverse of write_tensor. Returns float32; callers widen to f64."""
+def read_tensor(path, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of write_tensor: the float32 payload, read straight from the
+    file into a new array, or into `out`, a contiguous 1-d float32 array of
+    exactly the payload's length, which is returned reshaped. Loaded text
+    and frame features are widened to float64 once; patch features stay
+    float32 in memory and are widened one frame at a time where they are
+    read."""
     try:
         with open(path, "rb") as f:
-            raw = f.read()
+            dims = _read_header(f, path)
+            arr = np.empty(math.prod(dims), dtype="<f4") if out is None else out
+            if arr.size != math.prod(dims) or f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise DataError(f"{path}: file changed while being read")
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror or e}") from None
-    if len(raw) < _HEADER.size:
+    if arr.size and not np.isfinite(arr).all():
+        raise NumericalError(f"{path}: non-finite values in payload")
+    return arr.reshape(dims)
+
+
+def read_tensor_shape(path) -> tuple[int, ...]:
+    """The dimensions in a SHET file's header, checked against its size."""
+    try:
+        with open(path, "rb") as f:
+            return _read_header(f, path)
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+
+
+def _read_header(f, path) -> tuple[int, ...]:
+    """Checks the header of an open SHET file against the file's size and
+    returns its dims, leaving `f` at the payload."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise DataError(f"{path}: truncated header")
-    magic, version, dtype, ndim = _HEADER.unpack_from(raw, 0)
+    magic, version, dtype, ndim = _HEADER.unpack(head)
     if magic != MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported version {version}")
     if dtype != DTYPE_F32:
         raise DataError(f"{path}: unsupported dtype tag {dtype}")
-    off = _HEADER.size
-    if len(raw) < off + 8 * ndim:
+    off = _HEADER.size + 8 * ndim
+    if size < off:
         raise DataError(f"{path}: truncated dims")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, off) if ndim else ()
-    off += 8 * ndim
-    count = 1
-    for dim in dims:
-        count *= dim
-    if len(raw) - off != 4 * count:
+    dims = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+    if math.prod(dim for dim in dims if dim) >= 2**63:
+        raise DataError(f"{path}: dims {dims} are too large for an array")
+    count = math.prod(dims)
+    if size - off != 4 * count:
         raise DataError(
-            f"{path}: payload size {len(raw) - off} does not match header "
+            f"{path}: payload size {size - off} does not match header "
             f"({count} f32 values expected)"
         )
-    arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(dims)
-    if arr.size and not np.isfinite(arr).all():
-        raise NumericalError(f"{path}: non-finite values in payload")
-    return arr.copy()
+    return dims
 
 
 @dataclass
@@ -115,7 +168,7 @@ class PairRecord:
 
 def write_manifest(records: list[PairRecord], path) -> None:
     payload = json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
+    write_file(path, payload + "\n")
 
 
 def read_manifest(path) -> list[PairRecord]:
@@ -291,7 +344,7 @@ def gen_fixture(
     for i in range(n_pairs):
         pid = f"pair{i:04d}"
         conllu, text, frames, patches = gen_pair_arrays(rng, n_tokens, n_frames, n_patches, d)
-        (out / f"{pid}.conllu").write_text(conllu, encoding="utf-8")
+        write_file(out / f"{pid}.conllu", conllu)
         write_tensor(text, out / f"{pid}.text.shet")
         write_tensor(frames, out / f"{pid}.frames.shet")
         write_tensor(patches, out / f"{pid}.patches.shet")

@@ -16,6 +16,7 @@ from .scoring import (
     text_weights,
     text_weights_backward,
 )
+from .tensor_store import write_file
 
 
 def symmetric_ce_loss(s: np.ndarray, tau: float):
@@ -154,5 +155,4 @@ def train(bundles: list[FeatureBundle], params: ModelParams, run_cfg: RunConfig,
 
 def write_loss_log(curve: list[tuple[int, float]], path) -> None:
     lines = ["step,loss"] + [f"{step},{loss!r}" for step, loss in curve]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+import errno
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +28,38 @@ GOLDEN_NAMES = [
 @pytest.fixture(scope="session")
 def golden_dir(request):
     return request.config.rootpath / "tests" / "golden"
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails as a full disk
+    does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture()
+def fail_writes(monkeypatch):
+    """Once called, every file that synret.tensor_store opens for writing
+    fails part-way."""
+    import synret.tensor_store
+
+    def half_open(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return _HalfWriter(f) if "w" in mode else f
+
+    return lambda: monkeypatch.setattr(synret.tensor_store, "open", half_open, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,8 @@ def _oracle_pair(bundle_t: FeatureBundle, bundle_v: FeatureBundle, params, cfg):
     e3 = [oln(x + omlp(x, params.mlp3), params.ln_entity) for x in f3p]
     m2 = [oln(x + omlp(x, params.mlp5), params.ln_weight) for x in e2]
 
-    frames, patches = bundle_v.frames, bundle_v.patches
+    # patches are held as stored (float32); the formulas run in float64
+    frames, patches = bundle_v.frames, bundle_v.patches.astype(np.float64)
     n_v = frames.shape[0]
     alpha_cls = osoftmax([float(e1 @ frames[j]) for j in range(n_v)])
     ev1 = sum(alpha_cls[j] * frames[j] for j in range(n_v))

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, idempotence, and the fixture-to-report pipeline."""
 
+import importlib
 import json
 
 import numpy as np
@@ -325,6 +326,44 @@ def test_heads_below_one_is_usage_error(fixture_dir, tmp_path, capsys, heads):
                  "--config", str(path), "--out", str(ckpt)]) == 1
     assert capsys.readouterr().err == "synret: usage error: heads must be >= 1\n"
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_output_failing_part_way_leaves_old_file(fixture_dir, checkpoint, train_cfg_path, tmp_path,
+                                                 capsys, fail_writes, command):
+    out = tmp_path / "old"
+    out.mkdir()
+    target = out / ("report.json" if command == "eval" else "s.shet")
+    flag = "--report" if command == "eval" else "--out"
+    argv = [command, "--manifest", str(fixture_dir / "manifest.json"), "--params",
+            str(checkpoint), "--config", str(train_cfg_path), flag, str(target)]
+    assert main(argv) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    fail_writes()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"synret: usage error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_train_checks_out_before_the_first_step(fixture_dir, train_cfg_path, tmp_path, capsys,
+                                                monkeypatch):
+    train_module = importlib.import_module("synret.train")  # `synret.train` is the function
+    steps = []
+    step = train_module.batch_loss_and_grads
+    monkeypatch.setattr(train_module, "batch_loss_and_grads",
+                        lambda *args: steps.append(1) or step(*args))
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(train_cfg_path), "--out", str(afile / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synret: usage error: cannot write ") and len(err.splitlines()) == 1
+    assert steps == []
+    assert afile.read_text() == "keep\n"
 
 
 def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):

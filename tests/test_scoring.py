@@ -191,13 +191,15 @@ def _bundle(pair_id, conllu, text, frames, patches):
 _VIDEO_SHAPES = [(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9), (2, 1)]
 
 
-def _cross_gallery(golden_dir, rng, d, ties, n_videos=len(_VIDEO_SHAPES)):
-    """The golden captions against videos of mixed frame and patch counts
-    (cycling through seven shapes). With ties, each video repeats its first
-    frame (with its patches) as its last and its first patch row as its
+def _cross_gallery(golden_dir, rng, d, ties, n_videos=len(_VIDEO_SHAPES),
+                   n_captions=len(GOLDEN_NAMES)):
+    """The golden captions (cycled) against videos of mixed frame and patch
+    counts (cycling through seven shapes). With ties, each video repeats its
+    first frame (with its patches) as its last and its first patch row as its
     last."""
     captions = []
-    for name in GOLDEN_NAMES:
+    for k in range(n_captions):
+        name = GOLDEN_NAMES[k % len(GOLDEN_NAMES)]
         conllu = (golden_dir / f"{name}.conllu").read_text()
         n_tokens = len(parse_conllu(conllu))
         captions.append(_bundle(name, conllu, rng.uniform_sym((n_tokens + 1, d)),
@@ -236,10 +238,22 @@ def test_score_matrix_cells_match_per_pair_path(golden_dir, ties, lambda_frame,
             assert abs(s[i, j] - reference_score(bt, bv, params, cfg)) <= 1e-10, (i, j)
 
 
+def _assert_cells_match_separate_encoding(captions, videos, params, cfg):
+    """Every cell of score_matrix against the per-pair path with every caption
+    and video encoded on its own."""
+    s = score_matrix(captions, videos, params, cfg)
+    assert s.shape == (len(captions), len(videos))
+    encoded = [encode_pair(bt, bt, params)[:2] for bt in captions]
+    vids = [video_forward([bv], params).videos[0] for bv in videos]
+    for i, (cap, wc) in enumerate(encoded):
+        for j, vid in enumerate(vids):
+            want = score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
+            assert abs(s[i, j] - want) <= 1e-10, (i, j)
+
+
 @pytest.mark.parametrize("lambda_frame,lambda_patch,literal", [(2, 4, False), (9, 3, True)])
 def test_score_matrix_spans_encode_chunks(golden_dir, lambda_frame, lambda_patch, literal):
-    """More videos than two encode chunks, against the per-pair path with every
-    caption and video encoded on its own."""
+    """More videos than two encode chunks."""
     d = 8
     n_videos = 2 * ENCODE_CHUNK + 5
     captions, videos = _cross_gallery(golden_dir, SplitMix64(131), d, False, n_videos)
@@ -248,14 +262,21 @@ def test_score_matrix_spans_encode_chunks(golden_dir, lambda_frame, lambda_patch
     params = init_params(132, d, max_frames=4)
     cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    s = score_matrix(captions, videos, params, cfg)
-    assert s.shape == (len(captions), n_videos)
-    encoded = [encode_pair(bt, bt, params)[:2] for bt in captions]
-    vids = [video_forward([bv], params).videos[0] for bv in videos]
-    for i, (cap, wc) in enumerate(encoded):
-        for j, vid in enumerate(vids):
-            want = score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
-            assert abs(s[i, j] - want) <= 1e-10, (i, j)
+    _assert_cells_match_separate_encoding(captions, videos, params, cfg)
+
+
+@pytest.mark.parametrize("lambda_frame,lambda_patch,literal", [(2, 4, False), (9, 3, True)])
+def test_score_matrix_spans_caption_chunks(golden_dir, lambda_frame, lambda_patch, literal):
+    """More captions than two encode chunks."""
+    d = 8
+    n_captions = 2 * ENCODE_CHUNK + 5
+    captions, videos = _cross_gallery(golden_dir, SplitMix64(137), d, False, 4, n_captions)
+    assert any(c.index.n_entities == 0 for c in captions[2 * ENCODE_CHUNK:])
+    assert any(c.hierarchy.exist_node_used for c in captions[2 * ENCODE_CHUNK:])
+    params = init_params(138, d, max_frames=4)
+    cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame,
+                    lambda_patch=lambda_patch, literal_patch_norm=literal)
+    _assert_cells_match_separate_encoding(captions, videos, params, cfg)
 
 
 @pytest.mark.parametrize("literal", [False, True])

@@ -43,6 +43,23 @@ def test_header_layout(tmp_path):
     assert len(raw) == 10 + 16 + 16  # header, dims, payload
 
 
+def test_write_replaces_whole_file_or_leaves_it_untouched(tmp_path, monkeypatch, fail_writes):
+    p = tmp_path / "t.shet"
+    old = SplitMix64(8).uniform_sym((3, 4)).astype(np.float32)
+    new = SplitMix64(9).uniform_sym((5, 6)).astype(np.float32)
+    write_tensor(old, p)
+    fail_writes()
+    with pytest.raises(OSError) as info:
+        write_tensor(new, p)
+    assert info.value.filename == str(p)
+    assert np.array_equal(read_tensor(p), old)
+    assert [f.name for f in tmp_path.iterdir()] == ["t.shet"]
+    monkeypatch.undo()
+    write_tensor(new, p)
+    assert np.array_equal(read_tensor(p), new)
+    assert [f.name for f in tmp_path.iterdir()] == ["t.shet"]
+
+
 def test_empty_tensor_roundtrip(tmp_path):
     _, back = roundtrip(np.zeros((0,), dtype=np.float32), tmp_path)
     assert back.shape == (0,)
