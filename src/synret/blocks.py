@@ -292,22 +292,3 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
 
     np.add.at(pos_grad, cache.positions, x0bar)
     return x0bar
-
-
-# ---------------------------------------------------------------------------
-# Hard top-k selection (treated as constant during backprop)
-# ---------------------------------------------------------------------------
-
-
-def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties to the lower index, returned
-    sorted ascending. Selects everything when k >= len(scores)."""
-    if k < 1:
-        raise DataError(f"top_k_indices: k must be >= 1, got {k}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise DataError("top_k_indices: empty score list")
-    if k >= scores.size:
-        return np.arange(scores.size)
-    order = np.argsort(-scores, kind="stable")[:k]
-    return np.sort(order)

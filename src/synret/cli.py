@@ -25,8 +25,8 @@ from .errors import DataError, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
 from .params import init_params, load_checkpoint, save_checkpoint
-from .pipeline import ENCODE_CHUNK, pair_forward, text_forward, video_forward
-from .scoring import dsl_postprocess, score_matrix
+from .pipeline import ENCODE_CHUNK, text_forward, video_forward
+from .scoring import dsl_postprocess, fuse_pair, score_matrix
 from .selfcheck import run_selfcheck
 from .tensor_store import gen_fixture, write_file, write_tensor
 from .train import train, write_loss_log
@@ -176,20 +176,20 @@ def _cmd_fuse(args) -> int:
         videos = video_forward(chunk, params).videos
         for i, b in enumerate(chunk):
             cap, vid = tc.caption(i), videos[i]
-            pf = pair_forward(cap, vid, run)
+            fp = fuse_pair(tc.single(i), vid, run)
             tensors = {
                 "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
-                "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3,
+                "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3,
             }
             files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
             with _writing(out):
                 for name, value in tensors.items():
-                    write_tensor(np.asarray(value, dtype=np.float32), out / files[name])
+                    write_tensor(value, out / files[name])
             index[b.pair_id] = {
                 "tensors": files,
-                "frame_selection": [sel.tolist() for sel in pf.psi2],
+                "frame_selection": [sel.tolist() for sel in fp.frame_selection],
                 "patch_selection": [[sel.tolist() for sel in per_entity]
-                                    for per_entity in pf.psi3],
+                                    for per_entity in fp.patch_selection],
             }
     with _writing(out):
         write_file(out / "index.json", _json(index))
@@ -202,7 +202,7 @@ def _cmd_score(args) -> int:
     params = load_checkpoint(args.params)
     run = _cfg_for_checkpoint(run, params)
     bundles = load_bundles(args.manifest)
-    s = score_matrix(bundles, bundles, params, run, threads=run.threads)
+    s = score_matrix(bundles, bundles, params, run)
     if args.dsl:
         s = dsl_postprocess(s, run.tau_dsl, "t2v")
     if not np.isfinite(s).all():
@@ -216,7 +216,7 @@ def _cmd_score(args) -> int:
         "literal_patch_norm": run.literal_patch_norm,
     }
     with _writing(args.out):
-        write_tensor(s.astype(np.float32), args.out)
+        write_tensor(s, args.out)
         write_file(str(args.out) + ".json", _json(sidecar))
     print(f"wrote {s.shape[0]}x{s.shape[1]} score matrix to {args.out}")
     return 0
@@ -250,7 +250,7 @@ def _cmd_eval(args) -> int:
     params = load_checkpoint(args.params)
     run = _cfg_for_checkpoint(run, params)
     bundles = load_bundles(args.manifest)
-    s = score_matrix(bundles, bundles, params, run, threads=run.threads)
+    s = score_matrix(bundles, bundles, params, run)
     if not np.isfinite(s).all():
         raise NumericalError("score matrix contains non-finite values")
     if args.dsl:

@@ -184,7 +184,7 @@ def save_checkpoint(p: ModelParams, out_dir, *, seed: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     names = []
     for name, tensor in p.named_tensors():
-        write_tensor(tensor.astype(np.float32), out / f"{name}.shet")
+        write_tensor(tensor, out / f"{name}.shet")
         names.append(name)
     meta = {
         "format_version": CHECKPOINT_VERSION,

@@ -6,10 +6,8 @@ projection. Video side: a temporal encoder runs over frame features. Both
 sides take a batch: `text_forward` stacks the nodes of every caption so that
 each projection is one matrix product, and `video_forward` runs the temporal
 layer over the concatenated frame rows of every video, with attention kept
-inside each video. For one (caption, video) pair, each action node then picks
-its top frames and each entity node picks top patches inside those frames.
-Selection indices are treated as constants of the forward pass, so gradients
-flow only through the averaged features.
+inside each video. Frame and patch selection, which combines the two sides,
+is `scoring.score_video`'s.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ from .blocks import (
     mlp_backward,
     res_norm,
     res_norm_backward,
-    top_k_indices,
     transformer_backward,
     transformer_encode,
 )
-from .config import RunConfig
 from .dataset import FeatureBundle
 from .errors import DataError
 from .hierarchy import HierarchyIndex
@@ -179,6 +175,16 @@ class TextCache:
             e1_cache=None, e2_cache=None, m2_cache=None, e3_cache=None, enhance_cache=None,
         )
 
+    def single(self, i: int) -> "TextCache":
+        """Caption i alone, as a stack of one whose rows are views into this
+        one's."""
+        cap = self.caption(i)
+        return TextCache(
+            **_stack_rows([cap.index]),
+            e1=cap.e1[None], e2=cap.e2, e3=cap.e3, m2=cap.m2, e3p=cap.e3p, f3p=cap.f3p,
+            e1_cache=None, e2_cache=None, m2_cache=None, e3_cache=None, enhance_cache=None,
+        )
+
     def drop_backward_caches(self) -> None:
         """Frees what only text_backward reads, for callers that score without
         training; text_backward cannot run afterwards."""
@@ -309,82 +315,3 @@ def video_backward(g_bar: np.ndarray, vc: VideoCache, params: ModelParams,
                    grads: ModelParams) -> None:
     transformer_backward(g_bar, vc.tf_cache, params.temporal, grads.temporal,
                          grads.pos_emb, params.heads)
-
-
-# ---------------------------------------------------------------------------
-# Caption-guided video hierarchy for one (caption, video) pair
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PairFeatures:
-    alpha_cls: np.ndarray       # (N_v,) global attention weights
-    ev1: np.ndarray             # (d,)
-    attend_cache: AttendCache
-    psi2: list[np.ndarray]      # per action: selected frame indices
-    ev2: np.ndarray             # (n2, d)
-    psi3: list[list[np.ndarray]]   # per entity: selected patch indices per picked frame
-    ev3_frames: list[np.ndarray]   # per entity: (n_sel_frames, d) per-frame patch means
-    ev3: np.ndarray             # (n3, d)
-
-
-def fuse_global(e1: np.ndarray, frames: np.ndarray):
-    """Caption-conditioned pooling of raw frame features."""
-    return dot_softmax_attend(e1, frames, frames)
-
-
-def fuse_actions(e2: np.ndarray, g: np.ndarray, lambda_frame: int):
-    """Each action node picks its top frames from the temporal encoding and
-    averages them."""
-    n2 = e2.shape[0]
-    scores = e2 @ g.T
-    psi2 = [top_k_indices(scores[i], lambda_frame) for i in range(n2)]
-    ev2 = np.stack([g[sel].mean(axis=0) for sel in psi2]) if n2 else np.zeros((0, g.shape[1]))
-    return psi2, ev2
-
-
-def fuse_entities(e3: np.ndarray, patches: np.ndarray, parent3: list[int],
-                  psi2: list[np.ndarray], lambda_patch: int,
-                  literal_patch_norm: bool = False):
-    """Each entity node picks top patches inside the frames selected by its
-    parent action, averages per frame, then averages across those frames.
-    Each picked frame's patches are widened to float64 before use.
-
-    literal_patch_norm replaces the across-frame mean with a fixed
-    1/lambda_patch normalizer.
-    """
-    n3 = e3.shape[0]
-    d = patches.shape[2]
-    psi3: list[list[np.ndarray]] = []
-    ev3_frames: list[np.ndarray] = []
-    ev3 = np.zeros((n3, d))
-    for i in range(n3):
-        sel_frames = psi2[parent3[i]]
-        per_frame_sel: list[np.ndarray] = []
-        means = np.zeros((len(sel_frames), d))
-        for jj, j in enumerate(sel_frames):
-            frame = patches[j].astype(np.float64)
-            sel = top_k_indices(frame @ e3[i], lambda_patch)
-            per_frame_sel.append(sel)
-            means[jj] = frame[sel].mean(axis=0)
-        psi3.append(per_frame_sel)
-        ev3_frames.append(means)
-        if literal_patch_norm:
-            ev3[i] = means.sum(axis=0) / lambda_patch
-        else:
-            ev3[i] = means.mean(axis=0)
-    return psi3, ev3_frames, ev3
-
-
-def pair_forward(cap: Caption, vid: Video, cfg: RunConfig) -> PairFeatures:
-    """The per-pair reference path: one caption against one video."""
-    alpha_cls, ev1, attend_cache = fuse_global(cap.e1, vid.frames)
-    psi2, ev2 = fuse_actions(cap.e2, vid.g, cfg.lambda_frame)
-    psi3, ev3_frames, ev3 = fuse_entities(
-        cap.e3, vid.patches, cap.index.parent3, psi2, cfg.lambda_patch,
-        cfg.literal_patch_norm,
-    )
-    return PairFeatures(
-        alpha_cls=alpha_cls, ev1=ev1, attend_cache=attend_cache,
-        psi2=psi2, ev2=ev2, psi3=psi3, ev3_frames=ev3_frames, ev3=ev3,
-    )

@@ -5,11 +5,16 @@ softmax weights derived from caption-internal similarities, the whole-layer
 weight is fixed to 1, and the final score is the plain mean of the three
 layer scores. An empty entity layer contributes 0 while the divisor stays 3
 (config: empty_layer_policy = "zero").
+
+`score_video` is the one place where frames and patches are selected:
+scoring, training and the `fuse` command (through `fuse_pair`) all read
+its selections. The per-pair oracle it is tested against is
+`synret.reference`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +25,6 @@ from .errors import DataError
 from .params import ModelParams
 from .pipeline import (
     ENCODE_CHUNK,
-    Caption,
-    PairFeatures,
     TextCache,
     TextGrad,
     Video,
@@ -47,34 +50,23 @@ class WeightCache:
     w3: np.ndarray    # (n3,)
 
 
-def layer2_weights(e1: np.ndarray, m2: np.ndarray):
-    """Action weights from overall-node vs projected-action similarity."""
-    sim2 = m2 @ e1
-    return sim2, softmax(sim2)
-
-
-def layer3_weights(m2: np.ndarray, e3: np.ndarray, parent3: list[int],
-                   sim2: np.ndarray):
-    """Entity weights couple the parent action's importance with the
-    entity-action association."""
-    if e3.shape[0] == 0:
-        return np.zeros(0), np.zeros(0)
-    parents = np.asarray(parent3)
-    sim3 = (m2[parents] * e3).sum(axis=1)
-    return sim3, softmax(sim2[parents] + sim3)
-
-
-def caption_weights(cap: Caption) -> WeightCache:
-    sim2, w2 = layer2_weights(cap.e1, cap.m2)
-    sim3, w3 = layer3_weights(cap.m2, cap.e3, cap.index.parent3, sim2)
-    return WeightCache(sim2=sim2, w2=w2, sim3=sim3, w3=w3)
+def _segment_softmax(z: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """softmax applied to each caption's segment of stacked values."""
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, owner, z)
+    e = np.exp(z - top[owner])
+    return e / np.bincount(owner, weights=e, minlength=n)[owner]
 
 
 def text_weights(tc: TextCache) -> WeightCache:
-    """Every caption's weights (a softmax per caption), stacked."""
-    wcs = [caption_weights(tc.caption(i)) for i in range(len(tc.indexes))]
-    return WeightCache(*(np.concatenate([getattr(wc, f.name) for wc in wcs])
-                         for f in fields(WeightCache)))
+    """Every caption's node weights, stacked. Action weights are a softmax
+    over the caption's actions of sim2 = m2 . e1; entity weights couple the
+    parent action's sim2 with the entity-action association sim3 = m2 . e3."""
+    n_t = tc.e1.shape[0]
+    sim2 = (tc.m2 * tc.e1[tc.owner2]).sum(axis=1)
+    sim3 = (tc.m2[tc.parent3] * tc.e3).sum(axis=1)
+    return WeightCache(sim2=sim2, w2=_segment_softmax(sim2, tc.owner2, n_t), sim3=sim3,
+                       w3=_segment_softmax(sim2[tc.parent3] + sim3, tc.owner3, n_t))
 
 
 def _segment_softmax_vjp(y: np.ndarray, ybar: np.ndarray, owner: np.ndarray,
@@ -102,42 +94,6 @@ def text_weights_backward(tg: TextGrad, tc: TextCache, wc: WeightCache) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-pair score assembly (the reference path)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScoreBreakdown:
-    score1: float
-    score2: np.ndarray  # (n2,)
-    score3: np.ndarray  # (n3,)
-    layer_scores: tuple[float, float, float]
-    final: float
-
-
-def node_scores(cap: Caption, pf: PairFeatures):
-    score1 = float(cap.e1 @ pf.ev1)
-    score2 = (cap.e2 * pf.ev2).sum(axis=1)
-    score3 = (cap.e3 * pf.ev3).sum(axis=1)
-    return score1, score2, score3
-
-
-def final_score(score1: float, score2: np.ndarray, score3: np.ndarray,
-                wc: WeightCache) -> ScoreBreakdown:
-    s1 = score1  # whole-layer weight is fixed to 1
-    s2 = float(wc.w2 @ score2)
-    s3 = float(wc.w3 @ score3) if score3.size else 0.0
-    final = (s1 + s2 + s3) / 3.0
-    return ScoreBreakdown(score1=score1, score2=score2, score3=score3,
-                          layer_scores=(s1, s2, s3), final=final)
-
-
-def score_pair(cap: Caption, wc: WeightCache, pf: PairFeatures) -> ScoreBreakdown:
-    s1, s2, s3 = node_scores(cap, pf)
-    return final_score(s1, s2, s3, wc)
-
-
-# ---------------------------------------------------------------------------
 # Cross scoring: one video against every caption at once
 # ---------------------------------------------------------------------------
 
@@ -156,8 +112,8 @@ class VideoColumn:
 
 
 def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> VideoColumn:
-    """Scores of every stacked caption against one video, equal to
-    `score_pair(pair_forward(...))` per caption up to rounding.
+    """Scores of every stacked caption against one video, equal per caption
+    to the per-pair oracle in `synret.reference` up to rounding.
 
     Each node score is an average of dot products, so it is computed from
     score GEMMs without gathering feature rows: e1.ev1 is the
@@ -239,16 +195,49 @@ def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid:
         tg.w3 += lbar[tc.owner3] * col.score3
 
 
+@dataclass
+class FusedPair:
+    """One caption's video-side features against one video."""
+    ev1: np.ndarray   # (d,) raw frames pooled by the caption's frame attention
+    ev2: np.ndarray   # (n2, d) per action: mean of its picked frames' g rows
+    ev3: np.ndarray   # (n3, d) per entity: across-frame mean of per-frame patch means
+    frame_selection: list[np.ndarray]        # per action: picked frames, ascending
+    patch_selection: list[list[np.ndarray]]  # per entity, per picked frame in ascending
+                                             # order: picked patches, ascending
+
+
+def fuse_pair(tc: TextCache, vid: Video, cfg: RunConfig) -> FusedPair:
+    """The fused features of the one caption stacked in `tc` against `vid`,
+    built from `score_video`'s logits and selections, so they select exactly
+    as scoring and training do. Picked patch rows are widened to float64."""
+    col = score_video(tc, text_weights(tc), vid, cfg)
+    n_v, n_p, d = vid.patches.shape
+    k_frame, k_patch = min(cfg.lambda_frame, n_v), min(cfg.lambda_patch, n_p)
+    frames2 = np.sort(col.order2[:, :k_frame], axis=1)
+    ev3 = np.zeros((tc.e3.shape[0], d))
+    patch_selection = []
+    for i, picked in enumerate(col.order2[tc.parent3, :k_frame]):
+        slots = np.argsort(picked)
+        sels = [np.sort(col.order3[i, s, :k_patch]) for s in slots]
+        means = np.stack([vid.patches[j, sel].astype(np.float64).mean(axis=0)
+                          for j, sel in zip(picked[slots], sels)])
+        if cfg.literal_patch_norm:
+            ev3[i] = means.sum(axis=0) / cfg.lambda_patch
+        else:
+            ev3[i] = means.mean(axis=0)
+        patch_selection.append(sels)
+    return FusedPair(ev1=softmax(col.logits[0]) @ vid.frames, ev2=vid.g[frames2].mean(axis=1),
+                     ev3=ev3, frame_selection=list(frames2), patch_selection=patch_selection)
+
+
 def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
-                 params: ModelParams, cfg: RunConfig,
-                 threads: int = 1) -> np.ndarray:
+                 params: ModelParams, cfg: RunConfig) -> np.ndarray:
     """Rows are captions, columns are videos. Fusion is caption-guided, so
     the matrix is not symmetric even on the diagonal manifest.
 
     Captions and videos are encoded in chunks of ENCODE_CHUNK, and each
     video is scored against all captions by `score_video`. Each caption
     chunk's backward caches are dropped before the next chunk is encoded.
-    `threads` is still accepted but changes neither speed nor output.
     """
     out = np.zeros((len(bundles_t), len(bundles_v)))
     if not bundles_t:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import dot_softmax_attend, top_k_indices, transformer_encode
+from .blocks import dot_softmax_attend, transformer_encode
 from .config import RunConfig
 from .conllu import parse_conllu
 from .dataset import synthetic_bundles
@@ -21,8 +21,9 @@ from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
-from .pipeline import ENCODE_CHUNK, pair_forward, text_forward, video_forward
-from .scoring import score_matrix, score_pair, text_weights
+from .pipeline import ENCODE_CHUNK, text_forward, video_forward
+from .reference import pair_forward, score_pair, top_k_indices
+from .scoring import score_matrix, text_weights
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 

@@ -64,8 +64,10 @@ def write_file(path, data: bytes | str) -> None:
 
 
 def write_tensor(t: np.ndarray, path) -> None:
-    """Write an array as an f32 SHET file. Values must be finite."""
-    arr = np.asarray(t, dtype=np.float32)
+    """Write an array as an f32 SHET file, narrowing it here; values must be
+    finite, and so must their float32 form."""
+    with np.errstate(over="ignore"):  # an overflow to inf is reported below
+        arr = np.asarray(t, dtype=np.float32)
     if arr.size and not np.isfinite(arr).all():
         raise NumericalError(f"refusing to write non-finite tensor to {path}")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, arr.ndim)

@@ -8,8 +8,9 @@ import pytest
 from synret.config import RunConfig
 from synret.dataset import synthetic_bundles
 from synret.params import init_params
-from synret.pipeline import pair_forward, text_forward, video_forward
-from synret.scoring import score_pair, text_weights
+from synret.pipeline import text_forward, video_forward
+from synret.reference import pair_forward, score_pair
+from synret.scoring import text_weights
 
 GOLDEN_NAMES = [
     "adj_root",

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from synret.blocks import top_k_indices
 from synret.cli import main
 from synret.config import RunConfig, TrainConfig
 from synret.conllu import parse_conllu
@@ -25,9 +24,10 @@ from synret.hierarchy import (
 )
 from synret.metrics import compute_metrics
 from synret.params import init_params
-from synret.pipeline import pair_forward, text_forward, video_forward
+from synret.pipeline import text_forward, video_forward
+from synret.reference import pair_forward, score_pair, top_k_indices
 from synret.rng import SplitMix64
-from synret.scoring import dsl_postprocess, score_pair, text_weights
+from synret.scoring import dsl_postprocess, text_weights
 from synret.train import (
     batch_loss,
     batch_loss_and_grads,

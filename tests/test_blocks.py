@@ -13,11 +13,11 @@ from synret.blocks import (
     layer_norm,
     mlp,
     softmax,
-    top_k_indices,
     transformer_backward,
     transformer_encode,
 )
 from synret.errors import DataError
+from synret.reference import top_k_indices
 from synret.params import LayerNormParams, MlpParams, init_params, zeros_like
 from synret.rng import SplitMix64
 

@@ -97,6 +97,23 @@ def test_numerical_error_exit_3(fixture_dir, checkpoint, train_cfg_path, tmp_pat
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_parameters_beyond_float32_are_one_line_exit_3(tmp_path, capsys):
+    """One step at lr 1e39 leaves finite float64 parameters that overflow
+    float32 in the checkpoint: no numpy warning, one line of error."""
+    fx = tmp_path / "fx"
+    assert main(["gen-fixtures", "--seed", "1", "--pairs", "8", "--out", str(fx)]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 16, "max_frames": 4, "seed": 1, "batch_size": 8,
+                               "steps": 1, "lr": 1e39}))
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(fx / "manifest.json"), "--config", str(cfg),
+                 "--out", str(tmp_path / "ckpt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synret: numerical error: refusing to write non-finite tensor")
+    assert len(err.splitlines()) == 1
+
+
 def test_build_hierarchy_matches_golden(golden_dir, tmp_path):
     out = tmp_path / "h.json"
     rc = main(["build-hierarchy", str(golden_dir / "simple.conllu"), "-o", str(out)])
@@ -370,7 +387,8 @@ def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
     from synret.config import RunConfig
     from synret.dataset import load_bundles
     from synret.params import load_checkpoint
-    from synret.pipeline import ENCODE_CHUNK, pair_forward
+    from synret.pipeline import ENCODE_CHUNK
+    from synret.reference import pair_forward
 
     from conftest import encode_pair
 

@@ -26,11 +26,10 @@ from synret.dataset import FeatureBundle, synthetic_bundles
 from synret.gradcheck import grad_check, max_relative_error
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import LayerNormParams, MlpParams, init_params, zeros_like
-from synret.pipeline import TextGrad, pair_forward, text_backward, text_forward, video_backward, video_forward
+from synret.pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
+from synret.reference import caption_weights, pair_forward, score_pair
 from synret.rng import SplitMix64
 from synret.scoring import (
-    caption_weights,
-    score_pair,
     score_video,
     score_video_backward,
     text_weights,

@@ -10,7 +10,8 @@ import numpy as np
 from synret.config import RunConfig
 from synret.dataset import load_bundles
 from synret.params import init_params
-from synret.pipeline import pair_forward, text_forward, video_forward
+from synret.pipeline import text_forward, video_forward
+from synret.reference import pair_forward
 from synret.scoring import score_matrix
 from synret.tensor_store import gen_fixture
 from synret.train import batch_loss_and_grads

@@ -11,14 +11,11 @@ from synret.hierarchy import HierarchyIndex
 from synret.params import init_params
 from synret.pipeline import (
     enhance_entities,
-    fuse_actions,
-    fuse_entities,
-    fuse_global,
     init_node_features,
-    pair_forward,
     text_forward,
     video_forward,
 )
+from synret.reference import fuse_actions, fuse_entities, fuse_global, pair_forward
 from synret.rng import SplitMix64
 
 

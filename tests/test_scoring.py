@@ -13,18 +13,22 @@ from synret.dataset import FeatureBundle
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
-from synret.pipeline import ENCODE_CHUNK, pair_forward, video_forward
-from synret.rng import SplitMix64
-from synret.scoring import (
-    WeightCache,
+from synret.pipeline import ENCODE_CHUNK, text_forward, video_forward
+from synret.reference import (
     caption_weights,
-    dsl_postprocess,
     final_score,
     layer2_weights,
     layer3_weights,
     node_scores,
-    score_matrix,
+    pair_forward,
     score_pair,
+)
+from synret.rng import SplitMix64
+from synret.scoring import (
+    WeightCache,
+    dsl_postprocess,
+    fuse_pair,
+    score_matrix,
     score_video,
     text_weights,
 )
@@ -175,12 +179,6 @@ class TestScoreMatrix:
         s = score_matrix(bundles, bundles, params, cfg)
         assert not np.allclose(s, s.T)
 
-    def test_threaded_matches_serial(self, small_setup):
-        bundles, params, cfg = small_setup
-        s1 = score_matrix(bundles, bundles, params, cfg, threads=1)
-        s4 = score_matrix(bundles, bundles, params, cfg, threads=4)
-        assert np.array_equal(s1, s4)
-
 
 def _bundle(pair_id, conllu, text, frames, patches):
     h = build_hierarchy(parse_conllu(conllu))
@@ -279,6 +277,24 @@ def test_score_matrix_spans_caption_chunks(golden_dir, lambda_frame, lambda_patc
     _assert_cells_match_separate_encoding(captions, videos, params, cfg)
 
 
+def test_text_weights_match_per_caption_weights(golden_dir):
+    """The stacked segment softmax against each caption's own weights."""
+    d = 8
+    captions, _ = _cross_gallery(golden_dir, SplitMix64(141), d, False, 0,
+                                 2 * len(GOLDEN_NAMES))
+    assert any(c.index.n_entities == 0 for c in captions)
+    assert any(c.hierarchy.exist_node_used for c in captions)
+    tc = text_forward(captions, init_params(142, d, max_frames=4))
+    wc = text_weights(tc)
+    for i in range(len(captions)):
+        want = caption_weights(tc.caption(i))
+        s2 = slice(tc.first2[i], tc.first2[i + 1])
+        s3 = slice(tc.first3[i], tc.first3[i + 1])
+        for got, ref in [(wc.sim2[s2], want.sim2), (wc.w2[s2], want.w2),
+                         (wc.sim3[s3], want.sim3), (wc.w3[s3], want.w3)]:
+            assert got.shape == ref.shape and np.abs(got - ref).max(initial=0.0) <= 1e-12, i
+
+
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("lambda_patch", [1, 2, 3])
 @pytest.mark.parametrize("lambda_frame", [1, 2, 3])
@@ -290,6 +306,47 @@ def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch
     for i, cap in enumerate(caps):
         want = score_pair(cap, caption_weights(cap), pair_forward(cap, vid, cfg)).final
         assert abs(got[i] - want) <= 1e-10
+
+
+def _one_caption_stack(cap):
+    """A tie_fixture caption as a stack of one, the form fuse_pair takes."""
+    return SimpleNamespace(e1=cap.e1[None], e2=cap.e2, m2=cap.m2, e3=cap.e3,
+                           owner2=np.zeros(len(cap.e2), dtype=np.intp),
+                           owner3=np.zeros(len(cap.e3), dtype=np.intp),
+                           parent3=np.asarray(cap.index.parent3, dtype=np.intp))
+
+
+def _lower_index_top_k(scores, k):
+    return sorted(sorted(range(len(scores)), key=lambda j: (-scores[j], j))[:k])
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("lambda_patch", [1, 2, 3])
+@pytest.mark.parametrize("lambda_frame", [1, 2, 3])
+def test_fuse_pair_breaks_exact_ties_as_score_video(lambda_frame, lambda_patch, literal):
+    """Exact integer ties: fuse selects the lower index, as score_video does."""
+    vid, caps, stack = tie_fixture()
+    cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
+                    lambda_patch=lambda_patch, literal_patch_norm=literal)
+    col = score_video(stack, text_weights(stack), vid, cfg)
+    k_frame = min(lambda_frame, 3)
+    for i, cap in enumerate(caps):
+        fp = fuse_pair(_one_caption_stack(cap), vid, cfg)
+        rows2 = np.flatnonzero(stack.owner2 == i)
+        assert [sel.tolist() for sel in fp.frame_selection] == \
+            [sorted(col.order2[r, :k_frame].tolist()) for r in rows2] == \
+            [_lower_index_top_k(cap.e2[a] @ vid.g.T, lambda_frame) for a in range(len(rows2))]
+        rows3 = np.flatnonzero(stack.owner3 == i)
+        for e, r in enumerate(rows3):
+            picked = col.order2[stack.parent3[r], :k_frame]
+            kernel = [sorted(col.order3[r, slot, :lambda_patch].tolist())
+                      for slot in np.argsort(picked)]
+            oracle = [_lower_index_top_k(vid.patches[j] @ cap.e3[e], lambda_patch)
+                      for j in sorted(picked)]
+            assert [sel.tolist() for sel in fp.patch_selection[e]] == kernel == oracle
+        pf = pair_forward(cap, vid, cfg)
+        for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
+            assert np.array_equal(got, want)
 
 
 class TestDsl:

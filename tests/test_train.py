@@ -8,7 +8,7 @@ from synret.dataset import synthetic_bundles
 from synret.errors import DataError
 from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
 from synret.rng import SplitMix64
-from synret.pipeline import pair_forward
+from synret.reference import pair_forward
 from synret.train import (
     selection_margins,
     symmetric_ce_loss,
