@@ -1,9 +1,11 @@
 """Parameterized numerical blocks with paired forward/backward passes.
 
 Everything here is float64 and shape-light: vectors are (d,), stacked node
-features are (n, d), and row-wise blocks take any number of stacked rows. Each forward returns a cache consumed by the matching
-backward; backwards accumulate parameter gradients into a ModelParams-shaped
-container and return the gradient w.r.t. their input.
+features are (n, d), and row-wise blocks take any number of stacked rows
+(their backwards take them as (n, d)). Each forward returns its output and a
+cache consumed by the matching backward; backwards accumulate parameter
+gradients into a ModelParams-shaped container and return the gradient w.r.t.
+their input.
 """
 
 from __future__ import annotations
@@ -75,12 +77,8 @@ def layer_norm(x: np.ndarray, ln: LayerNormParams, eps: float = LN_EPS):
 def layer_norm_backward(ybar: np.ndarray, cache: LayerNormCache,
                         ln: LayerNormParams, ln_grad: LayerNormParams) -> np.ndarray:
     xhat, inv_std = cache.xhat, cache.inv_std
-    if ybar.ndim == 1:
-        ln_grad.gain += ybar * xhat
-        ln_grad.bias += ybar
-    else:
-        ln_grad.gain += (ybar * xhat).sum(axis=0)
-        ln_grad.bias += ybar.sum(axis=0)
+    ln_grad.gain += (ybar * xhat).sum(axis=0)
+    ln_grad.bias += ybar.sum(axis=0)
     dxhat = ybar * ln.gain
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -108,16 +106,11 @@ def mlp(x: np.ndarray, mp: MlpParams) -> tuple[np.ndarray, MlpCache]:
 
 def mlp_backward(ybar: np.ndarray, cache: MlpCache, mp: MlpParams,
                  mp_grad: MlpParams) -> np.ndarray:
-    y2 = np.atleast_2d(ybar)
-    h2 = np.atleast_2d(cache.h)
-    x2 = np.atleast_2d(cache.x)
-    mp_grad.w2 += y2.T @ h2
-    mp_grad.b2 += y2.sum(axis=0)
-    hbar = ybar @ mp.w2
-    zbar = hbar * _gelu_grad(cache.z, cache.cdf)
-    z2 = np.atleast_2d(zbar)
-    mp_grad.w1 += z2.T @ x2
-    mp_grad.b1 += z2.sum(axis=0)
+    mp_grad.w2 += ybar.T @ cache.h
+    mp_grad.b2 += ybar.sum(axis=0)
+    zbar = (ybar @ mp.w2) * _gelu_grad(cache.z, cache.cdf)
+    mp_grad.w1 += zbar.T @ cache.x
+    mp_grad.b1 += zbar.sum(axis=0)
     return zbar @ mp.w1
 
 

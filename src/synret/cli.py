@@ -8,6 +8,7 @@ and writes only under paths named in its arguments.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import tempfile
@@ -30,6 +31,15 @@ from .scoring import dsl_postprocess, fuse_pair, score_matrix
 from .selfcheck import run_selfcheck
 from .tensor_store import gen_fixture, write_file, write_tensor
 from .train import train, write_loss_log
+
+
+# glibc keeps freed arrays resident unless they sit at the heap's top, so a
+# process running several commands would carry them into the next one's peak.
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _malloc_trim = ctypes.CDLL("libc.so.6").malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (OSError, AttributeError):
+    _malloc_trim = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,15 +137,6 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _cfg_for_checkpoint(run: RunConfig, params) -> RunConfig:
-    """Model geometry always comes from the checkpoint."""
-    run.d = params.d
-    run.heads = params.heads
-    run.max_frames = params.max_frames
-    run.tau = params.tau
-    return run
-
-
 def _cmd_gen_fixtures(args) -> int:
     with _writing(args.out):
         manifest = gen_fixture(args.seed, args.pairs, args.tokens, args.frames,
@@ -161,7 +162,6 @@ def _cmd_build_hierarchy(args) -> int:
 def _cmd_fuse(args) -> int:
     run, _ = _load_cfg(args)
     params = load_checkpoint(args.params)
-    run = _cfg_for_checkpoint(run, params)
     bundles = load_bundles(args.manifest)
     out = Path(args.out)
     with _writing(out):
@@ -169,16 +169,16 @@ def _cmd_fuse(args) -> int:
     index = {}
     for lo in range(0, len(bundles), ENCODE_CHUNK):
         chunk = bundles[lo:lo + ENCODE_CHUNK]
-        # keep only the outputs: the backward caches would otherwise stay
-        # alive while the next chunk is encoded
-        tc = text_forward(chunk, params)
-        tc.drop_backward_caches()
-        videos = video_forward(chunk, params).videos
+        tc, tape = text_forward(chunk, params)
+        e3p, f3p = tape.e3p, tape.f3p
+        del tape  # its backward caches would stay alive while the chunk is fused
+        videos = video_forward(chunk, params)[0]
         for i, b in enumerate(chunk):
             cap, vid = tc.caption(i), videos[i]
+            s3 = slice(tc.first3[i], tc.first3[i + 1])
             fp = fuse_pair(tc.single(i), vid, run)
             tensors = {
-                "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
+                "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": e3p[s3], "f3p": f3p[s3],
                 "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3,
             }
             files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
@@ -200,7 +200,6 @@ def _cmd_fuse(args) -> int:
 def _cmd_score(args) -> int:
     run, _ = _load_cfg(args)
     params = load_checkpoint(args.params)
-    run = _cfg_for_checkpoint(run, params)
     bundles = load_bundles(args.manifest)
     s = score_matrix(bundles, bundles, params, run)
     if args.dsl:
@@ -248,7 +247,6 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     run, _ = _load_cfg(args)
     params = load_checkpoint(args.params)
-    run = _cfg_for_checkpoint(run, params)
     bundles = load_bundles(args.manifest)
     s = score_matrix(bundles, bundles, params, run)
     if not np.isfinite(s).all():
@@ -296,26 +294,14 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"synret: usage error: {e}", file=sys.stderr)
-        if verbose:
-            traceback.print_exc()
-        return 1
-    except DataError as e:
-        print(f"synret: data error: {e}", file=sys.stderr)
-        if verbose:
-            traceback.print_exc()
-        return 2
-    except NumericalError as e:
-        print(f"synret: numerical error: {e}", file=sys.stderr)
-        if verbose:
-            traceback.print_exc()
-        return 3
     except SynretError as e:
-        print(f"synret: error: {e}", file=sys.stderr)
+        print(f"synret: {e.label}: {e}", file=sys.stderr)
         if verbose:
             traceback.print_exc()
-        return 2
+        return e.exit_code
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 if __name__ == "__main__":

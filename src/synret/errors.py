@@ -1,17 +1,22 @@
-"""Exception hierarchy shared by the library and the CLI exit-code mapping."""
+"""Exception hierarchy shared by the library and the CLI exit-code mapping:
+the CLI prints `synret: <label>: <message>` and exits with `exit_code`."""
 
 
 class SynretError(Exception):
     """Base class for all errors raised by this package."""
+    label, exit_code = "error", 2
 
 
 class UsageError(SynretError):
-    """Bad command-line usage or invalid configuration. CLI exit code 1."""
+    """Bad command-line usage or invalid configuration."""
+    label, exit_code = "usage error", 1
 
 
 class DataError(SynretError):
-    """Malformed or inconsistent input data (files, schemas, shapes). CLI exit code 2."""
+    """Malformed or inconsistent input data (files, schemas, shapes)."""
+    label, exit_code = "data error", 2
 
 
 class NumericalError(SynretError):
-    """Non-finite values encountered where finite math is required. CLI exit code 3."""
+    """Non-finite values encountered where finite math is required."""
+    label, exit_code = "numerical error", 3

@@ -33,9 +33,6 @@ class SyntaxHierarchy:
     def whole(self) -> Node:
         return self.layers[0][0]
 
-    def node_count(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
 
 def _walk_heads(start: ParsedToken, by_index: dict[int, ParsedToken]):
     """Yield the ancestors of a token along head links, stopping at the root.

@@ -8,6 +8,13 @@ each projection is one matrix product, and `video_forward` runs the temporal
 layer over the concatenated frame rows of every video, with attention kept
 inside each video. Frame and patch selection, which combines the two sides,
 is `scoring.score_video`'s.
+
+Like every block in `blocks`, each forward returns its features and a tape,
+and the matching backward takes the tape back: `text_forward` returns
+(TextCache, TextTape) and `video_forward` (videos, TransformerCache). A
+caller that only scores drops the tape in the same expression
+(`text_forward(chunk, params)[0]`), so it is freed before the next chunk is
+encoded.
 """
 
 from __future__ import annotations
@@ -126,8 +133,6 @@ class Caption:
     e2: np.ndarray   # (n2, d)
     e3: np.ndarray   # (n3, d)
     m2: np.ndarray   # (n2, d)
-    e3p: np.ndarray | None  # (n3, d); None when the TextCache is a concat
-    f3p: np.ndarray | None  # (n3, d)
 
 
 @dataclass
@@ -145,51 +150,56 @@ class TextCache:
     e2: np.ndarray       # (A, d)
     e3: np.ndarray       # (M, d)
     m2: np.ndarray       # (A, d)
-    e3p: np.ndarray | None  # (M, d); e3p and f3p are None in a concat
-    f3p: np.ndarray | None  # (M, d)
-    e1_cache: ResNormCache | None     # the caches are None after drop_backward_caches
-    e2_cache: ResNormCache | None
-    m2_cache: ResNormCache | None
-    e3_cache: ResNormCache | None     # None also when the batch has no entities
-    enhance_cache: EnhanceCache | None
+
+    @classmethod
+    def stack(cls, indexes: list[HierarchyIndex], e1, e2, e3, m2) -> "TextCache":
+        """Node features of captions stacked in this order, with their row
+        bookkeeping."""
+        first2 = _offsets([idx.n_actions for idx in indexes])
+        first3 = _offsets([idx.n_entities for idx in indexes])
+        rows = np.arange(len(indexes))
+        return cls(
+            indexes=indexes, first2=first2, first3=first3,
+            owner2=np.repeat(rows, np.diff(first2)), owner3=np.repeat(rows, np.diff(first3)),
+            parent3=np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
+                                    for t, idx in enumerate(indexes)]),
+            e1=e1, e2=e2, e3=e3, m2=m2,
+        )
 
     def caption(self, i: int) -> Caption:
         s2 = slice(self.first2[i], self.first2[i + 1])
         s3 = slice(self.first3[i], self.first3[i + 1])
-        e3p = f3p = None
-        if self.e3p is not None:
-            e3p, f3p = self.e3p[s3], self.f3p[s3]
         return Caption(index=self.indexes[i], e1=self.e1[i], e2=self.e2[s2], e3=self.e3[s3],
-                       m2=self.m2[s2], e3p=e3p, f3p=f3p)
+                       m2=self.m2[s2])
 
     @classmethod
     def concat(cls, parts: list["TextCache"]) -> "TextCache":
-        """Consecutive batches as one, keeping only what scoring reads: the
-        node features e1/e2/e3/m2 and the row bookkeeping."""
+        """Consecutive batches as one."""
         def cat(name):
             return np.concatenate([getattr(p, name) for p in parts])
 
-        return cls(
-            **_stack_rows([idx for p in parts for idx in p.indexes]),
-            e1=cat("e1"), e2=cat("e2"), e3=cat("e3"), m2=cat("m2"), e3p=None, f3p=None,
-            e1_cache=None, e2_cache=None, m2_cache=None, e3_cache=None, enhance_cache=None,
-        )
+        return cls.stack([idx for p in parts for idx in p.indexes],
+                         cat("e1"), cat("e2"), cat("e3"), cat("m2"))
 
     def single(self, i: int) -> "TextCache":
         """Caption i alone, as a stack of one whose rows are views into this
         one's."""
         cap = self.caption(i)
-        return TextCache(
-            **_stack_rows([cap.index]),
-            e1=cap.e1[None], e2=cap.e2, e3=cap.e3, m2=cap.m2, e3p=cap.e3p, f3p=cap.f3p,
-            e1_cache=None, e2_cache=None, m2_cache=None, e3_cache=None, enhance_cache=None,
-        )
+        return TextCache.stack([cap.index], cap.e1[None], cap.e2, cap.e3, cap.m2)
 
-    def drop_backward_caches(self) -> None:
-        """Frees what only text_backward reads, for callers that score without
-        training; text_backward cannot run afterwards."""
-        self.e1_cache = self.e2_cache = self.m2_cache = None
-        self.e3_cache = self.enhance_cache = None
+
+@dataclass
+class TextTape:
+    """What `text_backward` reads from the `text_forward` that returned it,
+    and the entity features before and after adjective enhancement, which
+    only the `fuse` command writes out."""
+    e1: ResNormCache
+    e2: ResNormCache
+    m2: ResNormCache
+    e3: ResNormCache
+    enhance: EnhanceCache
+    e3p: np.ndarray  # (M, d)
+    f3p: np.ndarray  # (M, d)
 
 
 @dataclass
@@ -219,20 +229,7 @@ def _offsets(counts: list[int]) -> np.ndarray:
     return np.cumsum([0] + counts)
 
 
-def _stack_rows(indexes: list[HierarchyIndex]) -> dict:
-    """TextCache's row bookkeeping for captions stacked in this order."""
-    first2 = _offsets([idx.n_actions for idx in indexes])
-    first3 = _offsets([idx.n_entities for idx in indexes])
-    rows = np.arange(len(indexes))
-    return dict(
-        indexes=indexes, first2=first2, first3=first3,
-        owner2=np.repeat(rows, np.diff(first2)), owner3=np.repeat(rows, np.diff(first3)),
-        parent3=np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
-                                for t, idx in enumerate(indexes)]),
-    )
-
-
-def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> TextCache:
+def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> tuple[TextCache, TextTape]:
     feats = []
     for b in bundles:
         if b.d != params.d:
@@ -243,38 +240,30 @@ def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> TextCache
     f1s, f2s, f3s, f4s = zip(*feats)
     f1, f2, f3, f4 = np.stack(f1s), np.concatenate(f2s), np.concatenate(f3s), np.concatenate(f4s)
 
-    e1, e1_cache = res_norm(f1, params.mlp1, params.ln_global)
-    e2, e2_cache = res_norm(f2, params.mlp2, params.ln_action)
-    m2, m2_cache = res_norm(e2, params.mlp5, params.ln_weight)
-    if f3.shape[0]:
-        adj_children = [[first4[t] + j for j in kids]
-                        for t, idx in enumerate(indexes) for kids in idx.adj_children]
-        e3p, f3p, enhance_cache = enhance_entities(f3, f4, adj_children, params)
-        e3, e3_cache = res_norm(f3p, params.mlp3, params.ln_entity)
-    else:
-        e3p = f3p = e3 = np.zeros((0, params.d))
-        e3_cache = enhance_cache = None
-    return TextCache(
-        **_stack_rows(indexes),
-        e1=e1, e2=e2, e3=e3, m2=m2, e3p=e3p, f3p=f3p,
-        e1_cache=e1_cache, e2_cache=e2_cache, m2_cache=m2_cache, e3_cache=e3_cache,
-        enhance_cache=enhance_cache,
-    )
+    e1, e1_tape = res_norm(f1, params.mlp1, params.ln_global)
+    e2, e2_tape = res_norm(f2, params.mlp2, params.ln_action)
+    m2, m2_tape = res_norm(e2, params.mlp5, params.ln_weight)
+    adj_children = [[first4[t] + j for j in kids]
+                    for t, idx in enumerate(indexes) for kids in idx.adj_children]
+    e3p, f3p, enhance_tape = enhance_entities(f3, f4, adj_children, params)
+    e3, e3_tape = res_norm(f3p, params.mlp3, params.ln_entity)
+    return (TextCache.stack(indexes, e1, e2, e3, m2),
+            TextTape(e1=e1_tape, e2=e2_tape, m2=m2_tape, e3=e3_tape, enhance=enhance_tape,
+                     e3p=e3p, f3p=f3p))
 
 
-def text_backward(tg: TextGrad, tc: TextCache, params: ModelParams,
+def text_backward(tg: TextGrad, tape: TextTape, params: ModelParams,
                   grads: ModelParams) -> None:
     """One backward per projection over the whole stack; tg.e1/e2/e3/m2 must
     already hold everything, including what the weights w2/w3 pass on."""
-    e2_bar = tg.e2 + res_norm_backward(tg.m2, tc.m2_cache, params.mlp5,
+    e2_bar = tg.e2 + res_norm_backward(tg.m2, tape.m2, params.mlp5,
                                        params.ln_weight, grads.mlp5, grads.ln_weight)
-    res_norm_backward(e2_bar, tc.e2_cache, params.mlp2, params.ln_action,
+    res_norm_backward(e2_bar, tape.e2, params.mlp2, params.ln_action,
                       grads.mlp2, grads.ln_action)
-    if tc.e3_cache is not None:
-        f3p_bar = res_norm_backward(tg.e3, tc.e3_cache, params.mlp3,
-                                    params.ln_entity, grads.mlp3, grads.ln_entity)
-        enhance_entities_backward(f3p_bar, tc.enhance_cache, params, grads)
-    res_norm_backward(tg.e1, tc.e1_cache, params.mlp1, params.ln_global,
+    f3p_bar = res_norm_backward(tg.e3, tape.e3, params.mlp3,
+                                params.ln_entity, grads.mlp3, grads.ln_entity)
+    enhance_entities_backward(f3p_bar, tape.enhance, params, grads)
+    res_norm_backward(tg.e1, tape.e1, params.mlp1, params.ln_global,
                       grads.mlp1, grads.ln_global)
 
 
@@ -287,31 +276,26 @@ def text_backward(tg: TextGrad, tc: TextCache, params: ModelParams,
 class Video:
     frames: np.ndarray   # raw frame features (N_v, d)
     patches: np.ndarray  # (N_v, N_p, d), the bundle's float32 array
-    g: np.ndarray        # temporal-encoded frames (N_v, d), a view into VideoCache.g
-    rows: slice          # this video's rows in VideoCache.g
+    g: np.ndarray        # temporal-encoded frames (N_v, d), a view into the batch's rows
+    rows: slice          # this video's rows in the batch
 
 
-@dataclass
-class VideoCache:
-    videos: list[Video]
-    g: np.ndarray        # (R, d) every video's encoded frames, stacked
-    tf_cache: TransformerCache
-
-
-def video_forward(bundles: list[FeatureBundle], params: ModelParams) -> VideoCache:
+def video_forward(bundles: list[FeatureBundle],
+                  params: ModelParams) -> tuple[list[Video], TransformerCache]:
     for b in bundles:
         if b.frames.shape[1] != params.d:
             raise DataError(f"{b.pair_id}: dimension mismatch (frames d={b.frames.shape[1]}, model d={params.d})")
     lengths = [b.frames.shape[0] for b in bundles]
-    g, tf_cache = transformer_encode(np.concatenate([b.frames for b in bundles]),
-                                     params.temporal, params.pos_emb, params.heads, lengths)
+    g, tape = transformer_encode(np.concatenate([b.frames for b in bundles]),
+                                 params.temporal, params.pos_emb, params.heads, lengths)
     first = _offsets(lengths)
     videos = [Video(frames=b.frames, patches=b.patches, g=g[lo:hi], rows=slice(lo, hi))
               for b, lo, hi in zip(bundles, first[:-1], first[1:])]
-    return VideoCache(videos=videos, g=g, tf_cache=tf_cache)
+    return videos, tape
 
 
-def video_backward(g_bar: np.ndarray, vc: VideoCache, params: ModelParams,
+def video_backward(g_bar: np.ndarray, tape: TransformerCache, params: ModelParams,
                    grads: ModelParams) -> None:
-    transformer_backward(g_bar, vc.tf_cache, params.temporal, grads.temporal,
+    """g_bar holds the gradient of every row of the batch's encoded frames."""
+    transformer_backward(g_bar, tape, params.temporal, grads.temporal,
                          grads.pos_emb, params.heads)

@@ -111,6 +111,14 @@ class VideoColumn:
     score3: np.ndarray   # (M,) entity node scores
 
 
+def rank(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, ranked): indices along the last axis by descending score, ties
+    to the lower index (a stable sort of the negated scores), and the scores
+    in that order."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    return order, np.take_along_axis(scores, order, axis=-1)
+
+
 def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> VideoColumn:
     """Scores of every stacked caption against one video, equal per caption
     to the per-pair oracle in `synret.reference` up to rounding.
@@ -122,8 +130,7 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     scores. Patches are scored only inside the frames each entity's parent
     action picked, with one GEMM per frame over the entities that picked it,
     on a float64 copy of that frame's patches.
-    A stable sort of the negated scores keeps the ties-to-lower-index rule
-    for frames and patches.
+    Frames and patches are ordered by `rank`.
     """
     n_t = tc.e1.shape[0]
     n_v, n_p, _ = vid.patches.shape
@@ -132,9 +139,7 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     logits = tc.e1 @ vid.frames.T
     s1 = (softmax(logits) * logits).sum(axis=1)
 
-    frame_scores = tc.e2 @ vid.g.T
-    order2 = np.argsort(-frame_scores, axis=1, kind="stable")
-    ranked2 = np.take_along_axis(frame_scores, order2, axis=1)
+    order2, ranked2 = rank(tc.e2 @ vid.g.T)
     score2 = ranked2[:, :k_frame].mean(axis=1)
 
     picked = order2[tc.parent3, :k_frame]
@@ -144,8 +149,7 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
         if ent.size:
             # widened first: a float32 operand in `@` rounds differently
             in_picked[ent, slot] = tc.e3[ent] @ vid.patches[j].astype(np.float64).T
-    order3 = np.argsort(-in_picked, axis=2, kind="stable")
-    ranked3 = np.take_along_axis(in_picked, order3, axis=2)
+    order3, ranked3 = rank(in_picked)
     frame_means = ranked3[:, :, :cfg.lambda_patch].mean(axis=2)
     if cfg.literal_patch_norm:
         score3 = frame_means.sum(axis=1) / cfg.lambda_patch
@@ -236,22 +240,17 @@ def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
     the matrix is not symmetric even on the diagonal manifest.
 
     Captions and videos are encoded in chunks of ENCODE_CHUNK, and each
-    video is scored against all captions by `score_video`. Each caption
-    chunk's backward caches are dropped before the next chunk is encoded.
+    video is scored against all captions by `score_video`. The tapes are
+    dropped as each chunk is encoded: nothing here runs backward.
     """
     out = np.zeros((len(bundles_t), len(bundles_v)))
     if not bundles_t:
         return out
-    parts = []
-    for lo in range(0, len(bundles_t), ENCODE_CHUNK):
-        parts.append(text_forward(bundles_t[lo:lo + ENCODE_CHUNK], params))
-        parts[-1].drop_backward_caches()
-    tc = TextCache.concat(parts)
-    del parts  # their e3p/f3p, which scoring does not read
+    tc = TextCache.concat([text_forward(bundles_t[lo:lo + ENCODE_CHUNK], params)[0]
+                           for lo in range(0, len(bundles_t), ENCODE_CHUNK)])
     wc = text_weights(tc)
     for lo in range(0, len(bundles_v), ENCODE_CHUNK):
-        # only the encoded videos are kept, not the temporal layer's backward cache
-        videos = video_forward(bundles_v[lo:lo + ENCODE_CHUNK], params).videos
+        videos = video_forward(bundles_v[lo:lo + ENCODE_CHUNK], params)[0]
         for j, vid in enumerate(videos, start=lo):
             out[:, j] = score_video(tc, wc, vid, cfg).scores
     return out

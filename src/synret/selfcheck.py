@@ -22,8 +22,8 @@ from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
 from .pipeline import ENCODE_CHUNK, text_forward, video_forward
-from .reference import pair_forward, score_pair, top_k_indices
-from .scoring import score_matrix, text_weights
+from .reference import pair_forward, score_pair
+from .scoring import rank, score_matrix, text_weights
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 
@@ -94,11 +94,11 @@ def _check_topk() -> str:
         scores = rng.uniform_sym(n)
         if trial % 3 == 0 and n >= 2:
             scores[rng.randint(n)] = scores[rng.randint(n)]  # plant a tie
-        got = top_k_indices(scores, k)
-        want = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[: min(k, n)])
-        if list(got) != want:
+        order, ranked = rank(scores)
+        want = sorted(range(n), key=lambda i: (-scores[i], i))[: min(k, n)]
+        if order[:k].tolist() != want or not np.array_equal(ranked, scores[order]):
             raise SynretError(f"top-k mismatch on trial {trial}")
-    return "2000 randomized calls vs sort oracle"
+    return "2000 randomized calls of scoring.rank vs sort oracle"
 
 
 def _check_attention() -> str:
@@ -160,7 +160,7 @@ def _check_metrics() -> str:
 def _check_weight_normalization() -> str:
     bundles = synthetic_bundles(13, 4, 6, 3, 4, 8)
     params = init_params(13, 8, max_frames=3)
-    tc = text_forward(bundles, params)
+    tc = text_forward(bundles, params)[0]
     wc = text_weights(tc)
     if np.abs(np.bincount(tc.owner2, wc.w2) - 1.0).max() > 1e-9:
         raise SynretError("action weights do not sum to 1")
@@ -175,13 +175,13 @@ def _check_score_kernel() -> str:
     bundles = synthetic_bundles(37, ENCODE_CHUNK + 4, 6, 3, 5, 8)
     captions = bundles[:4]
     params = init_params(37, 8, max_frames=3)
-    vids = [video_forward([bv], params).videos[0] for bv in bundles]
+    vids = [video_forward([bv], params)[0][0] for bv in bundles]
     worst = 0.0
     for literal in (False, True):
         cfg = RunConfig(d=8, max_frames=3, seed=37, literal_patch_norm=literal)
         got = score_matrix(captions, bundles, params, cfg)
         for i, bt in enumerate(captions):
-            tc = text_forward([bt], params)
+            tc = text_forward([bt], params)[0]
             cap, wc = tc.caption(0), text_weights(tc)
             for j, vid in enumerate(vids):
                 pf = pair_forward(cap, vid, cfg)  # per-pair path

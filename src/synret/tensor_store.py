@@ -19,7 +19,7 @@ import math
 import os
 import struct
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -143,33 +143,18 @@ class PairRecord:
     frame_cls_path: str      # (N_v, d)
     patch_features_path: str  # (N_v, N_p, d)
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "text_conllu_path": self.text_conllu_path,
-            "text_features_path": self.text_features_path,
-            "frame_cls_path": self.frame_cls_path,
-            "patch_features_path": self.patch_features_path,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "PairRecord":
         if not isinstance(d, dict):
             raise DataError(f"manifest record must be a JSON object, got {d!r}")
         try:
-            return cls(
-                pair_id=str(d["pair_id"]),
-                text_conllu_path=str(d["text_conllu_path"]),
-                text_features_path=str(d["text_features_path"]),
-                frame_cls_path=str(d["frame_cls_path"]),
-                patch_features_path=str(d["patch_features_path"]),
-            )
+            return cls(**{f.name: str(d[f.name]) for f in fields(cls)})
         except KeyError as e:
             raise DataError(f"manifest record missing field {e}") from None
 
 
 def write_manifest(records: list[PairRecord], path) -> None:
-    payload = json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True)
+    payload = json.dumps([asdict(r) for r in records], indent=2, sort_keys=True)
     write_file(path, payload + "\n")
 
 

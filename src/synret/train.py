@@ -54,11 +54,12 @@ def _batch_forward(bundles: list[FeatureBundle], params: ModelParams, cfg: RunCo
     """Every caption in the batch against every video: one stacked caption
     forward, one temporal pass over all frame rows, one kernel call per
     video."""
-    tc = text_forward(bundles, params)
+    tc, text_tape = text_forward(bundles, params)
     wc = text_weights(tc)
-    vc = video_forward(bundles, params)
-    cols = [score_video(tc, wc, vid, cfg) for vid in vc.videos]
-    return tc, wc, vc, cols, np.stack([col.scores for col in cols], axis=1)
+    videos, video_tape = video_forward(bundles, params)
+    cols = [score_video(tc, wc, vid, cfg) for vid in videos]
+    scores = np.stack([col.scores for col in cols], axis=1)
+    return tc, text_tape, wc, videos, video_tape, cols, scores
 
 
 def batch_loss(bundles: list[FeatureBundle], params: ModelParams,
@@ -78,17 +79,17 @@ def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
     backward once each over the whole batch. Every sum runs in a fixed
     order, so gradients are bit-reproducible.
     """
-    tc, wc, vc, cols, scores = _batch_forward(bundles, params, cfg)
+    tc, text_tape, wc, videos, video_tape, cols, scores = _batch_forward(bundles, params, cfg)
     loss, ds = symmetric_ce_loss(scores, cfg.tau)
 
     grads = zeros_like(params)
     tg = TextGrad.zeros(tc)
-    g_bar = np.zeros_like(vc.g)
-    for j, (vid, col) in enumerate(zip(vc.videos, cols)):
+    g_bar = np.zeros((videos[-1].rows.stop, params.d))
+    for j, (vid, col) in enumerate(zip(videos, cols)):
         score_video_backward(ds[:, j], tc, wc, vid, col, cfg, tg, g_bar[vid.rows])
     text_weights_backward(tg, tc, wc)
-    text_backward(tg, tc, params, grads)
-    video_backward(g_bar, vc, params, grads)
+    text_backward(tg, text_tape, params, grads)
+    video_backward(g_bar, video_tape, params, grads)
     return loss, grads, scores
 
 
@@ -100,7 +101,7 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     probe step so no selection flips during perturbation.
     """
     margin = np.inf
-    for col in _batch_forward(bundles, params, cfg)[3]:
+    for col in _batch_forward(bundles, params, cfg)[5]:
         margin = min(margin, _kth_gap(col.ranked2, cfg.lambda_frame),
                      _kth_gap(col.ranked3, cfg.lambda_patch))
     return float(margin)

@@ -75,8 +75,8 @@ def small_setup():
 def encode_pair(bt, bv, params):
     """One caption and one video through the batch encoders, in the form the
     per-pair reference path (`pair_forward` + `score_pair`) takes them."""
-    tc = text_forward([bt], params)
-    return tc.caption(0), text_weights(tc), video_forward([bv], params).videos[0]
+    tc = text_forward([bt], params)[0]
+    return tc.caption(0), text_weights(tc), video_forward([bv], params)[0][0]
 
 
 def reference_score(bt, bv, params, cfg) -> float:

@@ -209,17 +209,17 @@ def test_criterion_03_formula_oracles(small_setup):
 
     combos = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 0)]
     for ti, vi in combos:
-        tc = text_forward([bundles[ti]], params)
+        tc, tape = text_forward([bundles[ti]], params)
         wc = text_weights(tc)
         cap = tc.caption(0)
-        vc = video_forward([bundles[vi]], params).videos[0]
+        vc = video_forward([bundles[vi]], params)[0][0]
         pf = pair_forward(cap, vc, cfg)
         bd = score_pair(cap, wc, pf)
         o = _oracle_pair(bundles[ti], bundles[vi], params, cfg)
 
         if cap.index.n_entities:
-            check(cap.e3p, np.stack(o["e3p"]))     # entity enhancement
-            check(cap.f3p, np.stack(o["f3p"]))
+            check(tape.e3p, np.stack(o["e3p"]))    # entity enhancement
+            check(tape.f3p, np.stack(o["f3p"]))
             check(cap.e3, np.stack(o["e3"]))
         check(cap.e1, o["e1"])
         check(cap.e2, np.stack(o["e2"]))
@@ -306,7 +306,7 @@ def test_criterion_06_weight_normalization(small_setup, golden_dir):
     bundles, params, cfg = small_setup
     checked = 0
     for b in bundles:
-        tc = text_forward([b], params)
+        tc = text_forward([b], params)[0]
         wc = text_weights(tc)
         assert abs(wc.w2.sum() - 1.0) <= 1e-9
         if wc.w3.size:
@@ -318,7 +318,7 @@ def test_criterion_06_weight_normalization(small_setup, golden_dir):
         checked += 1
     # single-node layers yield exactly 1.0: one verb, one noun
     single = _bundle_from_conllu(golden_dir / "simple.conllu", seed=61, d=8)
-    tc = text_forward([single], params)
+    tc = text_forward([single], params)[0]
     wc = text_weights(tc)
     assert wc.w2.tolist() == [1.0] and wc.w3.tolist() == [1.0]
     # the published trained weights obey the same normalization
@@ -350,10 +350,10 @@ def test_criterion_07_final_score_identity(small_setup, golden_dir):
     videos = [synthetic_bundles(100 + s, 1, 6, 4, 9, 8)[0] for s in range(10)]
     count = 0
     for bt in texts:
-        tc = text_forward([bt], params)
+        tc = text_forward([bt], params)[0]
         wc = text_weights(tc)
         for bv in videos:
-            pf = pair_forward(tc.caption(0), video_forward([bv], params).videos[0], cfg)
+            pf = pair_forward(tc.caption(0), video_forward([bv], params)[0][0], cfg)
             bd = score_pair(tc.caption(0), wc, pf)
             s1, s2, s3 = bd.layer_scores
             assert bd.final == (s1 + s2 + s3) / 3.0  # bitwise
@@ -361,9 +361,9 @@ def test_criterion_07_final_score_identity(small_setup, golden_dir):
     assert count == 100
     # caption without entities: declared policy keeps the divisor at 3
     nouns_free = _bundle_from_conllu(golden_dir / "punct_only.conllu", seed=71, d=8)
-    tc = text_forward([nouns_free], params)
+    tc = text_forward([nouns_free], params)[0]
     wc = text_weights(tc)
-    pf = pair_forward(tc.caption(0), video_forward([videos[0]], params).videos[0], cfg)
+    pf = pair_forward(tc.caption(0), video_forward([videos[0]], params)[0][0], cfg)
     bd = score_pair(tc.caption(0), wc, pf)
     s1, s2, s3 = bd.layer_scores
     assert s3 == 0.0

@@ -57,6 +57,15 @@ def test_usage_error_exit_1(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_main_hands_freed_memory_back_after_every_command(capsys, monkeypatch):
+    cli = importlib.import_module("synret.cli")
+    trims = []
+    monkeypatch.setattr(cli, "_malloc_trim", trims.append)
+    assert main(["--dump-config"]) == 0
+    assert main(["not-a-command"]) == 1
+    assert trims == [0, 0]
+
+
 def test_data_error_exit_2_dimension_mismatch(fixture_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"d": 16, "max_frames": 3, "batch_size": 2, "steps": 1}))
@@ -387,10 +396,8 @@ def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
     from synret.config import RunConfig
     from synret.dataset import load_bundles
     from synret.params import load_checkpoint
-    from synret.pipeline import ENCODE_CHUNK
+    from synret.pipeline import ENCODE_CHUNK, text_forward, video_forward
     from synret.reference import pair_forward
-
-    from conftest import encode_pair
 
     fx, ckpt, out = tmp_path / "fx", tmp_path / "ckpt", tmp_path / "fused"
     assert main(["gen-fixtures", "--seed", "5", "--pairs", str(ENCODE_CHUNK + 5),
@@ -407,9 +414,10 @@ def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
     bundles = load_bundles(manifest)
     assert sorted(index) == [b.pair_id for b in bundles]
     for b in bundles:
-        cap, _, vid = encode_pair(b, b, params)  # text_forward([b]), video_forward([b])
+        tc, tape = text_forward([b], params)
+        cap, vid = tc.caption(0), video_forward([b], params)[0][0]
         pf = pair_forward(cap, vid, run)
-        want = {"e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": cap.e3p, "f3p": cap.f3p,
+        want = {"e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": tape.e3p, "f3p": tape.f3p,
                 "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3}
         entry = index[b.pair_id]
         assert sorted(entry["tensors"]) == sorted(want)

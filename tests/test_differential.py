@@ -3,9 +3,12 @@
 
 Every `score_matrix` cell must agree with `pair_forward` + `score_pair` within
 1e-10, and every `fuse_pair` tensor with `pair_forward`'s, with equal frame
-and patch selections. Gaussian features make exact ties a null event here;
-exact ties are pinned by `test_fuse_pair_breaks_exact_ties_as_score_video`
-and `test_score_video_breaks_exact_ties_to_lower_index` in test_scoring.py.
+and patch selections. Every batched gradient must agree with the per-pair
+backward in test_gradients.py within 1e-10 relative, and every random tree
+must build a valid hierarchy. Gaussian features make exact ties a null
+event here; exact ties are pinned by
+`test_fuse_pair_breaks_exact_ties_as_score_video` and
+`test_score_video_breaks_exact_ties_to_lower_index` in test_scoring.py.
 """
 
 import numpy as np
@@ -13,15 +16,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from synret.config import RunConfig
-from synret.conllu import parse_conllu
+from synret.conllu import NOUN_TAGS, VERB_TAG, parse_conllu
 from synret.dataset import FeatureBundle
-from synret.hierarchy import build_hierarchy, index_hierarchy
+from synret.hierarchy import build_hierarchy, index_hierarchy, validate_hierarchy
 from synret.params import init_params
 from synret.pipeline import text_forward, video_forward
 from synret.reference import caption_weights, pair_forward, score_pair
 from synret.scoring import fuse_pair, score_matrix
+from synret.train import batch_loss_and_grads
 
 from test_fuzz import FUZZ
+from test_gradients import per_pair_loss_and_grads
 
 D = 8
 MAX_FRAMES = 5
@@ -71,8 +76,8 @@ def galleries(draw):
 def test_kernel_and_fuse_match_the_per_pair_oracle(gallery):
     bundles, params, cfg = gallery
     s = score_matrix(bundles, bundles, params, cfg)
-    tc = text_forward(bundles, params)  # one chunk, as score_matrix and fuse encode it
-    videos = video_forward(bundles, params).videos
+    tc = text_forward(bundles, params)[0]  # one chunk, as score_matrix and fuse encode it
+    videos = video_forward(bundles, params)[0]
     for i in range(len(bundles)):
         cap = tc.caption(i)
         wc = caption_weights(cap)
@@ -85,3 +90,39 @@ def test_kernel_and_fuse_match_the_per_pair_oracle(gallery):
                 [[sel.tolist() for sel in per] for per in pf.psi3]
             for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
                 assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-10
+
+
+@FUZZ
+@given(gallery=galleries())
+def test_batched_gradients_match_the_per_pair_reference(gallery):
+    bundles, params, cfg = gallery
+    loss, grads, scores = batch_loss_and_grads(bundles, params, cfg)
+    ref_loss, ref_grads, ref_scores = per_pair_loss_and_grads(bundles, params, cfg)
+    assert abs(loss - ref_loss) <= 1e-10 and np.abs(scores - ref_scores).max() <= 1e-10
+    for (name, got), (_, want) in zip(grads.named_tensors(), ref_grads.named_tensors()):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), name
+
+
+@FUZZ
+@given(conllu=conllu_trees())
+def test_hierarchy_is_valid_and_uses_exist_exactly_when_needed(conllu):
+    tokens = parse_conllu(conllu)
+    h = build_hierarchy(tokens)
+    validate_hierarchy(h)
+    ids = [n.node_id for layer in h.layers for n in layer]
+    assert ids == list(range(len(ids)))
+    by_index = {t.index: t for t in tokens}
+
+    def reaches_verb(tok):
+        while tok.head != 0:
+            tok = by_index[tok.head]
+            if tok.upos == VERB_TAG:
+                return True
+        return False
+
+    needed = (not any(t.upos == VERB_TAG for t in tokens)
+              or any(not reaches_verb(t) for t in tokens if t.upos in NOUN_TAGS))
+    assert h.exist_node_used == needed
+    assert [n.token_position for n in h.layers[1]] == \
+        [t.index for t in tokens if t.upos == VERB_TAG] + ([None] if needed else [])
+    assert [n.token_position for n in h.layers[2]] == [t.index for t in tokens if t.upos in NOUN_TAGS]

@@ -187,6 +187,36 @@ def test_full_pipeline_gradients_small():
     assert max_relative_error(report) < 1e-4
 
 
+def test_text_backward_through_adjective_attention():
+    """Finite differences of a linear read-out of every caption output, on a
+    caption with two adjectives on one entity: with a single adjective the
+    attention softmax is constant and its query carries no gradient, so the
+    end-to-end fixtures above leave this path unchecked."""
+    d = 8
+    rng = SplitMix64(406)
+    h = build_hierarchy(parse_conllu(_TWO_ADJ_ENTITIES))
+    assert max(len(kids) for kids in index_hierarchy(h).adj_children) == 2
+    b = FeatureBundle(pair_id="pair0", hierarchy=h, index=index_hierarchy(h),
+                      text=rng.uniform_sym((7, d)), frames=rng.uniform_sym((1, d)),
+                      patches=rng.uniform_sym((1, 1, d)))
+    params = init_params(407, d, max_frames=1)
+    tc, tape = text_forward([b], params)
+    tg = TextGrad.zeros(tc)
+    outputs = ("e1", "e2", "e3", "m2")
+    for name in outputs:
+        getattr(tg, name)[...] = rng.uniform_sym(getattr(tc, name).shape)
+
+    def loss():
+        out = text_forward([b], params)[0]
+        return float(sum((getattr(out, k) * getattr(tg, k)).sum() for k in outputs))
+
+    grads = zeros_like(params)
+    text_backward(tg, tape, params, grads)
+    for (name, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
+        if not name.startswith(("temporal.", "pos_emb")):  # the video side
+            assert np.abs(g - fd(loss, p)).max() < 1e-7, name
+
+
 # ---------------------------------------------------------------------------
 # The batched training step against the per-pair reference
 # ---------------------------------------------------------------------------
@@ -219,24 +249,24 @@ def pair_backward_reference(lbar, cap, wc, pf, bd, bar, g_bar):
 def per_pair_loss_and_grads(bundles, params, cfg):
     """pair_forward + score_pair per cell, the per-pair backward above, and
     each caption's and each video's chain run on its own."""
-    tcs = [text_forward([b], params) for b in bundles]
+    tcs, text_tapes = zip(*[text_forward([b], params) for b in bundles])
     wcs = [text_weights(tc) for tc in tcs]
-    vcs = [video_forward([b], params) for b in bundles]
-    pfs = [[pair_forward(tc.caption(0), vc.videos[0], cfg) for vc in vcs] for tc in tcs]
+    vcs, video_tapes = zip(*[video_forward([b], params) for b in bundles])
+    pfs = [[pair_forward(tc.caption(0), vc[0], cfg) for vc in vcs] for tc in tcs]
     bds = [[score_pair(tc.caption(0), wc, pf) for pf in row]
            for tc, wc, row in zip(tcs, wcs, pfs)]
     scores = np.array([[bd.final for bd in row] for row in bds])
     loss, ds = symmetric_ce_loss(scores, cfg.tau)
     grads = zeros_like(params)
-    g_bars = [np.zeros_like(vc.g) for vc in vcs]
-    for i, (tc, wc) in enumerate(zip(tcs, wcs)):
+    g_bars = [np.zeros_like(vc[0].g) for vc in vcs]
+    for i, (tc, wc, tape) in enumerate(zip(tcs, wcs, text_tapes)):
         tg = TextGrad.zeros(tc)
         for j, g_bar in enumerate(g_bars):
             pair_backward_reference(ds[i, j] / 3.0, tc.caption(0), wc, pfs[i][j], bds[i][j],
                                     tg, g_bar)
-        text_backward(tg, tc, params, grads)
-    for vc, g_bar in zip(vcs, g_bars):
-        video_backward(g_bar, vc, params, grads)
+        text_backward(tg, tape, params, grads)
+    for tape, g_bar in zip(video_tapes, g_bars):
+        video_backward(g_bar, tape, params, grads)
     return loss, grads, scores
 
 

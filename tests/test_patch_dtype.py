@@ -46,9 +46,9 @@ def test_float32_patches_score_and_train_bit_identically(tmp_path):
         assert np.array_equal(score_matrix(stored, stored, params, cfg),
                               score_matrix(widened, widened, params, cfg))
 
-        tc = text_forward(stored, params)
+        tc = text_forward(stored, params)[0]
         assert tc.e3.shape[0] > 0
-        pairs = zip(video_forward(stored, params).videos, video_forward(widened, params).videos)
+        pairs = zip(video_forward(stored, params)[0], video_forward(widened, params)[0])
         for j, (vid_a, vid_b) in enumerate(pairs):
             for i in range(len(stored)):
                 pa = pair_forward(tc.caption(i), vid_a, cfg)

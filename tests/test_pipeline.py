@@ -217,14 +217,14 @@ class TestPairInvariants:
         params = params.copy()
         params.pos_emb[...] = 0.0  # temporal encoding must not pin frame order
         b = bundles[0]
-        cap = text_forward([b], params).caption(0)
-        vc = video_forward([b], params).videos[0]
+        cap = text_forward([b], params)[0].caption(0)
+        vc = video_forward([b], params)[0][0]
         pf = pair_forward(cap, vc, cfg)
 
         perm = [2, 0, 3, 1]
         b2 = type(b)(pair_id=b.pair_id, hierarchy=b.hierarchy, index=b.index,
                      text=b.text, frames=b.frames[perm], patches=b.patches[perm])
-        vc2 = video_forward([b2], params).videos[0]
+        vc2 = video_forward([b2], params)[0][0]
         pf2 = pair_forward(cap, vc2, cfg)
 
         assert np.allclose(pf2.ev1, pf.ev1, atol=1e-12)
@@ -237,8 +237,8 @@ class TestPairInvariants:
     def test_pooled_features_are_exact_means(self, small_setup):
         bundles, params, cfg = small_setup
         for b in bundles:
-            cap = text_forward([b], params).caption(0)
-            vc = video_forward([b], params).videos[0]
+            cap = text_forward([b], params)[0].caption(0)
+            vc = video_forward([b], params)[0][0]
             pf = pair_forward(cap, vc, cfg)
             for i, sel in enumerate(pf.psi2):
                 assert np.array_equal(pf.ev2[i], vc.g[sel].mean(axis=0))

@@ -242,7 +242,7 @@ def _assert_cells_match_separate_encoding(captions, videos, params, cfg):
     s = score_matrix(captions, videos, params, cfg)
     assert s.shape == (len(captions), len(videos))
     encoded = [encode_pair(bt, bt, params)[:2] for bt in captions]
-    vids = [video_forward([bv], params).videos[0] for bv in videos]
+    vids = [video_forward([bv], params)[0][0] for bv in videos]
     for i, (cap, wc) in enumerate(encoded):
         for j, vid in enumerate(vids):
             want = score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
@@ -284,7 +284,7 @@ def test_text_weights_match_per_caption_weights(golden_dir):
                                  2 * len(GOLDEN_NAMES))
     assert any(c.index.n_entities == 0 for c in captions)
     assert any(c.hierarchy.exist_node_used for c in captions)
-    tc = text_forward(captions, init_params(142, d, max_frames=4))
+    tc = text_forward(captions, init_params(142, d, max_frames=4))[0]
     wc = text_weights(tc)
     for i in range(len(captions)):
         want = caption_weights(tc.caption(i))
