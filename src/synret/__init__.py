@@ -14,7 +14,7 @@ from .metrics import RetrievalMetrics, compute_metrics, evaluate_matrix
 from .params import ModelParams, init_params, load_checkpoint, save_checkpoint
 from .scoring import dsl_postprocess, score_matrix
 from .tensor_store import PairRecord, gen_fixture, read_manifest, read_tensor, write_tensor
-from .train import symmetric_ce_loss, train
+from .train import symmetric_ce_loss
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "save_checkpoint",
     "score_matrix",
     "symmetric_ce_loss",
-    "train",
     "validate_hierarchy",
     "write_tensor",
 ]

@@ -187,9 +187,8 @@ def _cmd_fuse(args) -> int:
                     write_tensor(value, out / files[name])
             index[b.pair_id] = {
                 "tensors": files,
-                "frame_selection": [sel.tolist() for sel in fp.frame_selection],
-                "patch_selection": [[sel.tolist() for sel in per_entity]
-                                    for per_entity in fp.patch_selection],
+                "frame_selection": fp.frames.tolist(),
+                "patch_selection": fp.patches.tolist(),
             }
     with _writing(out):
         write_file(out / "index.json", _json(index))

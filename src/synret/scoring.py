@@ -6,9 +6,10 @@ weight is fixed to 1, and the final score is the plain mean of the three
 layer scores. An empty entity layer contributes 0 while the divisor stays 3
 (config: empty_layer_policy = "zero").
 
-`score_video` is the one place where frames and patches are selected:
-scoring, training and the `fuse` command (through `fuse_pair`) all read
-its selections. The per-pair oracle it is tested against is
+`score_video` is the one place where frames and patches are selected, and
+it records its picks in ascending order. `pool` is the one place where the
+picked rows are averaged: training and the `fuse` command (through
+`fuse_pair`) read both. The per-pair oracle they are tested against is
 `synret.reference`.
 """
 
@@ -102,13 +103,12 @@ def text_weights_backward(tg: TextGrad, tc: TextCache, wc: WeightCache) -> None:
 class VideoColumn:
     scores: np.ndarray   # (T,) final score of every caption against the video
     logits: np.ndarray   # (T, N_v) caption-frame logits of layer 1
-    order2: np.ndarray   # (A, N_v) frames by descending action-frame score
-    ranked2: np.ndarray  # (A, N_v) those scores
+    frames: np.ndarray   # (A, k_frame) each action's picked frames, ascending
     score2: np.ndarray   # (A,) action node scores
-    order3: np.ndarray   # (M, min(lambda_frame, N_v), N_p) patches inside the
-                         # parent's picked frames by descending entity-patch score
-    ranked3: np.ndarray  # (M, min(lambda_frame, N_v), N_p) those scores
+    patches: np.ndarray  # (M, k_frame, k_patch) each entity's picked patches,
+                         # ascending, one row per parent-picked frame, ascending
     score3: np.ndarray   # (M,) entity node scores
+    margin: float        # smallest kth-to-(k+1)th score gap; inf when a budget covers all
 
 
 def rank(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,6 +117,14 @@ def rank(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in that order."""
     order = np.argsort(-scores, axis=-1, kind="stable")
     return order, np.take_along_axis(scores, order, axis=-1)
+
+
+def _kth_gap(ranked: np.ndarray, k: int) -> float:
+    """Smallest gap between the kth and (k+1)th entries of rows sorted
+    descending along the last axis."""
+    if k >= ranked.shape[-1] or ranked.size == 0:
+        return np.inf
+    return float((ranked[..., k - 1] - ranked[..., k]).min())
 
 
 def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> VideoColumn:
@@ -129,20 +137,21 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     picked frame scores, and e3.ev3 the frame-average of the mean top patch
     scores. Patches are scored only inside the frames each entity's parent
     action picked, with one GEMM per frame over the entities that picked it,
-    on a float64 copy of that frame's patches.
-    Frames and patches are ordered by `rank`.
+    on a float64 copy of that frame's patches. Items are ranked by `rank`,
+    and the picks are recorded in ascending order.
     """
     n_t = tc.e1.shape[0]
     n_v, n_p, _ = vid.patches.shape
-    k_frame = min(cfg.lambda_frame, n_v)
+    k_frame, k_patch = min(cfg.lambda_frame, n_v), min(cfg.lambda_patch, n_p)
 
     logits = tc.e1 @ vid.frames.T
     s1 = (softmax(logits) * logits).sum(axis=1)
 
     order2, ranked2 = rank(tc.e2 @ vid.g.T)
     score2 = ranked2[:, :k_frame].mean(axis=1)
+    frames = np.sort(order2[:, :k_frame], axis=1)
 
-    picked = order2[tc.parent3, :k_frame]
+    picked = frames[tc.parent3]
     in_picked = np.empty((picked.shape[0], k_frame, n_p))
     for j in range(n_v):
         ent, slot = np.nonzero(picked == j)
@@ -158,9 +167,27 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
 
     s2 = np.bincount(tc.owner2, weights=wc.w2 * score2, minlength=n_t)
     s3 = np.bincount(tc.owner3, weights=wc.w3 * score3, minlength=n_t)
-    return VideoColumn(scores=(s1 + s2 + s3) / 3.0, logits=logits, order2=order2,
-                       ranked2=ranked2, score2=score2, order3=order3, ranked3=ranked3,
-                       score3=score3)
+    return VideoColumn(scores=(s1 + s2 + s3) / 3.0, logits=logits, frames=frames,
+                       score2=score2, patches=np.sort(order3[:, :, :k_patch], axis=2),
+                       score3=score3,
+                       margin=min(_kth_gap(ranked2, cfg.lambda_frame),
+                                  _kth_gap(ranked3, cfg.lambda_patch)))
+
+
+def pool(col: VideoColumn, tc: TextCache, vid: Video,
+         cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(ev2, ev3): each action's mean of its picked frames' g rows, and each
+    entity's across-frame mean (or sum over lambda_patch under
+    literal_patch_norm) of its per-frame means of picked patch rows, widened
+    to float64. Rows are summed in ascending order, as the oracle sums them."""
+    n_v, n_p, d = vid.patches.shape
+    rows = col.frames[tc.parent3][:, :, None] * n_p + col.patches
+    means = vid.patches.reshape(n_v * n_p, d)[rows].astype(np.float64).mean(axis=2)
+    if cfg.literal_patch_norm:
+        ev3 = means.sum(axis=1) / cfg.lambda_patch
+    else:
+        ev3 = means.mean(axis=1)
+    return vid.g[col.frames].mean(axis=1), ev3
 
 
 def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid: Video,
@@ -169,69 +196,42 @@ def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid:
     """Adds the gradient of one column of scores, s_bar = dloss/ds[:, j], to
     the stacked caption gradients `tg` and to this video's temporal-encoding
     gradient `g_bar`, using the forward pass's frame and patch selections.
-    Patch rows are frozen inputs, so layer 3 reaches only e3 and w3; only the
-    picked rows are widened to float64."""
+    Patch rows are frozen inputs, so layer 3 reaches only e3 and w3."""
     lbar = s_bar / 3.0
-    n_v, n_p, d = vid.patches.shape
-    k_frame = min(cfg.lambda_frame, n_v)
 
     # layer 1: s1 = a . l with a = softmax(l), so ds1/dl = a * (1 + l - s1)
     a = softmax(col.logits)
     s1 = (a * col.logits).sum(axis=1)
     tg.e1 += (lbar[:, None] * a * (1.0 + col.logits - s1[:, None])) @ vid.frames
 
-    # layer 2: e2 . (mean of the picked frames' g rows)
-    picked2 = col.order2[:, :k_frame]
+    # layers 2 and 3: e2 . ev2 and e3 . ev3 over the picked rows
+    ev2, ev3 = pool(col, tc, vid, cfg)
     c2 = lbar[tc.owner2] * wc.w2
-    tg.e2 += c2[:, None] * vid.g[picked2].mean(axis=1)
-    np.add.at(g_bar, picked2, (c2 / k_frame)[:, None, None] * tc.e2[:, None, :])
+    tg.e2 += c2[:, None] * ev2
+    np.add.at(g_bar, col.frames, (c2 / col.frames.shape[1])[:, None, None] * tc.e2[:, None, :])
     tg.w2 += lbar[tc.owner2] * col.score2
-
-    # layer 3: e3 . (average of the picked patch rows)
-    if tc.e3.shape[0]:
-        k_patch = min(cfg.lambda_patch, n_p)
-        frames3 = col.order2[tc.parent3, :k_frame]
-        rows = frames3[:, :, None] * n_p + col.order3[:, :, :k_patch]
-        norm = cfg.lambda_patch if cfg.literal_patch_norm else k_frame
-        picked3 = vid.patches.reshape(n_v * n_p, d)[rows].astype(np.float64)
-        ev3 = picked3.sum(axis=(1, 2)) / (k_patch * norm)
-        tg.e3 += (lbar[tc.owner3] * wc.w3)[:, None] * ev3
-        tg.w3 += lbar[tc.owner3] * col.score3
+    tg.e3 += (lbar[tc.owner3] * wc.w3)[:, None] * ev3
+    tg.w3 += lbar[tc.owner3] * col.score3
 
 
 @dataclass
 class FusedPair:
     """One caption's video-side features against one video."""
-    ev1: np.ndarray   # (d,) raw frames pooled by the caption's frame attention
-    ev2: np.ndarray   # (n2, d) per action: mean of its picked frames' g rows
-    ev3: np.ndarray   # (n3, d) per entity: across-frame mean of per-frame patch means
-    frame_selection: list[np.ndarray]        # per action: picked frames, ascending
-    patch_selection: list[list[np.ndarray]]  # per entity, per picked frame in ascending
-                                             # order: picked patches, ascending
+    ev1: np.ndarray      # (d,) raw frames pooled by the caption's frame attention
+    ev2: np.ndarray      # (n2, d) per action: mean of its picked frames' g rows
+    ev3: np.ndarray      # (n3, d) per entity: across-frame mean of per-frame patch means
+    frames: np.ndarray   # (n2, k_frame) VideoColumn.frames
+    patches: np.ndarray  # (n3, k_frame, k_patch) VideoColumn.patches
 
 
 def fuse_pair(tc: TextCache, vid: Video, cfg: RunConfig) -> FusedPair:
     """The fused features of the one caption stacked in `tc` against `vid`,
-    built from `score_video`'s logits and selections, so they select exactly
-    as scoring and training do. Picked patch rows are widened to float64."""
+    pooled from `score_video`'s logits and picks, so they select exactly as
+    scoring and training do."""
     col = score_video(tc, text_weights(tc), vid, cfg)
-    n_v, n_p, d = vid.patches.shape
-    k_frame, k_patch = min(cfg.lambda_frame, n_v), min(cfg.lambda_patch, n_p)
-    frames2 = np.sort(col.order2[:, :k_frame], axis=1)
-    ev3 = np.zeros((tc.e3.shape[0], d))
-    patch_selection = []
-    for i, picked in enumerate(col.order2[tc.parent3, :k_frame]):
-        slots = np.argsort(picked)
-        sels = [np.sort(col.order3[i, s, :k_patch]) for s in slots]
-        means = np.stack([vid.patches[j, sel].astype(np.float64).mean(axis=0)
-                          for j, sel in zip(picked[slots], sels)])
-        if cfg.literal_patch_norm:
-            ev3[i] = means.sum(axis=0) / cfg.lambda_patch
-        else:
-            ev3[i] = means.mean(axis=0)
-        patch_selection.append(sels)
-    return FusedPair(ev1=softmax(col.logits[0]) @ vid.frames, ev2=vid.g[frames2].mean(axis=1),
-                     ev3=ev3, frame_selection=list(frames2), patch_selection=patch_selection)
+    ev2, ev3 = pool(col, tc, vid, cfg)
+    return FusedPair(ev1=softmax(col.logits[0]) @ vid.frames, ev2=ev2, ev3=ev3,
+                     frames=col.frames, patches=col.patches)
 
 
 def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],

@@ -23,7 +23,7 @@ from .params import init_params
 from .rng import SplitMix64
 from .pipeline import ENCODE_CHUNK, text_forward, video_forward
 from .reference import pair_forward, score_pair
-from .scoring import rank, score_matrix, text_weights
+from .scoring import fuse_pair, rank, score_matrix, text_weights
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 
@@ -185,11 +185,17 @@ def _check_score_kernel() -> str:
             cap, wc = tc.caption(0), text_weights(tc)
             for j, vid in enumerate(vids):
                 pf = pair_forward(cap, vid, cfg)  # per-pair path
-                worst = max(worst, abs(got[i, j] - score_pair(cap, wc, pf).final))
+                fp = fuse_pair(tc, vid, cfg)
+                if (fp.frames.tolist() != [sel.tolist() for sel in pf.psi2] or fp.patches.tolist()
+                        != [[sel.tolist() for sel in per] for per in pf.psi3]):
+                    raise SynretError(f"fuse_pair picks differ from the per-pair path at ({i}, {j})")
+                worst = max(worst, abs(got[i, j] - score_pair(cap, wc, pf).final),
+                            *(np.abs(a - b).max(initial=0.0) for a, b in
+                              [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]))
     if worst > 1e-10:
-        raise SynretError(f"score_matrix differs from the per-pair path by {worst:.2e}")
-    return (f"{len(captions)}x{len(bundles)} vs per-pair path, both patch norms, "
-            f"max diff {worst:.1e}")
+        raise SynretError(f"score kernel differs from the per-pair path by {worst:.2e}")
+    return (f"{len(captions)}x{len(bundles)} scores, fused features and selections vs "
+            f"per-pair path, both patch norms, max diff {worst:.1e}")
 
 
 def _check_gradients() -> str:

@@ -100,19 +100,7 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     Finite-difference checks need this to be comfortably larger than the
     probe step so no selection flips during perturbation.
     """
-    margin = np.inf
-    for col in _batch_forward(bundles, params, cfg)[5]:
-        margin = min(margin, _kth_gap(col.ranked2, cfg.lambda_frame),
-                     _kth_gap(col.ranked3, cfg.lambda_patch))
-    return float(margin)
-
-
-def _kth_gap(ranked: np.ndarray, k: int) -> float:
-    """Smallest gap between the kth and (k+1)th entries of rows sorted
-    descending along the last axis."""
-    if k >= ranked.shape[-1] or ranked.size == 0:
-        return np.inf
-    return float((ranked[..., k - 1] - ranked[..., k]).min())
+    return min(col.margin for col in _batch_forward(bundles, params, cfg)[5])
 
 
 # ---------------------------------------------------------------------------

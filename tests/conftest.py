@@ -84,6 +84,28 @@ def reference_score(bt, bv, params, cfg) -> float:
     return score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
 
 
+def per_pair_selection_margin(bundles, params, cfg) -> float:
+    """Brute-force `selection_margins`: the smallest gap between the kth and
+    (k+1)th sorted score of every action's frame row and every entity's patch
+    row inside its parent's picked frames, over every pair on the per-pair
+    path."""
+    def kth_gap(scores, k):
+        ordered = np.sort(scores)[::-1]
+        return ordered[k - 1] - ordered[k] if k < ordered.size else np.inf
+
+    want = np.inf
+    for bt in bundles:
+        for bv in bundles:
+            cap, _, vc = encode_pair(bt, bv, params)
+            pf = pair_forward(cap, vc, cfg)  # per-pair path
+            for row in cap.e2 @ vc.g.T:
+                want = min(want, kth_gap(row, cfg.lambda_frame))
+            for ei in range(cap.index.n_entities):
+                for fj in pf.psi2[cap.index.parent3[ei]]:
+                    want = min(want, kth_gap(vc.patches[fj] @ cap.e3[ei], cfg.lambda_patch))
+    return want
+
+
 def tie_fixture():
     """Small integer features that make every node score exact in every
     path. Frames 0 and 2 tie while holding different patches, so a tie broken

@@ -376,7 +376,7 @@ def test_output_failing_part_way_leaves_old_file(fixture_dir, checkpoint, train_
 
 def test_train_checks_out_before_the_first_step(fixture_dir, train_cfg_path, tmp_path, capsys,
                                                 monkeypatch):
-    train_module = importlib.import_module("synret.train")  # `synret.train` is the function
+    train_module = importlib.import_module("synret.train")
     steps = []
     step = train_module.batch_loss_and_grads
     monkeypatch.setattr(train_module, "batch_loss_and_grads",

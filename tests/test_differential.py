@@ -4,9 +4,10 @@
 Every `score_matrix` cell must agree with `pair_forward` + `score_pair` within
 1e-10, and every `fuse_pair` tensor with `pair_forward`'s, with equal frame
 and patch selections. Every batched gradient must agree with the per-pair
-backward in test_gradients.py within 1e-10 relative, and every random tree
-must build a valid hierarchy. Gaussian features make exact ties a null
-event here; exact ties are pinned by
+backward in test_gradients.py within 1e-10 relative, `selection_margins`
+must agree with the brute-force margin in conftest.py within 1e-10, and
+every random tree must build a valid hierarchy. Gaussian features make
+exact ties a null event here; exact ties are pinned by
 `test_fuse_pair_breaks_exact_ties_as_score_video` and
 `test_score_video_breaks_exact_ties_to_lower_index` in test_scoring.py.
 """
@@ -23,8 +24,9 @@ from synret.params import init_params
 from synret.pipeline import text_forward, video_forward
 from synret.reference import caption_weights, pair_forward, score_pair
 from synret.scoring import fuse_pair, score_matrix
-from synret.train import batch_loss_and_grads
+from synret.train import batch_loss_and_grads, selection_margins
 
+from conftest import per_pair_selection_margin
 from test_fuzz import FUZZ
 from test_gradients import per_pair_loss_and_grads
 
@@ -85,9 +87,8 @@ def test_kernel_and_fuse_match_the_per_pair_oracle(gallery):
             pf = pair_forward(cap, vid, cfg)
             assert abs(s[i, j] - score_pair(cap, wc, pf).final) <= 1e-10, (i, j)
             fp = fuse_pair(tc.single(i), vid, cfg)
-            assert [sel.tolist() for sel in fp.frame_selection] == [sel.tolist() for sel in pf.psi2]
-            assert [[sel.tolist() for sel in per] for per in fp.patch_selection] == \
-                [[sel.tolist() for sel in per] for per in pf.psi3]
+            assert fp.frames.tolist() == [sel.tolist() for sel in pf.psi2]
+            assert fp.patches.tolist() == [[sel.tolist() for sel in per] for per in pf.psi3]
             for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
                 assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-10
 
@@ -101,6 +102,15 @@ def test_batched_gradients_match_the_per_pair_reference(gallery):
     assert abs(loss - ref_loss) <= 1e-10 and np.abs(scores - ref_scores).max() <= 1e-10
     for (name, got), (_, want) in zip(grads.named_tensors(), ref_grads.named_tensors()):
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), name
+
+
+@FUZZ
+@given(gallery=galleries())
+def test_selection_margins_match_the_per_pair_reference(gallery):
+    bundles, params, cfg = gallery
+    got = selection_margins(bundles, params, cfg)
+    want = per_pair_selection_margin(bundles, params, cfg)
+    assert got == want or abs(got - want) <= 1e-10
 
 
 @FUZZ

@@ -329,21 +329,18 @@ def test_fuse_pair_breaks_exact_ties_as_score_video(lambda_frame, lambda_patch, 
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
     col = score_video(stack, text_weights(stack), vid, cfg)
-    k_frame = min(lambda_frame, 3)
     for i, cap in enumerate(caps):
         fp = fuse_pair(_one_caption_stack(cap), vid, cfg)
         rows2 = np.flatnonzero(stack.owner2 == i)
-        assert [sel.tolist() for sel in fp.frame_selection] == \
-            [sorted(col.order2[r, :k_frame].tolist()) for r in rows2] == \
+        assert fp.frames.tolist() == [col.frames[r].tolist() for r in rows2] == \
             [_lower_index_top_k(cap.e2[a] @ vid.g.T, lambda_frame) for a in range(len(rows2))]
         rows3 = np.flatnonzero(stack.owner3 == i)
         for e, r in enumerate(rows3):
-            picked = col.order2[stack.parent3[r], :k_frame]
-            kernel = [sorted(col.order3[r, slot, :lambda_patch].tolist())
-                      for slot in np.argsort(picked)]
+            picked = col.frames[stack.parent3[r]]
+            kernel = col.patches[r].tolist()
             oracle = [_lower_index_top_k(vid.patches[j] @ cap.e3[e], lambda_patch)
-                      for j in sorted(picked)]
-            assert [sel.tolist() for sel in fp.patch_selection[e]] == kernel == oracle
+                      for j in picked]
+            assert fp.patches[e].tolist() == kernel == oracle
         pf = pair_forward(cap, vid, cfg)
         for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
             assert np.array_equal(got, want)
