@@ -54,6 +54,21 @@ def softmax_vjp(y: np.ndarray, ybar: np.ndarray, axis: int = -1) -> np.ndarray:
     return y * (ybar - inner)
 
 
+def segment_softmax(z: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """softmax over each of n segments of z; owner[i] is the segment of z[i]."""
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, owner, z)
+    e = np.exp(z - top[owner])
+    return e / np.bincount(owner, weights=e, minlength=n)[owner]
+
+
+def segment_softmax_vjp(y: np.ndarray, ybar: np.ndarray, owner: np.ndarray,
+                        n: int) -> np.ndarray:
+    """softmax_vjp applied to each segment of stacked outputs."""
+    inner = np.bincount(owner, weights=y * ybar, minlength=n)
+    return y * (ybar - inner[owner])
+
+
 # ---------------------------------------------------------------------------
 # LayerNorm (population variance), applied along the last axis
 # ---------------------------------------------------------------------------

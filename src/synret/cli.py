@@ -196,15 +196,25 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
-    run, _ = _load_cfg(args)
+def _score_manifest(args, run: RunConfig, directions: tuple[str, ...]):
+    """(bundles, matrices): the manifest's captions scored against its videos,
+    under --dsl weighted by the dual-softmax prior once per direction. A
+    non-finite result is one line of numerical error, with no numpy warning."""
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
-    s = score_matrix(bundles, bundles, params, run)
+    matrices = [score_matrix(bundles, bundles, params, run)]
     if args.dsl:
-        s = dsl_postprocess(s, run.tau_dsl, "t2v")
-    if not np.isfinite(s).all():
-        raise NumericalError("score matrix contains non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrices = [dsl_postprocess(matrices[0], run.tau_dsl, d) for d in directions]
+    if not all(np.isfinite(m).all() for m in matrices):
+        dsl = f" under the DSL prior at tau_dsl={run.tau_dsl!r}" if args.dsl else ""
+        raise NumericalError(f"score matrix contains non-finite values{dsl}")
+    return bundles, matrices
+
+
+def _cmd_score(args) -> int:
+    run, _ = _load_cfg(args)
+    bundles, (s,) = _score_manifest(args, run, ("t2v",))
     sidecar = {
         "rows": [b.pair_id for b in bundles],
         "cols": [b.pair_id for b in bundles],
@@ -245,16 +255,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     run, _ = _load_cfg(args)
-    params = load_checkpoint(args.params)
-    bundles = load_bundles(args.manifest)
-    s = score_matrix(bundles, bundles, params, run)
-    if not np.isfinite(s).all():
-        raise NumericalError("score matrix contains non-finite values")
-    if args.dsl:
-        report = evaluate_matrix(dsl_postprocess(s, run.tau_dsl, "t2v"),
-                                 dsl_postprocess(s, run.tau_dsl, "v2t"))
-    else:
-        report = evaluate_matrix(s)
+    bundles, matrices = _score_manifest(args, run, ("t2v", "v2t"))
+    report = evaluate_matrix(*matrices)
     report["dsl"] = bool(args.dsl)
     report["pairs"] = len(bundles)
     with _writing(args.report):

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .config import config_from_dict
+from .errors import DataError, UsageError
 from .rng import SplitMix64
-from .tensor_store import read_tensor, write_file, write_tensor
+from .tensor_store import read_tensor, read_tensor_shape, write_file, write_tensor
 
 CHECKPOINT_VERSION = 1
 
@@ -205,13 +206,22 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read checkpoint metadata {meta_path}: {e}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: checkpoint metadata must be a JSON object")
     if meta.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"{meta_path}: unsupported checkpoint version {meta.get('format_version')}")
-    try:
-        p = zeros_like(d=int(meta["d"]), heads=int(meta["heads"]),
-                       max_frames=int(meta["max_frames"]), tau=float(meta["tau"]))
+    try:  # the model's shape and temperature are checked as a config's are
+        run, _ = config_from_dict({key: meta[key] for key in ("d", "heads", "max_frames", "tau")})
     except KeyError as e:
         raise DataError(f"{meta_path}: missing field {e}") from None
+    except UsageError as e:
+        raise DataError(f"{meta_path}: {e}") from None
+    # no model is allocated at a size the tensors on disk do not have
+    for name, shape in (("mlp1.w1", (run.d, run.d)), ("pos_emb", (run.max_frames, run.d))):
+        if read_tensor_shape(ckpt / f"{name}.shet") != shape:
+            raise DataError(f"{meta_path}: d={run.d}, max_frames={run.max_frames} "
+                            f"do not match {name}.shet")
+    p = zeros_like(d=run.d, heads=run.heads, max_frames=run.max_frames, tau=float(run.tau))
     expected = [name for name, _ in p.named_tensors()]
     if meta.get("tensors") != expected:
         raise DataError(f"{meta_path}: tensor list does not match this model layout")

@@ -6,8 +6,10 @@ projection. Video side: a temporal encoder runs over frame features. Both
 sides take a batch: `text_forward` stacks the nodes of every caption so that
 each projection is one matrix product, and `video_forward` runs the temporal
 layer over the concatenated frame rows of every video, with attention kept
-inside each video. Frame and patch selection, which combines the two sides,
-is `scoring.score_video`'s.
+inside each video. The node weights depend on the caption alone, so the
+caption forward ends with them and `text_backward` starts with their
+backward. Frame and patch selection, which combines the two sides, is
+`scoring.score_video`'s.
 
 Like every block in `blocks`, each forward returns its features and a tape,
 and the matching backward takes the tape back: `text_forward` returns
@@ -34,6 +36,8 @@ from .blocks import (
     mlp_backward,
     res_norm,
     res_norm_backward,
+    segment_softmax,
+    segment_softmax_vjp,
     transformer_backward,
     transformer_encode,
 )
@@ -137,9 +141,9 @@ class Caption:
 
 @dataclass
 class TextCache:
-    """Node features of a batch of captions. Action and entity rows of all
-    captions are stacked in caption order; owner2/owner3 give the caption of
-    each row and parent3 the stacked row of each entity's parent action."""
+    """Node features and weights of a batch of captions. Action and entity
+    rows of all captions are stacked in caption order; owner2/owner3 give the
+    caption of each row and parent3 the stacked row of each entity's parent."""
     indexes: list[HierarchyIndex]
     first2: np.ndarray   # (T+1,) first action row of each caption, then A
     first3: np.ndarray   # (T+1,) first entity row of each caption, then M
@@ -150,20 +154,30 @@ class TextCache:
     e2: np.ndarray       # (A, d)
     e3: np.ndarray       # (M, d)
     m2: np.ndarray       # (A, d)
+    sim2: np.ndarray     # (A,) m2 . e1 of the owning caption
+    w2: np.ndarray       # (A,) softmax of sim2 over each caption's actions
+    sim3: np.ndarray     # (M,) m2[parent] . e3
+    w3: np.ndarray       # (M,) softmax of sim2[parent] + sim3 over each caption's entities
 
     @classmethod
     def stack(cls, indexes: list[HierarchyIndex], e1, e2, e3, m2) -> "TextCache":
-        """Node features of captions stacked in this order, with their row
-        bookkeeping."""
+        """Captions stacked in this order, with row bookkeeping and weights; a
+        caption's weights do not depend on what else is stacked, bit for bit."""
+        n_t = len(indexes)
         first2 = _offsets([idx.n_actions for idx in indexes])
         first3 = _offsets([idx.n_entities for idx in indexes])
-        rows = np.arange(len(indexes))
+        owner2 = np.repeat(np.arange(n_t), np.diff(first2))
+        owner3 = np.repeat(np.arange(n_t), np.diff(first3))
+        parent3 = np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
+                                  for t, idx in enumerate(indexes)])
+        sim2 = (m2 * e1[owner2]).sum(axis=1)
+        sim3 = (m2[parent3] * e3).sum(axis=1)
         return cls(
             indexes=indexes, first2=first2, first3=first3,
-            owner2=np.repeat(rows, np.diff(first2)), owner3=np.repeat(rows, np.diff(first3)),
-            parent3=np.concatenate([np.asarray(idx.parent3, dtype=np.intp) + first2[t]
-                                    for t, idx in enumerate(indexes)]),
+            owner2=owner2, owner3=owner3, parent3=parent3,
             e1=e1, e2=e2, e3=e3, m2=m2,
+            sim2=sim2, w2=segment_softmax(sim2, owner2, n_t),
+            sim3=sim3, w3=segment_softmax(sim2[parent3] + sim3, owner3, n_t),
         )
 
     def caption(self, i: int) -> Caption:
@@ -205,7 +219,7 @@ class TextTape:
 @dataclass
 class TextGrad:
     """Gradients of the stacked caption quantities, including the node
-    weights w2/w3 that scoring derives from them."""
+    weights w2/w3."""
     e1: np.ndarray
     e2: np.ndarray
     e3: np.ndarray
@@ -252,10 +266,26 @@ def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> tuple[Tex
                      e3p=e3p, f3p=f3p))
 
 
-def text_backward(tg: TextGrad, tape: TextTape, params: ModelParams,
+def weights_backward(tg: TextGrad, tc: TextCache) -> None:
+    """Folds the weight gradients tg.w2/tg.w3 into tg.e1, tg.m2 and tg.e3."""
+    n_t = tc.e1.shape[0]
+    sim2_bar = segment_softmax_vjp(tc.w2, tg.w2, tc.owner2, n_t)
+    # w3 = softmax(sim2[parent] + sim3) with sim3 = m2[parent] . e3;
+    # parents repeat, so scatter-add rather than fancy-index +=
+    z_bar = segment_softmax_vjp(tc.w3, tg.w3, tc.owner3, n_t)
+    np.add.at(sim2_bar, tc.parent3, z_bar)
+    np.add.at(tg.m2, tc.parent3, z_bar[:, None] * tc.e3)
+    tg.e3 += z_bar[:, None] * tc.m2[tc.parent3]
+    # sim2 = m2 . e1 of the owning caption
+    np.add.at(tg.e1, tc.owner2, sim2_bar[:, None] * tc.m2)
+    tg.m2 += sim2_bar[:, None] * tc.e1[tc.owner2]
+
+
+def text_backward(tg: TextGrad, tc: TextCache, tape: TextTape, params: ModelParams,
                   grads: ModelParams) -> None:
-    """One backward per projection over the whole stack; tg.e1/e2/e3/m2 must
-    already hold everything, including what the weights w2/w3 pass on."""
+    """The weights' backward, then one backward per projection over the whole
+    stack; tg must hold the gradients of every video's scores."""
+    weights_backward(tg, tc)
     e2_bar = tg.e2 + res_norm_backward(tg.m2, tape.m2, params.mlp5,
                                        params.ln_weight, grads.mlp5, grads.ln_weight)
     res_norm_backward(e2_bar, tape.e2, params.mlp2, params.ln_action,

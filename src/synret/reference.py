@@ -5,7 +5,8 @@ One caption against one video, written as directly as the method reads:
 action node pick its top frames with `top_k_indices` and average them, and
 lets each entity node pick top patches inside its parent action's frames;
 `score_pair` then weights the node scores per layer with `caption_weights`.
-Production code computes the same quantities for every caption at once in
+Production code computes the same quantities for every caption at once,
+the weights in `pipeline.TextCache.stack` and the rest in
 `scoring.score_video`, and the tests, `selfcheck`'s checks and the
 differential property tests compare it against this module. No CLI command
 other than `selfcheck` calls it.
@@ -21,7 +22,6 @@ from .blocks import AttendCache, dot_softmax_attend, softmax
 from .config import RunConfig
 from .errors import DataError
 from .pipeline import Caption, Video
-from .scoring import WeightCache
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -120,6 +120,15 @@ def pair_forward(cap: Caption, vid: Video, cfg: RunConfig) -> PairFeatures:
 # ---------------------------------------------------------------------------
 # Learned per-node weights of one caption
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class WeightCache:
+    """One caption's node weights."""
+    sim2: np.ndarray  # (n2,)
+    w2: np.ndarray    # (n2,)
+    sim3: np.ndarray  # (n3,)
+    w3: np.ndarray    # (n3,)
 
 
 def layer2_weights(e1: np.ndarray, m2: np.ndarray):

@@ -1,10 +1,11 @@
 """Hierarchy-weighted similarity between caption and video features.
 
 Scores are computed node-by-node per layer; action and entity nodes carry
-softmax weights derived from caption-internal similarities, the whole-layer
-weight is fixed to 1, and the final score is the plain mean of the three
-layer scores. An empty entity layer contributes 0 while the divisor stays 3
-(config: empty_layer_policy = "zero").
+the softmax weights that the caption forward derived from caption-internal
+similarities (`TextCache.w2`/`w3`), the whole-layer weight is fixed to 1,
+and the final score is the plain mean of the three layer scores. An empty
+entity layer contributes 0 while the divisor stays 3 (config:
+empty_layer_policy = "zero").
 
 `score_video` is the one place where frames and patches are selected, and
 it records its picks in ascending order. `pool` is the one place where the
@@ -32,66 +33,6 @@ from .pipeline import (
     text_forward,
     video_forward,
 )
-
-LAYER_COUNT = 3
-
-
-# ---------------------------------------------------------------------------
-# Learned per-node weights (caption-only quantities)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WeightCache:
-    """Node weights, stacked like the nodes they weight (one caption's nodes
-    for a Caption, every caption's for a TextCache)."""
-    sim2: np.ndarray  # (n2,)
-    w2: np.ndarray    # (n2,)
-    sim3: np.ndarray  # (n3,)
-    w3: np.ndarray    # (n3,)
-
-
-def _segment_softmax(z: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """softmax applied to each caption's segment of stacked values."""
-    top = np.full(n, -np.inf)
-    np.maximum.at(top, owner, z)
-    e = np.exp(z - top[owner])
-    return e / np.bincount(owner, weights=e, minlength=n)[owner]
-
-
-def text_weights(tc: TextCache) -> WeightCache:
-    """Every caption's node weights, stacked. Action weights are a softmax
-    over the caption's actions of sim2 = m2 . e1; entity weights couple the
-    parent action's sim2 with the entity-action association sim3 = m2 . e3."""
-    n_t = tc.e1.shape[0]
-    sim2 = (tc.m2 * tc.e1[tc.owner2]).sum(axis=1)
-    sim3 = (tc.m2[tc.parent3] * tc.e3).sum(axis=1)
-    return WeightCache(sim2=sim2, w2=_segment_softmax(sim2, tc.owner2, n_t), sim3=sim3,
-                       w3=_segment_softmax(sim2[tc.parent3] + sim3, tc.owner3, n_t))
-
-
-def _segment_softmax_vjp(y: np.ndarray, ybar: np.ndarray, owner: np.ndarray,
-                         n: int) -> np.ndarray:
-    """softmax_vjp applied to each caption's segment of stacked weights."""
-    inner = np.bincount(owner, weights=y * ybar, minlength=n)
-    return y * (ybar - inner[owner])
-
-
-def text_weights_backward(tg: TextGrad, tc: TextCache, wc: WeightCache) -> None:
-    """Folds the weight gradients tg.w2/tg.w3, summed over every video, into
-    tg.e1, tg.m2 and tg.e3."""
-    n_t = tc.e1.shape[0]
-    sim2_bar = _segment_softmax_vjp(wc.w2, tg.w2, tc.owner2, n_t)
-    if tc.e3.shape[0]:
-        # w3 = softmax(sim2[parent] + sim3) with sim3 = m2[parent] . e3;
-        # parents repeat, so scatter-add rather than fancy-index +=
-        z_bar = _segment_softmax_vjp(wc.w3, tg.w3, tc.owner3, n_t)
-        np.add.at(sim2_bar, tc.parent3, z_bar)
-        np.add.at(tg.m2, tc.parent3, z_bar[:, None] * tc.e3)
-        tg.e3 += z_bar[:, None] * tc.m2[tc.parent3]
-    # sim2 = m2 . e1 of the owning caption
-    np.add.at(tg.e1, tc.owner2, sim2_bar[:, None] * tc.m2)
-    tg.m2 += sim2_bar[:, None] * tc.e1[tc.owner2]
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +68,7 @@ def _kth_gap(ranked: np.ndarray, k: int) -> float:
     return float((ranked[..., k - 1] - ranked[..., k]).min())
 
 
-def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> VideoColumn:
+def score_video(tc: TextCache, vid: Video, cfg: RunConfig) -> VideoColumn:
     """Scores of every stacked caption against one video, equal per caption
     to the per-pair oracle in `synret.reference` up to rounding.
 
@@ -165,8 +106,8 @@ def score_video(tc: TextCache, wc: WeightCache, vid: Video, cfg: RunConfig) -> V
     else:
         score3 = frame_means.mean(axis=1)
 
-    s2 = np.bincount(tc.owner2, weights=wc.w2 * score2, minlength=n_t)
-    s3 = np.bincount(tc.owner3, weights=wc.w3 * score3, minlength=n_t)
+    s2 = np.bincount(tc.owner2, weights=tc.w2 * score2, minlength=n_t)
+    s3 = np.bincount(tc.owner3, weights=tc.w3 * score3, minlength=n_t)
     return VideoColumn(scores=(s1 + s2 + s3) / 3.0, logits=logits, frames=frames,
                        score2=score2, patches=np.sort(order3[:, :, :k_patch], axis=2),
                        score3=score3,
@@ -190,9 +131,8 @@ def pool(col: VideoColumn, tc: TextCache, vid: Video,
     return vid.g[col.frames].mean(axis=1), ev3
 
 
-def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid: Video,
-                         col: VideoColumn, cfg: RunConfig, tg: TextGrad,
-                         g_bar: np.ndarray) -> None:
+def score_video_backward(s_bar: np.ndarray, tc: TextCache, vid: Video, col: VideoColumn,
+                         cfg: RunConfig, tg: TextGrad, g_bar: np.ndarray) -> None:
     """Adds the gradient of one column of scores, s_bar = dloss/ds[:, j], to
     the stacked caption gradients `tg` and to this video's temporal-encoding
     gradient `g_bar`, using the forward pass's frame and patch selections.
@@ -206,11 +146,11 @@ def score_video_backward(s_bar: np.ndarray, tc: TextCache, wc: WeightCache, vid:
 
     # layers 2 and 3: e2 . ev2 and e3 . ev3 over the picked rows
     ev2, ev3 = pool(col, tc, vid, cfg)
-    c2 = lbar[tc.owner2] * wc.w2
+    c2 = lbar[tc.owner2] * tc.w2
     tg.e2 += c2[:, None] * ev2
     np.add.at(g_bar, col.frames, (c2 / col.frames.shape[1])[:, None, None] * tc.e2[:, None, :])
     tg.w2 += lbar[tc.owner2] * col.score2
-    tg.e3 += (lbar[tc.owner3] * wc.w3)[:, None] * ev3
+    tg.e3 += (lbar[tc.owner3] * tc.w3)[:, None] * ev3
     tg.w3 += lbar[tc.owner3] * col.score3
 
 
@@ -228,7 +168,7 @@ def fuse_pair(tc: TextCache, vid: Video, cfg: RunConfig) -> FusedPair:
     """The fused features of the one caption stacked in `tc` against `vid`,
     pooled from `score_video`'s logits and picks, so they select exactly as
     scoring and training do."""
-    col = score_video(tc, text_weights(tc), vid, cfg)
+    col = score_video(tc, vid, cfg)
     ev2, ev3 = pool(col, tc, vid, cfg)
     return FusedPair(ev1=softmax(col.logits[0]) @ vid.frames, ev2=ev2, ev3=ev3,
                      frames=col.frames, patches=col.patches)
@@ -248,11 +188,10 @@ def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
         return out
     tc = TextCache.concat([text_forward(bundles_t[lo:lo + ENCODE_CHUNK], params)[0]
                            for lo in range(0, len(bundles_t), ENCODE_CHUNK)])
-    wc = text_weights(tc)
     for lo in range(0, len(bundles_v), ENCODE_CHUNK):
         videos = video_forward(bundles_v[lo:lo + ENCODE_CHUNK], params)[0]
         for j, vid in enumerate(videos, start=lo):
-            out[:, j] = score_video(tc, wc, vid, cfg).scores
+            out[:, j] = score_video(tc, vid, cfg).scores
     return out
 
 

@@ -22,8 +22,8 @@ from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
 from .pipeline import ENCODE_CHUNK, text_forward, video_forward
-from .reference import pair_forward, score_pair
-from .scoring import fuse_pair, rank, score_matrix, text_weights
+from .reference import caption_weights, pair_forward, score_pair
+from .scoring import fuse_pair, rank, score_matrix
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 
@@ -161,10 +161,9 @@ def _check_weight_normalization() -> str:
     bundles = synthetic_bundles(13, 4, 6, 3, 4, 8)
     params = init_params(13, 8, max_frames=3)
     tc = text_forward(bundles, params)[0]
-    wc = text_weights(tc)
-    if np.abs(np.bincount(tc.owner2, wc.w2) - 1.0).max() > 1e-9:
+    if np.abs(np.bincount(tc.owner2, tc.w2) - 1.0).max() > 1e-9:
         raise SynretError("action weights do not sum to 1")
-    w3_sums = np.bincount(tc.owner3, wc.w3, minlength=len(bundles))
+    w3_sums = np.bincount(tc.owner3, tc.w3, minlength=len(bundles))
     if np.abs(w3_sums - 1.0)[np.diff(tc.first3) > 0].max(initial=0.0) > 1e-9:
         raise SynretError("entity weights do not sum to 1")
     return "per-caption weight sums on 4 synthetic pairs"
@@ -182,7 +181,8 @@ def _check_score_kernel() -> str:
         got = score_matrix(captions, bundles, params, cfg)
         for i, bt in enumerate(captions):
             tc = text_forward([bt], params)[0]
-            cap, wc = tc.caption(0), text_weights(tc)
+            cap = tc.caption(0)
+            wc = caption_weights(cap)  # the oracle's own weights
             for j, vid in enumerate(vids):
                 pf = pair_forward(cap, vid, cfg)  # per-pair path
                 fp = fuse_pair(tc, vid, cfg)

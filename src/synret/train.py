@@ -10,12 +10,7 @@ from .errors import DataError, NumericalError
 from .params import Adam, ModelParams, zeros_like
 from .pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
 from .rng import SplitMix64
-from .scoring import (
-    score_video,
-    score_video_backward,
-    text_weights,
-    text_weights_backward,
-)
+from .scoring import score_video, score_video_backward
 from .tensor_store import write_file
 
 
@@ -55,11 +50,10 @@ def _batch_forward(bundles: list[FeatureBundle], params: ModelParams, cfg: RunCo
     forward, one temporal pass over all frame rows, one kernel call per
     video."""
     tc, text_tape = text_forward(bundles, params)
-    wc = text_weights(tc)
     videos, video_tape = video_forward(bundles, params)
-    cols = [score_video(tc, wc, vid, cfg) for vid in videos]
+    cols = [score_video(tc, vid, cfg) for vid in videos]
     scores = np.stack([col.scores for col in cols], axis=1)
-    return tc, text_tape, wc, videos, video_tape, cols, scores
+    return tc, text_tape, videos, video_tape, cols, scores
 
 
 def batch_loss(bundles: list[FeatureBundle], params: ModelParams,
@@ -73,22 +67,20 @@ def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
     """Forward, loss, and full analytic backward pass.
 
     Each video's column of dloss/ds lands on the stacked caption gradients
-    and on that video's rows of the temporal-encoding gradient; the weight
-    gradients, summed over videos, then pass through one softmax VJP per
-    caption. The caption projections and the temporal layer then run their
-    backward once each over the whole batch. Every sum runs in a fixed
-    order, so gradients are bit-reproducible.
+    (node weights included) and on that video's rows of the
+    temporal-encoding gradient. The caption side, weights first, and the
+    temporal layer then run their backward once each over the whole batch.
+    Every sum runs in a fixed order, so gradients are bit-reproducible.
     """
-    tc, text_tape, wc, videos, video_tape, cols, scores = _batch_forward(bundles, params, cfg)
+    tc, text_tape, videos, video_tape, cols, scores = _batch_forward(bundles, params, cfg)
     loss, ds = symmetric_ce_loss(scores, cfg.tau)
 
     grads = zeros_like(params)
     tg = TextGrad.zeros(tc)
     g_bar = np.zeros((videos[-1].rows.stop, params.d))
     for j, (vid, col) in enumerate(zip(videos, cols)):
-        score_video_backward(ds[:, j], tc, wc, vid, col, cfg, tg, g_bar[vid.rows])
-    text_weights_backward(tg, tc, wc)
-    text_backward(tg, text_tape, params, grads)
+        score_video_backward(ds[:, j], tc, vid, col, cfg, tg, g_bar[vid.rows])
+    text_backward(tg, tc, text_tape, params, grads)
     video_backward(g_bar, video_tape, params, grads)
     return loss, grads, scores
 
@@ -100,7 +92,7 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     Finite-difference checks need this to be comfortably larger than the
     probe step so no selection flips during perturbation.
     """
-    return min(col.margin for col in _batch_forward(bundles, params, cfg)[5])
+    return min(col.margin for col in _batch_forward(bundles, params, cfg)[4])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import pytest
 from synret.config import RunConfig
 from synret.dataset import synthetic_bundles
 from synret.params import init_params
-from synret.pipeline import text_forward, video_forward
-from synret.reference import pair_forward, score_pair
-from synret.scoring import text_weights
+from synret.pipeline import TextCache, text_forward, video_forward
+from synret.reference import caption_weights, pair_forward, score_pair
 
 GOLDEN_NAMES = [
     "adj_root",
@@ -74,9 +73,10 @@ def small_setup():
 
 def encode_pair(bt, bv, params):
     """One caption and one video through the batch encoders, in the form the
-    per-pair reference path (`pair_forward` + `score_pair`) takes them."""
-    tc = text_forward([bt], params)[0]
-    return tc.caption(0), text_weights(tc), video_forward([bv], params)[0][0]
+    per-pair reference path (`pair_forward` + `score_pair`) takes them, with
+    the caption's weights from the reference path's own `caption_weights`."""
+    cap = text_forward([bt], params)[0].caption(0)
+    return cap, caption_weights(cap), video_forward([bv], params)[0][0]
 
 
 def reference_score(bt, bv, params, cfg) -> float:
@@ -110,8 +110,7 @@ def tie_fixture():
     """Small integer features that make every node score exact in every
     path. Frames 0 and 2 tie while holding different patches, so a tie broken
     the other way changes the entity scores. Returns (video, captions,
-    stack), where `stack` holds both captions' nodes the way a TextCache
-    does."""
+    stack), where `stack` is the TextCache of both captions."""
     g = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
     patches = np.array([
         [[0.0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -123,14 +122,14 @@ def tie_fixture():
     caps = [
         SimpleNamespace(e1=np.array([1.0, 0, 0, 0]), e2=e2, m2=e2,
                         e3=np.array([[0.0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
-                        index=SimpleNamespace(parent3=[0, 1, 2])),
+                        index=SimpleNamespace(parent3=[0, 1, 2], n_actions=3, n_entities=3)),
         SimpleNamespace(e1=np.array([0.0, 1, 0, 0]), e2=e2[2:], m2=e2[2:],
-                        e3=np.zeros((0, 4)), index=SimpleNamespace(parent3=[])),
+                        e3=np.zeros((0, 4)),
+                        index=SimpleNamespace(parent3=[], n_actions=1, n_entities=0)),
     ]
-    stack = SimpleNamespace(
-        e1=np.stack([c.e1 for c in caps]), e2=np.concatenate([c.e2 for c in caps]),
-        m2=np.concatenate([c.m2 for c in caps]), e3=np.concatenate([c.e3 for c in caps]),
-        owner2=np.array([0, 0, 0, 1]), owner3=np.array([0, 0, 0]), parent3=np.array([0, 1, 2]),
-        indexes=[c.index for c in caps], caption=caps.__getitem__,
+    stack = TextCache.stack(
+        [c.index for c in caps], np.stack([c.e1 for c in caps]),
+        np.concatenate([c.e2 for c in caps]), np.concatenate([c.e3 for c in caps]),
+        np.concatenate([c.m2 for c in caps]),
     )
     return vid, caps, stack

@@ -27,7 +27,7 @@ from synret.params import init_params
 from synret.pipeline import text_forward, video_forward
 from synret.reference import pair_forward, score_pair, top_k_indices
 from synret.rng import SplitMix64
-from synret.scoring import dsl_postprocess, text_weights
+from synret.scoring import dsl_postprocess
 from synret.train import (
     batch_loss,
     batch_loss_and_grads,
@@ -210,11 +210,10 @@ def test_criterion_03_formula_oracles(small_setup):
     combos = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 0)]
     for ti, vi in combos:
         tc, tape = text_forward([bundles[ti]], params)
-        wc = text_weights(tc)
         cap = tc.caption(0)
         vc = video_forward([bundles[vi]], params)[0][0]
         pf = pair_forward(cap, vc, cfg)
-        bd = score_pair(cap, wc, pf)
+        bd = score_pair(cap, tc, pf)
         o = _oracle_pair(bundles[ti], bundles[vi], params, cfg)
 
         if cap.index.n_entities:
@@ -231,11 +230,11 @@ def test_criterion_03_formula_oracles(small_setup):
         check(pf.ev2, np.stack(o["ev2"]))
         if cap.index.n_entities:
             check(pf.ev3, np.stack(o["ev3"]))       # patch selection
-        check(wc.sim2, o["sim2"])                   # action weights
-        check(wc.w2, o["w2"])
+        check(tc.sim2, o["sim2"])                   # action weights
+        check(tc.w2, o["w2"])
         if cap.index.n_entities:
-            check(wc.sim3, o["sim3"])               # entity weights
-            check(wc.w3, o["w3"])
+            check(tc.sim3, o["sim3"])               # entity weights
+            check(tc.w3, o["w3"])
         check(bd.layer_scores, o["layers"])         # layer aggregation
         check(bd.final, o["final"])
 
@@ -307,20 +306,18 @@ def test_criterion_06_weight_normalization(small_setup, golden_dir):
     checked = 0
     for b in bundles:
         tc = text_forward([b], params)[0]
-        wc = text_weights(tc)
-        assert abs(wc.w2.sum() - 1.0) <= 1e-9
-        if wc.w3.size:
-            assert abs(wc.w3.sum() - 1.0) <= 1e-9
-        if wc.w2.size == 1:
-            assert wc.w2[0] == 1.0
-        if wc.w3.size == 1:
-            assert wc.w3[0] == 1.0
+        assert abs(tc.w2.sum() - 1.0) <= 1e-9
+        if tc.w3.size:
+            assert abs(tc.w3.sum() - 1.0) <= 1e-9
+        if tc.w2.size == 1:
+            assert tc.w2[0] == 1.0
+        if tc.w3.size == 1:
+            assert tc.w3[0] == 1.0
         checked += 1
     # single-node layers yield exactly 1.0: one verb, one noun
     single = _bundle_from_conllu(golden_dir / "simple.conllu", seed=61, d=8)
     tc = text_forward([single], params)[0]
-    wc = text_weights(tc)
-    assert wc.w2.tolist() == [1.0] and wc.w3.tolist() == [1.0]
+    assert tc.w2.tolist() == [1.0] and tc.w3.tolist() == [1.0]
     # the published trained weights obey the same normalization
     assert abs((0.4970 + 0.5030) - 1.0) <= 1e-9
     assert abs((0.2970 + 0.3543 + 0.3487) - 1.0) <= 1e-9
@@ -351,10 +348,9 @@ def test_criterion_07_final_score_identity(small_setup, golden_dir):
     count = 0
     for bt in texts:
         tc = text_forward([bt], params)[0]
-        wc = text_weights(tc)
         for bv in videos:
             pf = pair_forward(tc.caption(0), video_forward([bv], params)[0][0], cfg)
-            bd = score_pair(tc.caption(0), wc, pf)
+            bd = score_pair(tc.caption(0), tc, pf)
             s1, s2, s3 = bd.layer_scores
             assert bd.final == (s1 + s2 + s3) / 3.0  # bitwise
             count += 1
@@ -362,9 +358,8 @@ def test_criterion_07_final_score_identity(small_setup, golden_dir):
     # caption without entities: declared policy keeps the divisor at 3
     nouns_free = _bundle_from_conllu(golden_dir / "punct_only.conllu", seed=71, d=8)
     tc = text_forward([nouns_free], params)[0]
-    wc = text_weights(tc)
     pf = pair_forward(tc.caption(0), video_forward([videos[0]], params)[0][0], cfg)
-    bd = score_pair(tc.caption(0), wc, pf)
+    bd = score_pair(tc.caption(0), tc, pf)
     s1, s2, s3 = bd.layer_scores
     assert s3 == 0.0
     assert bd.final == (s1 + s2) / 3.0

@@ -185,6 +185,25 @@ def test_score_dsl_flag(fixture_dir, checkpoint, train_cfg_path, tmp_path):
     assert sidecar["dsl"] is True and sidecar["dsl_direction"] == "t2v"
 
 
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_dsl_prior_overflow_is_one_line_exit_3(fixture_dir, checkpoint, tmp_path, capsys,
+                                               command):
+    """At a tau_dsl that overflows the prior, both commands fail the same way,
+    with no numpy warning and no output: eval used to write a report of
+    R@1 100 from a NaN matrix."""
+    cfg = tmp_path / "dsl.json"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 3, "tau_dsl": 1e308}))
+    out = tmp_path / "out"
+    flag = "--report" if command == "eval" else "--out"
+    capsys.readouterr()
+    assert main([command, "--manifest", str(fixture_dir / "manifest.json"), "--params",
+                 str(checkpoint), "--config", str(cfg), "--dsl", flag, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("synret: numerical error: score matrix contains non-finite values "
+                   "under the DSL prior at tau_dsl=1e+308\n")
+    assert not out.exists()
+
+
 def test_fuse_writes_tensors_and_index(fixture_dir, checkpoint, train_cfg_path, tmp_path):
     out = tmp_path / "feats"
     assert main(["fuse", "--manifest", str(fixture_dir / "manifest.json"),

@@ -4,6 +4,7 @@ a SynretError subclass, never another exception."""
 import json
 import struct
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from synret.config import config_from_dict
 from synret.conllu import parse_conllu
 from synret.errors import SynretError
 from synret.hierarchy import build_hierarchy
+from synret.params import init_params, load_checkpoint, save_checkpoint
 from synret.tensor_store import MAGIC, read_manifest, read_tensor
 
 # st.text() builds Hypothesis's Unicode tables on first use (seconds); a fixed
@@ -117,3 +119,30 @@ _config_value = st.one_of(
 @given(data=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _config_value, max_size=6))
 def test_config_from_dict_fuzz(data):
     value_or_synret_error(config_from_dict, data)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_dir(tmp_path_factory):
+    """A d=8 checkpoint and its metadata as written."""
+    ckpt = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(init_params(1, 8, max_frames=2), ckpt, seed=1)
+    return ckpt, json.loads((ckpt / "meta.json").read_text())
+
+
+@FUZZ
+@given(data=_json | st.dictionaries(
+    st.sampled_from(["format_version", "d", "heads", "max_frames", "tau", "tensors"]),
+    _config_value, max_size=4))
+@example(data=[1])                   # raised AttributeError
+@example(data={"d": [16]})           # raised TypeError
+@example(data={"d": -4})             # raised ValueError from np.zeros
+@example(data={"heads": 3})          # loaded, then failed in a reshape
+@example(data={"d": 2**40})          # must not allocate a model of that size
+def test_load_checkpoint_fuzz(checkpoint_dir, data):
+    """The metadata is the whole of `data`, or the written metadata with the
+    fields in `data` replaced."""
+    ckpt, meta = checkpoint_dir
+    if isinstance(data, dict) and set(data) <= set(meta):
+        data = {**meta, **data}
+    (ckpt / "meta.json").write_text(json.dumps(data), encoding="utf-8")
+    value_or_synret_error(load_checkpoint, ckpt)

@@ -26,15 +26,17 @@ from synret.dataset import FeatureBundle, synthetic_bundles
 from synret.gradcheck import grad_check, max_relative_error
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import LayerNormParams, MlpParams, init_params, zeros_like
-from synret.pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
+from synret.pipeline import (
+    TextGrad,
+    text_backward,
+    text_forward,
+    video_backward,
+    video_forward,
+    weights_backward,
+)
 from synret.reference import caption_weights, pair_forward, score_pair
 from synret.rng import SplitMix64
-from synret.scoring import (
-    score_video,
-    score_video_backward,
-    text_weights,
-    text_weights_backward,
-)
+from synret.scoring import score_video, score_video_backward
 from synret.train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 
 from conftest import tie_fixture
@@ -188,10 +190,10 @@ def test_full_pipeline_gradients_small():
 
 
 def test_text_backward_through_adjective_attention():
-    """Finite differences of a linear read-out of every caption output, on a
-    caption with two adjectives on one entity: with a single adjective the
-    attention softmax is constant and its query carries no gradient, so the
-    end-to-end fixtures above leave this path unchecked."""
+    """Finite differences of a linear read-out of every caption output, node
+    weights included, on a caption with two adjectives on one entity: with a
+    single adjective the attention softmax is constant and its query carries
+    no gradient, so the end-to-end fixtures above leave this path unchecked."""
     d = 8
     rng = SplitMix64(406)
     h = build_hierarchy(parse_conllu(_TWO_ADJ_ENTITIES))
@@ -202,16 +204,18 @@ def test_text_backward_through_adjective_attention():
     params = init_params(407, d, max_frames=1)
     tc, tape = text_forward([b], params)
     tg = TextGrad.zeros(tc)
-    outputs = ("e1", "e2", "e3", "m2")
-    for name in outputs:
-        getattr(tg, name)[...] = rng.uniform_sym(getattr(tc, name).shape)
+    # kept apart from tg, which text_backward adds the weights' gradients to
+    readout = {k: rng.uniform_sym(getattr(tc, k).shape)
+               for k in ("e1", "e2", "e3", "m2", "w2", "w3")}
+    for name, coef in readout.items():
+        getattr(tg, name)[...] = coef
 
     def loss():
         out = text_forward([b], params)[0]
-        return float(sum((getattr(out, k) * getattr(tg, k)).sum() for k in outputs))
+        return float(sum((getattr(out, k) * coef).sum() for k, coef in readout.items()))
 
     grads = zeros_like(params)
-    text_backward(tg, tape, params, grads)
+    text_backward(tg, tc, tape, params, grads)
     for (name, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
         if not name.startswith(("temporal.", "pos_emb")):  # the video side
             assert np.abs(g - fd(loss, p)).max() < 1e-7, name
@@ -250,7 +254,7 @@ def per_pair_loss_and_grads(bundles, params, cfg):
     """pair_forward + score_pair per cell, the per-pair backward above, and
     each caption's and each video's chain run on its own."""
     tcs, text_tapes = zip(*[text_forward([b], params) for b in bundles])
-    wcs = [text_weights(tc) for tc in tcs]
+    wcs = [caption_weights(tc.caption(0)) for tc in tcs]
     vcs, video_tapes = zip(*[video_forward([b], params) for b in bundles])
     pfs = [[pair_forward(tc.caption(0), vc[0], cfg) for vc in vcs] for tc in tcs]
     bds = [[score_pair(tc.caption(0), wc, pf) for pf in row]
@@ -264,7 +268,7 @@ def per_pair_loss_and_grads(bundles, params, cfg):
         for j, g_bar in enumerate(g_bars):
             pair_backward_reference(ds[i, j] / 3.0, tc.caption(0), wc, pfs[i][j], bds[i][j],
                                     tg, g_bar)
-        text_backward(tg, tape, params, grads)
+        text_backward(tg, tc, tape, params, grads)
     for tape, g_bar in zip(video_tapes, g_bars):
         video_backward(g_bar, tape, params, grads)
     return loss, grads, scores
@@ -332,14 +336,12 @@ def test_training_selections_equal_score_video_on_exact_ties(lambda_frame, lambd
     vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    wc = text_weights(stack)
-    col = score_video(stack, wc, vid, cfg)
+    col = score_video(stack, vid, cfg)
     s_bar = np.array([1.0, -0.5])
-    tg = SimpleNamespace(**{k: np.zeros_like(getattr(stack, k)) for k in ("e1", "e2", "e3", "m2")},
-                         w2=np.zeros_like(wc.w2), w3=np.zeros_like(wc.w3))
+    tg = TextGrad.zeros(stack)
     g_bar = np.zeros_like(vid.g)
-    score_video_backward(s_bar, stack, wc, vid, col, cfg, tg, g_bar)
-    text_weights_backward(tg, stack, wc)
+    score_video_backward(s_bar, stack, vid, col, cfg, tg, g_bar)
+    weights_backward(tg, stack)
 
     ref_g_bar = np.zeros_like(vid.g)
     rows2 = rows3 = 0

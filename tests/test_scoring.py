@@ -13,8 +13,9 @@ from synret.dataset import FeatureBundle
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
-from synret.pipeline import ENCODE_CHUNK, text_forward, video_forward
+from synret.pipeline import ENCODE_CHUNK, TextCache, text_forward, video_forward
 from synret.reference import (
+    WeightCache,
     caption_weights,
     final_score,
     layer2_weights,
@@ -24,14 +25,7 @@ from synret.reference import (
     score_pair,
 )
 from synret.rng import SplitMix64
-from synret.scoring import (
-    WeightCache,
-    dsl_postprocess,
-    fuse_pair,
-    score_matrix,
-    score_video,
-    text_weights,
-)
+from synret.scoring import dsl_postprocess, fuse_pair, score_matrix, score_video
 
 from conftest import GOLDEN_NAMES, encode_pair, reference_score, tie_fixture
 
@@ -278,21 +272,33 @@ def test_score_matrix_spans_caption_chunks(golden_dir, lambda_frame, lambda_patc
 
 
 def test_text_weights_match_per_caption_weights(golden_dir):
-    """The stacked segment softmax against each caption's own weights."""
+    """The stacked segment softmax against each caption's own weights. A
+    stack's weights are recomputed, not copied, by `concat` and `single`, so
+    they must be bit-identical to the rows of the stacks they came from, as
+    `score_matrix` and the `fuse` command rely on."""
     d = 8
     captions, _ = _cross_gallery(golden_dir, SplitMix64(141), d, False, 0,
                                  2 * len(GOLDEN_NAMES))
     assert any(c.index.n_entities == 0 for c in captions)
     assert any(c.hierarchy.exist_node_used for c in captions)
-    tc = text_forward(captions, init_params(142, d, max_frames=4))[0]
-    wc = text_weights(tc)
+    params = init_params(142, d, max_frames=4)
+    tc = text_forward(captions, params)[0]
+    names = ("sim2", "w2", "sim3", "w3")
+    chunks = [text_forward(captions[lo:lo + 3], params)[0] for lo in range(0, len(captions), 3)]
+    joined = TextCache.concat(chunks)
+    for name in names:
+        assert np.array_equal(getattr(joined, name),
+                              np.concatenate([getattr(c, name) for c in chunks])), name
     for i in range(len(captions)):
         want = caption_weights(tc.caption(i))
         s2 = slice(tc.first2[i], tc.first2[i + 1])
         s3 = slice(tc.first3[i], tc.first3[i + 1])
-        for got, ref in [(wc.sim2[s2], want.sim2), (wc.w2[s2], want.w2),
-                         (wc.sim3[s3], want.sim3), (wc.w3[s3], want.w3)]:
+        for got, ref in [(tc.sim2[s2], want.sim2), (tc.w2[s2], want.w2),
+                         (tc.sim3[s3], want.sim3), (tc.w3[s3], want.w3)]:
             assert got.shape == ref.shape and np.abs(got - ref).max(initial=0.0) <= 1e-12, i
+        one = tc.single(i)
+        for name, rows in zip(names, (s2, s2, s3, s3)):
+            assert np.array_equal(getattr(one, name), getattr(tc, name)[rows]), (i, name)
 
 
 @pytest.mark.parametrize("literal", [False, True])
@@ -302,7 +308,7 @@ def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch
     vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    got = score_video(stack, text_weights(stack), vid, cfg).scores
+    got = score_video(stack, vid, cfg).scores
     for i, cap in enumerate(caps):
         want = score_pair(cap, caption_weights(cap), pair_forward(cap, vid, cfg)).final
         assert abs(got[i] - want) <= 1e-10
@@ -310,10 +316,7 @@ def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch
 
 def _one_caption_stack(cap):
     """A tie_fixture caption as a stack of one, the form fuse_pair takes."""
-    return SimpleNamespace(e1=cap.e1[None], e2=cap.e2, m2=cap.m2, e3=cap.e3,
-                           owner2=np.zeros(len(cap.e2), dtype=np.intp),
-                           owner3=np.zeros(len(cap.e3), dtype=np.intp),
-                           parent3=np.asarray(cap.index.parent3, dtype=np.intp))
+    return TextCache.stack([cap.index], cap.e1[None], cap.e2, cap.e3, cap.m2)
 
 
 def _lower_index_top_k(scores, k):
@@ -328,7 +331,7 @@ def test_fuse_pair_breaks_exact_ties_as_score_video(lambda_frame, lambda_patch, 
     vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    col = score_video(stack, text_weights(stack), vid, cfg)
+    col = score_video(stack, vid, cfg)
     for i, cap in enumerate(caps):
         fp = fuse_pair(_one_caption_stack(cap), vid, cfg)
         rows2 = np.flatnonzero(stack.owner2 == i)
