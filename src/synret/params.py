@@ -208,8 +208,9 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
         raise DataError(f"cannot read checkpoint metadata {meta_path}: {e}") from None
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: checkpoint metadata must be a JSON object")
-    if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError(f"{meta_path}: unsupported checkpoint version {meta.get('format_version')}")
+    version = meta.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not True, not 1.0
+        raise DataError(f"{meta_path}: unsupported checkpoint version {version!r}")
     try:  # the model's shape and temperature are checked as a config's are
         run, _ = config_from_dict({key: meta[key] for key in ("d", "heads", "max_frames", "tau")})
     except KeyError as e:

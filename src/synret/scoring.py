@@ -16,6 +16,7 @@ picked rows are averaged: training and the `fuse` command (through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,27 @@ class VideoColumn:
     margin: float        # smallest kth-to-(k+1)th score gap; inf when a budget covers all
 
 
-def rank(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, ranked): indices along the last axis by descending score, ties
-    to the lower index (a stable sort of the negated scores), and the scores
-    in that order."""
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return order, np.take_along_axis(scores, order, axis=-1)
+def top(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, ranked): the first min(k, n) indices along the last axis by
+    descending score, ties to the lower index, and the scores in that order;
+    the first columns of a stable sort of the negated scores. Each column is
+    one `argmax` (the first maximum) over a copy whose earlier winners are
+    set to -inf, so the scores must be finite floats."""
+    *lead, n = scores.shape
+    k = min(k, n)
+    rows = math.prod(lead)
+    work = scores.reshape(rows, n).copy()
+    flat = work.reshape(-1)
+    base = np.arange(rows) * n
+    order = np.empty((rows, k), dtype=np.intp)
+    ranked = np.empty((rows, k), dtype=scores.dtype)
+    for i in range(k):
+        at = work.argmax(axis=1)
+        order[:, i] = at
+        at += base
+        ranked[:, i] = flat[at]
+        flat[at] = -np.inf
+    return order.reshape(*lead, k), ranked.reshape(*lead, k)
 
 
 def _kth_gap(ranked: np.ndarray, k: int) -> float:
@@ -78,8 +94,10 @@ def score_video(tc: TextCache, vid: Video, cfg: RunConfig) -> VideoColumn:
     picked frame scores, and e3.ev3 the frame-average of the mean top patch
     scores. Patches are scored only inside the frames each entity's parent
     action picked, with one GEMM per frame over the entities that picked it,
-    on a float64 copy of that frame's patches. Items are ranked by `rank`,
-    and the picks are recorded in ascending order.
+    on a float64 copy of that frame's patches. Frames and patches are picked
+    by `top` (ties to the lower index, first λ+1 only: the λ picks and the
+    next score, which `margin` reads), and the picks are recorded in
+    ascending order.
     """
     n_t = tc.e1.shape[0]
     n_v, n_p, _ = vid.patches.shape
@@ -88,7 +106,7 @@ def score_video(tc: TextCache, vid: Video, cfg: RunConfig) -> VideoColumn:
     logits = tc.e1 @ vid.frames.T
     s1 = (softmax(logits) * logits).sum(axis=1)
 
-    order2, ranked2 = rank(tc.e2 @ vid.g.T)
+    order2, ranked2 = top(tc.e2 @ vid.g.T, cfg.lambda_frame + 1)
     score2 = ranked2[:, :k_frame].mean(axis=1)
     frames = np.sort(order2[:, :k_frame], axis=1)
 
@@ -99,7 +117,7 @@ def score_video(tc: TextCache, vid: Video, cfg: RunConfig) -> VideoColumn:
         if ent.size:
             # widened first: a float32 operand in `@` rounds differently
             in_picked[ent, slot] = tc.e3[ent] @ vid.patches[j].astype(np.float64).T
-    order3, ranked3 = rank(in_picked)
+    order3, ranked3 = top(in_picked, cfg.lambda_patch + 1)
     frame_means = ranked3[:, :, :cfg.lambda_patch].mean(axis=2)
     if cfg.literal_patch_norm:
         score3 = frame_means.sum(axis=1) / cfg.lambda_patch

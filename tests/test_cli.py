@@ -204,6 +204,23 @@ def test_dsl_prior_overflow_is_one_line_exit_3(fixture_dir, checkpoint, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_checkpoint_version_must_be_the_int(fixture_dir, checkpoint, train_cfg_path, tmp_path,
+                                            capsys, version):
+    """`True == 1 == 1.0` in Python, so only an int, never a bool, is the version."""
+    meta_path = checkpoint / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["format_version"] = version
+    meta_path.write_text(json.dumps(meta))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(fixture_dir / "manifest.json"), "--params",
+                 str(checkpoint), "--config", str(train_cfg_path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unsupported checkpoint version" in err
+    assert not report.exists()
+
+
 def test_fuse_writes_tensors_and_index(fixture_dir, checkpoint, train_cfg_path, tmp_path):
     out = tmp_path / "feats"
     assert main(["fuse", "--manifest", str(fixture_dir / "manifest.json"),

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from synret.blocks import softmax
 from synret.config import RunConfig
@@ -25,9 +28,10 @@ from synret.reference import (
     score_pair,
 )
 from synret.rng import SplitMix64
-from synret.scoring import dsl_postprocess, fuse_pair, score_matrix, score_video
+from synret.scoring import dsl_postprocess, fuse_pair, score_matrix, score_video, top
 
 from conftest import GOLDEN_NAMES, encode_pair, reference_score, tie_fixture
+from test_fuzz import FUZZ
 
 
 def stub(e1, e2, e3, ev1, ev2, ev3):
@@ -347,6 +351,55 @@ def test_fuse_pair_breaks_exact_ties_as_score_video(lambda_frame, lambda_patch, 
         pf = pair_forward(cap, vid, cfg)
         for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
             assert np.array_equal(got, want)
+
+
+def _assert_top_is_the_sorted_prefix(scores, k):
+    """`top` against a Python sort by (-score, index), row by row."""
+    order, ranked = top(scores, k)
+    n = scores.shape[-1]
+    assert order.shape == ranked.shape == scores.shape[:-1] + (min(k, n),)
+    rows = scores.reshape(-1, n)
+    flat = (len(rows), min(k, n))
+    for row, got, vals in zip(rows, order.reshape(flat), ranked.reshape(flat)):
+        want = sorted(range(n), key=lambda i: (-row[i], i))[:k]
+        assert got.tolist() == want and np.array_equal(vals, row[want])
+
+
+def test_top_equals_the_sort_oracle():
+    """Criterion 02's 10,000 SplitMix64 trials with planted ties, checking
+    `top`'s ranked prefix and scores, not only the picked set. Every fourth
+    trial is a stacked (m, 2, n) array, every fifth is all equal, and every
+    seventh asks for k >= n."""
+    rng = SplitMix64(2024)
+    for trial in range(10_000):
+        n = 1 + rng.randint(64)
+        k = n + rng.randint(3) if trial % 7 == 0 else 1 + rng.randint(8)
+        scores = rng.uniform_sym((rng.randint(4), 2, n) if trial % 4 == 0 else n)
+        if trial % 3 == 0 and n >= 2:
+            scores[..., rng.randint(n)] = scores[..., rng.randint(n)]  # planted tie
+        if trial % 5 == 0:
+            scores[...] = 0.25
+        _assert_top_is_the_sorted_prefix(scores, k)
+
+
+def test_top_on_the_tie_fixture():
+    vid, _, stack = tie_fixture()
+    frame_scores = stack.e2 @ vid.g.T
+    patch_scores = np.stack([stack.e3 @ p.T for p in vid.patches], axis=1)  # (M, N_v, N_p)
+    for k in range(1, 5):
+        _assert_top_is_the_sorted_prefix(frame_scores, k)
+        _assert_top_is_the_sorted_prefix(patch_scores, k)
+
+
+@FUZZ
+@given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=8),
+                elements=st.integers(-2, 2).map(float)),
+       k=st.integers(1, 10))
+def test_top_is_a_stable_argsort_prefix_under_heavy_ties(x, k):
+    order, ranked = top(x, k)
+    want = np.argsort(-x, axis=-1, kind="stable")[..., :k]
+    assert np.array_equal(order, want)
+    assert np.array_equal(ranked, np.take_along_axis(x, want, axis=-1))
 
 
 class TestDsl:
