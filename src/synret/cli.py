@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error (a
+non-finite value or a floating-point fault).
 Every subcommand accepts --config (JSON overrides of the printed defaults)
 and writes only under paths named in its arguments.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, TrainConfig, config_from_dict, dump_config, load_config
+from .config import RunConfig, dump_config, load_config
 from .conllu import parse_conllu
 from .dataset import load_bundles
 from .errors import DataError, NumericalError, SynretError, UsageError
@@ -109,18 +110,14 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_cfg(args) -> tuple[RunConfig, TrainConfig]:
-    if getattr(args, "config", None):
-        run, tr = load_config(args.config)
-    else:
-        run, tr = config_from_dict({})
+def _load_cfg(args) -> RunConfig:
+    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "threads", None) is not None:
-        run.threads = args.threads
+        cfg.threads = args.threads
     if getattr(args, "literal_patch_norm", False):
-        run.literal_patch_norm = True
-    run.validate()
-    tr.validate()
-    return run, tr
+        cfg.literal_patch_norm = True
+    cfg.validate()
+    return cfg
 
 
 @contextmanager
@@ -160,7 +157,7 @@ def _cmd_build_hierarchy(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    run, _ = _load_cfg(args)
+    cfg = _load_cfg(args)
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
     out = Path(args.out)
@@ -176,7 +173,7 @@ def _cmd_fuse(args) -> int:
         for i, b in enumerate(chunk):
             cap, vid = tc.caption(i), videos[i]
             s3 = slice(tc.first3[i], tc.first3[i + 1])
-            fp = fuse_pair(tc.single(i), vid, run)
+            fp = fuse_pair(tc.single(i), vid, cfg)
             tensors = {
                 "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": e3p[s3], "f3p": f3p[s3],
                 "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3,
@@ -196,32 +193,32 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _score_manifest(args, run: RunConfig, directions: tuple[str, ...]):
+def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...]):
     """(bundles, matrices): the manifest's captions scored against its videos,
     under --dsl weighted by the dual-softmax prior once per direction. A
     non-finite result is one line of numerical error, with no numpy warning."""
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
-    matrices = [score_matrix(bundles, bundles, params, run)]
+    matrices = [score_matrix(bundles, bundles, params, cfg)]
     if args.dsl:
         with np.errstate(over="ignore", invalid="ignore"):
-            matrices = [dsl_postprocess(matrices[0], run.tau_dsl, d) for d in directions]
+            matrices = [dsl_postprocess(matrices[0], cfg.tau_dsl, d) for d in directions]
     if not all(np.isfinite(m).all() for m in matrices):
-        dsl = f" under the DSL prior at tau_dsl={run.tau_dsl!r}" if args.dsl else ""
+        dsl = f" under the DSL prior at tau_dsl={cfg.tau_dsl!r}" if args.dsl else ""
         raise NumericalError(f"score matrix contains non-finite values{dsl}")
     return bundles, matrices
 
 
 def _cmd_score(args) -> int:
-    run, _ = _load_cfg(args)
-    bundles, (s,) = _score_manifest(args, run, ("t2v",))
+    cfg = _load_cfg(args)
+    bundles, (s,) = _score_manifest(args, cfg, ("t2v",))
     sidecar = {
         "rows": [b.pair_id for b in bundles],
         "cols": [b.pair_id for b in bundles],
         "dsl": bool(args.dsl),
         "dsl_direction": "t2v" if args.dsl else None,
-        "tau_dsl": run.tau_dsl if args.dsl else None,
-        "literal_patch_norm": run.literal_patch_norm,
+        "tau_dsl": cfg.tau_dsl if args.dsl else None,
+        "literal_patch_norm": cfg.literal_patch_norm,
     }
     with _writing(args.out):
         write_tensor(s, args.out)
@@ -231,20 +228,20 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    run, tr = _load_cfg(args)
+    cfg = _load_cfg(args)
     bundles = load_bundles(args.manifest)
     d = bundles[0].d
-    if run.d != d:
-        raise DataError(f"dimension mismatch: config d={run.d}, manifest features d={d}")
-    params = init_params(run.seed, run.d, heads=run.heads,
-                         max_frames=run.max_frames, tau=run.tau)
+    if cfg.d != d:
+        raise DataError(f"dimension mismatch: config d={cfg.d}, manifest features d={d}")
+    params = init_params(cfg.seed, cfg.d, heads=cfg.heads,
+                         max_frames=cfg.max_frames, tau=cfg.tau)
     out = Path(args.out)
     with _writing(out):  # before step 1: an unusable --out must not cost a training run
         out.mkdir(parents=True, exist_ok=True)
         tempfile.TemporaryFile(dir=out).close()
-    curve = train(bundles, params, run, tr)
+    curve = train(bundles, params, cfg)
     with _writing(out):
-        save_checkpoint(params, out, seed=run.seed)
+        save_checkpoint(params, out, seed=cfg.seed)
         write_loss_log(curve, out / "loss.csv")
     if curve:
         print(f"trained {len(curve)} steps, final loss {curve[-1][1]!r}; checkpoint in {out}")
@@ -254,8 +251,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    run, _ = _load_cfg(args)
-    bundles, matrices = _score_manifest(args, run, ("t2v", "v2t"))
+    cfg = _load_cfg(args)
+    bundles, matrices = _score_manifest(args, cfg, ("t2v", "v2t"))
     report = evaluate_matrix(*matrices)
     report["dsl"] = bool(args.dsl)
     report["pairs"] = len(bundles)
@@ -288,13 +285,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         verbose = args.verbose
         if args.dump_config:
-            run, tr = config_from_dict({})
-            sys.stdout.write(dump_config(run, tr))
+            sys.stdout.write(dump_config(RunConfig()))
             return 0
         if not args.command:
             parser.print_help()
             return 1
-        return _COMMANDS[args.command](args)
+        # a floating-point fault is one line of numerical error, not a numpy
+        # warning on stderr before an exit 0; underflow to zero stays silent
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            try:
+                return _COMMANDS[args.command](args)
+            except FloatingPointError as e:
+                raise NumericalError(f"{args.command}: floating-point error: {e}") from None
     except SynretError as e:
         print(f"synret: {e.label}: {e}", file=sys.stderr)
         if verbose:

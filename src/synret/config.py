@@ -25,6 +25,13 @@ class RunConfig:
     max_frames: int = 12
     heads: int = 8
     threads: int = 1
+    batch_size: int = 4
+    steps: int = 200
+    lr: float = 1e-4
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    stop_loss: float | None = None  # stop training early once a step's loss drops below
 
     def validate(self) -> None:
         if self.d < 1 or self.max_frames < 1:
@@ -39,19 +46,6 @@ class RunConfig:
             raise UsageError(f"unknown empty_layer_policy {self.empty_layer_policy!r}")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 4
-    steps: int = 200
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    stop_loss: float | None = None  # stop early once a step's loss drops below
-
-    def validate(self) -> None:
         if self.batch_size < 2:
             raise UsageError("batch_size must be >= 2 (contrastive loss needs negatives)")
         if self.steps < 0 or self.lr < 0:
@@ -81,27 +75,18 @@ def _check_type(key: str, value, hint) -> None:
         raise UsageError(f"config key {key!r} must be {_KINDS[kind]}{null}, got {value!r}")
 
 
-def config_from_dict(data: dict) -> tuple[RunConfig, TrainConfig]:
-    run_hints = typing.get_type_hints(RunConfig)
-    train_hints = typing.get_type_hints(TrainConfig)
-    run_kwargs, train_kwargs = {}, {}
+def config_from_dict(data: dict) -> RunConfig:
+    hints = typing.get_type_hints(RunConfig)
     for key, value in data.items():
-        if key in run_hints:
-            _check_type(key, value, run_hints[key])
-            run_kwargs[key] = value
-        elif key in train_hints:
-            _check_type(key, value, train_hints[key])
-            train_kwargs[key] = value
-        else:
+        if key not in hints:
             raise UsageError(f"unknown config key {key!r}")
-    run = RunConfig(**run_kwargs)
-    train = TrainConfig(**train_kwargs)
-    run.validate()
-    train.validate()
-    return run, train
+        _check_type(key, value, hints[key])
+    cfg = RunConfig(**data)
+    cfg.validate()
+    return cfg
 
 
-def load_config(path) -> tuple[RunConfig, TrainConfig]:
+def load_config(path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
@@ -111,6 +96,5 @@ def load_config(path) -> tuple[RunConfig, TrainConfig]:
     return config_from_dict(data)
 
 
-def dump_config(run: RunConfig, train: TrainConfig) -> str:
-    merged = {**dataclasses.asdict(run), **dataclasses.asdict(train)}
-    return json.dumps(merged, indent=2, sort_keys=True) + "\n"
+def dump_config(cfg: RunConfig) -> str:
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"

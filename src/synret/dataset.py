@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import numpy as np
 from .conllu import parse_conllu
 from .errors import DataError
 from .hierarchy import HierarchyIndex, SyntaxHierarchy, build_hierarchy, index_hierarchy
-from .tensor_store import PairRecord, read_manifest, read_tensor, read_tensor_shape, resolve
+from .tensor_store import (
+    PairRecord, gen_fixture, read_manifest, read_tensor, read_tensor_shape, resolve,
+)
 
 
 @dataclass
@@ -101,29 +104,7 @@ def load_bundles(manifest_path) -> list[FeatureBundle]:
 
 def synthetic_bundles(seed: int, n_pairs: int, n_tokens: int, n_frames: int,
                       n_patches: int, d: int) -> list[FeatureBundle]:
-    """In-memory equivalent of gen_fixture + load_bundles (same draws)."""
-    from .rng import SplitMix64
-    from .tensor_store import gen_pair_arrays
-
-    rng = SplitMix64(seed)
-    bundles = []
-
-    def as_stored(x: np.ndarray) -> np.ndarray:
-        # round-trip through f32 so in-memory bundles match file-loaded ones
-        return x.astype(np.float32).astype(np.float64)
-
-    for i in range(n_pairs):
-        conllu, text, frames, patches = gen_pair_arrays(rng, n_tokens, n_frames, n_patches, d)
-        tokens = parse_conllu(conllu)
-        hierarchy = build_hierarchy(tokens)
-        bundles.append(
-            FeatureBundle(
-                pair_id=f"pair{i:04d}",
-                hierarchy=hierarchy,
-                index=index_hierarchy(hierarchy),
-                text=as_stored(text),
-                frames=as_stored(frames),
-                patches=patches.astype(np.float32),
-            )
-        )
-    return bundles
+    """The bundles `load_bundles` reads from `gen_fixture`'s files, through a
+    temporary directory; the payloads are in memory before it goes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return load_bundles(gen_fixture(seed, n_pairs, n_tokens, n_frames, n_patches, d, tmp))

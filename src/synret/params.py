@@ -7,13 +7,14 @@ widened on load. Linear weights use the (out, in) layout so y = W @ x.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import config_from_dict
-from .errors import DataError, UsageError
+from .errors import DataError, NumericalError, UsageError
 from .rng import SplitMix64
 from .tensor_store import read_tensor, read_tensor_shape, write_file, write_tensor
 
@@ -181,12 +182,22 @@ def init_params(seed: int, d: int, *, heads: int = 8, max_frames: int = 12,
 
 
 def save_checkpoint(p: ModelParams, out_dir, *, seed: int) -> None:
+    """Every tensor is checked before the directory is touched, so a
+    non-finite one leaves an old checkpoint as it was. `meta.json` goes
+    first and comes back last: a save that fails part-way leaves a
+    directory that `load_checkpoint` refuses, not a mix of two checkpoints."""
     out = Path(out_dir)
+    tensors = p.named_tensors()
+    for name, tensor in tensors:
+        with np.errstate(over="ignore"):  # an overflow to inf is reported below
+            finite = np.isfinite(tensor.astype(np.float32)).all()
+        if not finite:
+            raise NumericalError(f"refusing to write non-finite tensor to {out / name}.shet")
     out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for name, tensor in p.named_tensors():
+    with suppress(FileNotFoundError):
+        (out / "meta.json").unlink()
+    for name, tensor in tensors:
         write_tensor(tensor, out / f"{name}.shet")
-        names.append(name)
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "d": p.d,
@@ -194,7 +205,7 @@ def save_checkpoint(p: ModelParams, out_dir, *, seed: int) -> None:
         "max_frames": p.max_frames,
         "tau": p.tau,
         "seed": seed,
-        "tensors": names,
+        "tensors": [name for name, _ in tensors],
     }
     write_file(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -212,17 +223,17 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
     if type(version) is not int or version != CHECKPOINT_VERSION:  # not True, not 1.0
         raise DataError(f"{meta_path}: unsupported checkpoint version {version!r}")
     try:  # the model's shape and temperature are checked as a config's are
-        run, _ = config_from_dict({key: meta[key] for key in ("d", "heads", "max_frames", "tau")})
+        cfg = config_from_dict({key: meta[key] for key in ("d", "heads", "max_frames", "tau")})
     except KeyError as e:
         raise DataError(f"{meta_path}: missing field {e}") from None
     except UsageError as e:
         raise DataError(f"{meta_path}: {e}") from None
     # no model is allocated at a size the tensors on disk do not have
-    for name, shape in (("mlp1.w1", (run.d, run.d)), ("pos_emb", (run.max_frames, run.d))):
+    for name, shape in (("mlp1.w1", (cfg.d, cfg.d)), ("pos_emb", (cfg.max_frames, cfg.d))):
         if read_tensor_shape(ckpt / f"{name}.shet") != shape:
-            raise DataError(f"{meta_path}: d={run.d}, max_frames={run.max_frames} "
+            raise DataError(f"{meta_path}: d={cfg.d}, max_frames={cfg.max_frames} "
                             f"do not match {name}.shet")
-    p = zeros_like(d=run.d, heads=run.heads, max_frames=run.max_frames, tau=float(run.tau))
+    p = zeros_like(d=cfg.d, heads=cfg.heads, max_frames=cfg.max_frames, tau=float(cfg.tau))
     expected = [name for name, _ in p.named_tensors()]
     if meta.get("tensors") != expected:
         raise DataError(f"{meta_path}: tensor list does not match this model layout")

@@ -297,16 +297,6 @@ def _unit_rows(rng: SplitMix64, shape) -> np.ndarray:
     return x / norms
 
 
-def gen_pair_arrays(rng: SplitMix64, n_tokens: int, n_frames: int,
-                    n_patches: int, d: int):
-    """One pair's raw data: (conllu text, text feats, frame feats, patch feats)."""
-    conllu = synth_caption(rng, n_tokens)
-    text = _unit_rows(rng, (n_tokens + 1, d))
-    frames = _unit_rows(rng, (n_frames, d))
-    patches = _unit_rows(rng, (n_frames, n_patches, d))
-    return conllu, text, frames, patches
-
-
 def gen_fixture(
     seed: int,
     n_pairs: int,
@@ -330,11 +320,10 @@ def gen_fixture(
     records = []
     for i in range(n_pairs):
         pid = f"pair{i:04d}"
-        conllu, text, frames, patches = gen_pair_arrays(rng, n_tokens, n_frames, n_patches, d)
-        write_file(out / f"{pid}.conllu", conllu)
-        write_tensor(text, out / f"{pid}.text.shet")
-        write_tensor(frames, out / f"{pid}.frames.shet")
-        write_tensor(patches, out / f"{pid}.patches.shet")
+        write_file(out / f"{pid}.conllu", synth_caption(rng, n_tokens))
+        write_tensor(_unit_rows(rng, (n_tokens + 1, d)), out / f"{pid}.text.shet")
+        write_tensor(_unit_rows(rng, (n_frames, d)), out / f"{pid}.frames.shet")
+        write_tensor(_unit_rows(rng, (n_frames, n_patches, d)), out / f"{pid}.patches.shet")
         records.append(
             PairRecord(
                 pair_id=pid,

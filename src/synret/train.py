@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig, TrainConfig
+from .config import RunConfig
 from .dataset import FeatureBundle
 from .errors import DataError, NumericalError
 from .params import Adam, ModelParams, zeros_like
@@ -100,8 +100,8 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
-def train(bundles: list[FeatureBundle], params: ModelParams, run_cfg: RunConfig,
-          train_cfg: TrainConfig) -> list[tuple[int, float]]:
+def train(bundles: list[FeatureBundle], params: ModelParams,
+          cfg: RunConfig) -> list[tuple[int, float]]:
     """Optimize params in place; returns the (step, loss) curve.
 
     Batches are drawn without replacement from a seeded shuffle each epoch;
@@ -109,27 +109,29 @@ def train(bundles: list[FeatureBundle], params: ModelParams, run_cfg: RunConfig,
     after `steps` steps, or earlier once a step's loss falls below
     `stop_loss`.
     """
-    b = train_cfg.batch_size
+    b = cfg.batch_size
     if len(bundles) < b:
         raise DataError(f"need at least batch_size={b} pairs, got {len(bundles)}")
-    rng = SplitMix64(run_cfg.seed)
-    adam = Adam(params, lr=train_cfg.lr, beta1=train_cfg.beta1,
-                beta2=train_cfg.beta2, eps=train_cfg.adam_eps)
+    rng = SplitMix64(cfg.seed)
+    adam = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     curve: list[tuple[int, float]] = []
     queue: list[int] = []
-    for step in range(1, train_cfg.steps + 1):
+    for step in range(1, cfg.steps + 1):
         if len(queue) < b:
             order = list(range(len(bundles)))
             rng.shuffle(order)
             queue = order[: (len(order) // b) * b]
         batch = [bundles[k] for k in queue[:b]]
         queue = queue[b:]
-        loss, grads, _ = batch_loss_and_grads(batch, params, run_cfg)
-        if not np.isfinite(loss):
-            raise NumericalError(f"non-finite loss at step {step}")
-        adam.step(params, grads)
+        try:
+            loss, grads, _ = batch_loss_and_grads(batch, params, cfg)
+            if not np.isfinite(loss):
+                raise NumericalError(f"non-finite loss at step {step}")
+            adam.step(params, grads)
+        except FloatingPointError as e:  # raised only where numpy is set to raise
+            raise FloatingPointError(f"{e} at step {step}") from None
         curve.append((step, loss))
-        if train_cfg.stop_loss is not None and loss < train_cfg.stop_loss:
+        if cfg.stop_loss is not None and loss < cfg.stop_loss:
             break
     return curve
 

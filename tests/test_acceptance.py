@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from synret.cli import main
-from synret.config import RunConfig, TrainConfig
+from synret.config import RunConfig
 from synret.conllu import parse_conllu
 from synret.dataset import FeatureBundle, synthetic_bundles
 from synret.gradcheck import grad_check, max_relative_error
@@ -471,9 +471,9 @@ def test_criterion_11_selection_budget_sweep():
     for lf in (1, 2, 4):
         for lp in (1, 4, 9):
             params = init_params(1, 16, max_frames=4)
-            run = RunConfig(d=16, max_frames=4, seed=1, lambda_frame=lf, lambda_patch=lp)
-            tcfg = TrainConfig(batch_size=4, steps=500, lr=1e-3, stop_loss=0.01)
-            curve = train(bundles, params, run, tcfg)
+            run = RunConfig(d=16, max_frames=4, seed=1, lambda_frame=lf, lambda_patch=lp,
+                            batch_size=4, steps=500, lr=1e-3, stop_loss=0.01)
+            curve = train(bundles, params, run)
             assert all(np.isfinite(loss) for _, loss in curve)
             from synret.scoring import score_matrix
             s = score_matrix(bundles, bundles, params, run)

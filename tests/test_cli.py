@@ -20,7 +20,7 @@ def fixture_dir(tmp_path):
 
 
 @pytest.fixture()
-def train_cfg_path(tmp_path):
+def config_path(tmp_path):
     cfg = {"d": 8, "max_frames": 3, "seed": 3, "batch_size": 2, "steps": 5, "lr": 1e-3}
     p = tmp_path / "train.json"
     p.write_text(json.dumps(cfg))
@@ -28,10 +28,10 @@ def train_cfg_path(tmp_path):
 
 
 @pytest.fixture()
-def checkpoint(fixture_dir, train_cfg_path, tmp_path):
+def checkpoint(fixture_dir, config_path, tmp_path):
     ckpt = tmp_path / "ckpt"
     rc = main(["train", "--manifest", str(fixture_dir / "manifest.json"),
-               "--config", str(train_cfg_path), "--out", str(ckpt)])
+               "--config", str(config_path), "--out", str(ckpt)])
     assert rc == 0
     return ckpt
 
@@ -39,7 +39,7 @@ def checkpoint(fixture_dir, train_cfg_path, tmp_path):
 def test_dump_config_is_json():
     import io
     import sys
-    # --dump-config writes the merged defaults and exits 0
+    # --dump-config writes the full defaults and exits 0
     buf = io.StringIO()
     old = sys.stdout
     sys.stdout = buf
@@ -50,6 +50,38 @@ def test_dump_config_is_json():
     cfg = json.loads(buf.getvalue())
     assert cfg["lambda_frame"] == 2 and cfg["lambda_patch"] == 4
     assert cfg["tau"] == 4.0 and cfg["lr"] == 1e-4 and cfg["d"] == 512
+
+
+_DEFAULTS = """{
+  "adam_eps": 1e-08,
+  "batch_size": 4,
+  "beta1": 0.9,
+  "beta2": 0.999,
+  "d": 512,
+  "empty_layer_policy": "zero",
+  "heads": 8,
+  "lambda_frame": 2,
+  "lambda_patch": 4,
+  "literal_patch_norm": false,
+  "lr": 0.0001,
+  "max_frames": 12,
+  "seed": 0,
+  "steps": 200,
+  "stop_loss": null,
+  "tau": 4.0,
+  "tau_dsl": 100.0,
+  "threads": 1
+}
+"""
+
+
+def test_dump_config_bytes_are_pinned_and_load_back(capsys):
+    from synret.config import RunConfig, config_from_dict, dump_config
+
+    capsys.readouterr()
+    assert main(["--dump-config"]) == 0
+    assert capsys.readouterr().out == _DEFAULTS
+    assert config_from_dict(json.loads(dump_config(RunConfig()))) == RunConfig()
 
 
 def test_usage_error_exit_1(capsys):
@@ -75,7 +107,7 @@ def test_data_error_exit_2_dimension_mismatch(fixture_dir, tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
-def test_score_with_mismatched_checkpoint_exit_2(fixture_dir, train_cfg_path, tmp_path, capsys):
+def test_score_with_mismatched_checkpoint_exit_2(fixture_dir, config_path, tmp_path, capsys):
     # checkpoint trained at d=16 against a d=8 manifest
     wide = tmp_path / "fx16"
     assert main(["gen-fixtures", "--seed", "1", "--pairs", "2", "--tokens", "4",
@@ -91,7 +123,7 @@ def test_score_with_mismatched_checkpoint_exit_2(fixture_dir, train_cfg_path, tm
     assert "dimension mismatch" in capsys.readouterr().err
 
 
-def test_numerical_error_exit_3(fixture_dir, checkpoint, train_cfg_path, tmp_path, capsys):
+def test_numerical_error_exit_3(fixture_dir, checkpoint, config_path, tmp_path, capsys):
     # corrupt one feature payload with NaN: loading must fail with exit 3
     import struct
 
@@ -101,7 +133,7 @@ def test_numerical_error_exit_3(fixture_dir, checkpoint, train_cfg_path, tmp_pat
     victim.write_bytes(bytes(raw))
     rc = main(["score", "--manifest", str(fixture_dir / "manifest.json"),
                "--params", str(checkpoint), "--out", str(tmp_path / "s.shet"),
-               "--config", str(train_cfg_path)])
+               "--config", str(config_path)])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
 
@@ -123,6 +155,56 @@ def test_parameters_beyond_float32_are_one_line_exit_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.fixture(scope="module")
+def desk_manifest(tmp_path_factory):
+    """The README walkthrough's fixture: 8 pairs at d=16."""
+    fx = tmp_path_factory.mktemp("desk")
+    assert main(["gen-fixtures", "--seed", "1", "--pairs", "8", "--out", str(fx)]) == 0
+    return str(fx / "manifest.json")
+
+
+def _desk_train(manifest, tmp_path, out, **overrides):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 16, "max_frames": 4, "seed": 1, "batch_size": 8,
+                               "steps": 1, "lr": 1e-3, **overrides}))
+    return main(["train", "--manifest", manifest, "--config", str(cfg), "--out", str(out)])
+
+
+def _snapshot(directory):
+    return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_floating_point_fault_in_train_is_one_line_exit_3(desk_manifest, tmp_path, capsys,
+                                                         steps):
+    """At lr 1e38 the second step overflows inside the forward pass: one
+    line naming the command and the step, and --out keeps the checkpoint
+    it held."""
+    ckpt = tmp_path / "ckpt"
+    assert _desk_train(desk_manifest, tmp_path, ckpt) == 0
+    before = _snapshot(ckpt)
+    capsys.readouterr()
+    assert _desk_train(desk_manifest, tmp_path, ckpt, steps=steps, lr=1e38) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synret: numerical error: train: floating-point error: overflow")
+    assert err.endswith(" at step 2\n") and len(err.splitlines()) == 1
+    assert _snapshot(ckpt) == before
+
+
+def test_floating_point_fault_in_eval_is_one_line_exit_3(desk_manifest, tmp_path, capsys):
+    """One step at lr 1e38 leaves parameters that float32 holds but that
+    overflow in the next forward pass."""
+    ckpt, report = tmp_path / "ckpt", tmp_path / "report.json"
+    assert _desk_train(desk_manifest, tmp_path, ckpt, lr=1e38) == 0
+    capsys.readouterr()
+    assert main(["eval", "--manifest", desk_manifest, "--params", str(ckpt),
+                 "--report", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synret: numerical error: eval: floating-point error: overflow")
+    assert len(err.splitlines()) == 1
+    assert not report.exists()
+
+
 def test_build_hierarchy_matches_golden(golden_dir, tmp_path):
     out = tmp_path / "h.json"
     rc = main(["build-hierarchy", str(golden_dir / "simple.conllu"), "-o", str(out)])
@@ -140,11 +222,11 @@ def test_gen_fixtures_idempotent(tmp_path):
         assert f.read_bytes() == (b / f.name).read_bytes()
 
 
-def test_train_score_eval_pipeline(fixture_dir, checkpoint, train_cfg_path, tmp_path):
+def test_train_score_eval_pipeline(fixture_dir, checkpoint, config_path, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     scores = tmp_path / "scores.shet"
     assert main(["score", "--manifest", manifest, "--params", str(checkpoint),
-                 "--out", str(scores), "--config", str(train_cfg_path)]) == 0
+                 "--out", str(scores), "--config", str(config_path)]) == 0
     s = read_tensor(scores)
     assert s.shape == (4, 4)
     sidecar = json.loads((tmp_path / "scores.shet.json").read_text())
@@ -153,7 +235,7 @@ def test_train_score_eval_pipeline(fixture_dir, checkpoint, train_cfg_path, tmp_
 
     report = tmp_path / "report.json"
     assert main(["eval", "--manifest", manifest, "--params", str(checkpoint),
-                 "--report", str(report), "--config", str(train_cfg_path)]) == 0
+                 "--report", str(report), "--config", str(config_path)]) == 0
     rep = json.loads(report.read_text())
     assert set(rep) >= {"t2v", "v2t", "rsum", "pairs"}
     assert rep["pairs"] == 4
@@ -161,23 +243,23 @@ def test_train_score_eval_pipeline(fixture_dir, checkpoint, train_cfg_path, tmp_
     assert (checkpoint / "loss.csv").read_text().startswith("step,loss\n1,")
 
 
-def test_score_threads_match(fixture_dir, checkpoint, train_cfg_path, tmp_path):
+def test_score_threads_match(fixture_dir, checkpoint, config_path, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     s1, s4 = tmp_path / "s1.shet", tmp_path / "s4.shet"
     assert main(["score", "--manifest", manifest, "--params", str(checkpoint),
-                 "--out", str(s1), "--config", str(train_cfg_path), "--threads", "1"]) == 0
+                 "--out", str(s1), "--config", str(config_path), "--threads", "1"]) == 0
     assert main(["score", "--manifest", manifest, "--params", str(checkpoint),
-                 "--out", str(s4), "--config", str(train_cfg_path), "--threads", "4"]) == 0
+                 "--out", str(s4), "--config", str(config_path), "--threads", "4"]) == 0
     assert s1.read_bytes() == s4.read_bytes()
 
 
-def test_score_dsl_flag(fixture_dir, checkpoint, train_cfg_path, tmp_path):
+def test_score_dsl_flag(fixture_dir, checkpoint, config_path, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     plain, dsl = tmp_path / "p.shet", tmp_path / "d.shet"
     assert main(["score", "--manifest", manifest, "--params", str(checkpoint),
-                 "--out", str(plain), "--config", str(train_cfg_path)]) == 0
+                 "--out", str(plain), "--config", str(config_path)]) == 0
     assert main(["score", "--manifest", manifest, "--params", str(checkpoint),
-                 "--out", str(dsl), "--config", str(train_cfg_path), "--dsl"]) == 0
+                 "--out", str(dsl), "--config", str(config_path), "--dsl"]) == 0
     sp = read_tensor(plain).astype(np.float64)
     sd = read_tensor(dsl).astype(np.float64)
     assert not np.allclose(sp, sd)
@@ -205,7 +287,7 @@ def test_dsl_prior_overflow_is_one_line_exit_3(fixture_dir, checkpoint, tmp_path
 
 
 @pytest.mark.parametrize("version", [True, 1.0])
-def test_checkpoint_version_must_be_the_int(fixture_dir, checkpoint, train_cfg_path, tmp_path,
+def test_checkpoint_version_must_be_the_int(fixture_dir, checkpoint, config_path, tmp_path,
                                             capsys, version):
     """`True == 1 == 1.0` in Python, so only an int, never a bool, is the version."""
     meta_path = checkpoint / "meta.json"
@@ -215,17 +297,17 @@ def test_checkpoint_version_must_be_the_int(fixture_dir, checkpoint, train_cfg_p
     report = tmp_path / "report.json"
     capsys.readouterr()
     assert main(["eval", "--manifest", str(fixture_dir / "manifest.json"), "--params",
-                 str(checkpoint), "--config", str(train_cfg_path), "--report", str(report)]) == 2
+                 str(checkpoint), "--config", str(config_path), "--report", str(report)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "unsupported checkpoint version" in err
     assert not report.exists()
 
 
-def test_fuse_writes_tensors_and_index(fixture_dir, checkpoint, train_cfg_path, tmp_path):
+def test_fuse_writes_tensors_and_index(fixture_dir, checkpoint, config_path, tmp_path):
     out = tmp_path / "feats"
     assert main(["fuse", "--manifest", str(fixture_dir / "manifest.json"),
                  "--params", str(checkpoint), "--out", str(out),
-                 "--config", str(train_cfg_path)]) == 0
+                 "--config", str(config_path)]) == 0
     index = json.loads((out / "index.json").read_text())
     assert set(index) == {f"pair{i:04d}" for i in range(4)}
     entry = index["pair0000"]
@@ -236,20 +318,20 @@ def test_fuse_writes_tensors_and_index(fixture_dir, checkpoint, train_cfg_path, 
     assert all(len(sel) == 2 for sel in entry["frame_selection"])  # lambda_frame=2, N_v=3
 
 
-def test_eval_idempotent(fixture_dir, checkpoint, train_cfg_path, tmp_path):
+def test_eval_idempotent(fixture_dir, checkpoint, config_path, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for r in (r1, r2):
         assert main(["eval", "--manifest", manifest, "--params", str(checkpoint),
-                     "--report", str(r), "--config", str(train_cfg_path)]) == 0
+                     "--report", str(r), "--config", str(config_path)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_train_deterministic_checkpoints(fixture_dir, train_cfg_path, tmp_path):
+def test_train_deterministic_checkpoints(fixture_dir, config_path, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     a, b = tmp_path / "ca", tmp_path / "cb"
     for out in (a, b):
-        assert main(["train", "--manifest", manifest, "--config", str(train_cfg_path),
+        assert main(["train", "--manifest", manifest, "--config", str(config_path),
                      "--out", str(out)]) == 0
     for f in sorted(a.iterdir()):
         assert f.read_bytes() == (b / f.name).read_bytes(), f.name
@@ -317,8 +399,8 @@ def test_config_value_of_wrong_type_is_usage_error(fixture_dir, tmp_path, capsys
 def test_config_float_fields_take_ints_and_null():
     from synret.config import config_from_dict
 
-    run, tr = config_from_dict({"tau": 4, "lr": 1, "stop_loss": None})
-    assert run.tau == 4 and tr.lr == 1 and tr.stop_loss is None
+    cfg = config_from_dict({"tau": 4, "lr": 1, "stop_loss": None})
+    assert cfg.tau == 4 and cfg.lr == 1 and cfg.stop_loss is None
 
 
 def test_fuse_rejects_unsafe_and_duplicate_pair_ids(fixture_dir, checkpoint, tmp_path, capsys):
@@ -361,7 +443,7 @@ def test_checkpoint_missing_tensor_is_data_error(fixture_dir, checkpoint, tmp_pa
 
 
 @pytest.mark.parametrize("command", ["eval", "score", "fuse"])
-def test_unwritable_output_is_usage_error(fixture_dir, checkpoint, train_cfg_path, tmp_path,
+def test_unwritable_output_is_usage_error(fixture_dir, checkpoint, config_path, tmp_path,
                                           capsys, command):
     regular_file = tmp_path / "file"
     regular_file.write_text("keep\n")
@@ -370,7 +452,7 @@ def test_unwritable_output_is_usage_error(fixture_dir, checkpoint, train_cfg_pat
               "fuse": ["--out", str(regular_file)]}[command]
     capsys.readouterr()
     assert main([command, "--manifest", str(fixture_dir / "manifest.json"),
-                 "--params", str(checkpoint), "--config", str(train_cfg_path)] + target) == 1
+                 "--params", str(checkpoint), "--config", str(config_path)] + target) == 1
     err = capsys.readouterr().err
     assert err.startswith("synret: usage error: cannot write ") and len(err.splitlines()) == 1
     assert regular_file.read_text() == "keep\n"
@@ -391,14 +473,14 @@ def test_heads_below_one_is_usage_error(fixture_dir, tmp_path, capsys, heads):
 
 
 @pytest.mark.parametrize("command", ["eval", "score"])
-def test_output_failing_part_way_leaves_old_file(fixture_dir, checkpoint, train_cfg_path, tmp_path,
+def test_output_failing_part_way_leaves_old_file(fixture_dir, checkpoint, config_path, tmp_path,
                                                  capsys, fail_writes, command):
     out = tmp_path / "old"
     out.mkdir()
     target = out / ("report.json" if command == "eval" else "s.shet")
     flag = "--report" if command == "eval" else "--out"
     argv = [command, "--manifest", str(fixture_dir / "manifest.json"), "--params",
-            str(checkpoint), "--config", str(train_cfg_path), flag, str(target)]
+            str(checkpoint), "--config", str(config_path), flag, str(target)]
     assert main(argv) == 0
     before = {f.name: f.read_bytes() for f in out.iterdir()}
     fail_writes()
@@ -410,7 +492,7 @@ def test_output_failing_part_way_leaves_old_file(fixture_dir, checkpoint, train_
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
-def test_train_checks_out_before_the_first_step(fixture_dir, train_cfg_path, tmp_path, capsys,
+def test_train_checks_out_before_the_first_step(fixture_dir, config_path, tmp_path, capsys,
                                                 monkeypatch):
     train_module = importlib.import_module("synret.train")
     steps = []
@@ -421,7 +503,7 @@ def test_train_checks_out_before_the_first_step(fixture_dir, train_cfg_path, tmp
     afile.write_text("keep\n")
     capsys.readouterr()
     assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
-                 "--config", str(train_cfg_path), "--out", str(afile / "ckpt")]) == 1
+                 "--config", str(config_path), "--out", str(afile / "ckpt")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("synret: usage error: cannot write ") and len(err.splitlines()) == 1
     assert steps == []

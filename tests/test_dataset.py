@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from synret.dataset import load_bundle, load_bundles, synthetic_bundles
+from synret.dataset import load_bundle, load_bundles
 from synret.errors import DataError
 from synret.tensor_store import PairRecord, gen_fixture, read_manifest, write_tensor
 
@@ -65,14 +65,3 @@ def test_empty_manifest_rejected(tmp_path):
     p.write_text("[]")
     with pytest.raises(DataError, match="empty manifest"):
         load_bundles(p)
-
-
-def test_synthetic_bundles_match_file_path(tmp_path):
-    manifest = gen_fixture(9, 2, 5, 3, 4, 8, tmp_path)
-    from_files = load_bundles(manifest)
-    in_memory = synthetic_bundles(9, 2, 5, 3, 4, 8)
-    for a, b in zip(from_files, in_memory):
-        assert np.array_equal(a.text, b.text)
-        assert np.array_equal(a.frames, b.frames)
-        assert np.array_equal(a.patches, b.patches)
-        assert a.index.mu2 == b.index.mu2 and a.index.mu3 == b.index.mu3

@@ -1,13 +1,16 @@
 """Contrastive loss identities, optimizer behavior, and training determinism."""
 
+import errno
+
 import numpy as np
 import pytest
 
-from synret.config import RunConfig, TrainConfig
+from synret.config import RunConfig
 from synret.dataset import synthetic_bundles
-from synret.errors import DataError
+from synret.errors import DataError, NumericalError
 from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
 from synret.rng import SplitMix64
+from synret.tensor_store import write_tensor
 from synret.train import (
     selection_margins,
     symmetric_ce_loss,
@@ -105,28 +108,27 @@ class TestTraining:
         bundles = synthetic_bundles(5, 4, 5, 3, 4, 8)
         params = init_params(9, 8, max_frames=3)
         before = {n: t.copy() for n, t in params.named_tensors()}
-        run = RunConfig(d=8, max_frames=3, seed=5)
-        train(bundles, params, run, TrainConfig(batch_size=4, steps=3, lr=0.0))
+        cfg = RunConfig(d=8, max_frames=3, seed=5, batch_size=4, steps=3, lr=0.0)
+        train(bundles, params, cfg)
         for name, t in params.named_tensors():
             assert np.array_equal(t, before[name]), name
 
     def test_loss_decreases_on_small_overfit(self):
         bundles = synthetic_bundles(6, 4, 5, 3, 4, 8)
         params = init_params(10, 8, max_frames=3)
-        run = RunConfig(d=8, max_frames=3, seed=6)
-        curve = train(bundles, params, run, TrainConfig(batch_size=4, steps=60, lr=1e-3))
+        cfg = RunConfig(d=8, max_frames=3, seed=6, batch_size=4, steps=60, lr=1e-3)
+        curve = train(bundles, params, cfg)
         assert curve[-1][1] < curve[0][1] * 0.5
 
     def test_same_seed_byte_identical_checkpoints(self, tmp_path):
-        run = RunConfig(d=8, max_frames=3, seed=11)
-        tcfg = TrainConfig(batch_size=2, steps=8, lr=1e-3)
+        cfg = RunConfig(d=8, max_frames=3, seed=11, batch_size=2, steps=8, lr=1e-3)
         outs = []
         for sub in ("a", "b"):
             bundles = synthetic_bundles(8, 5, 5, 3, 4, 8)
-            params = init_params(run.seed, 8, max_frames=3)
-            train(bundles, params, run, tcfg)
+            params = init_params(cfg.seed, 8, max_frames=3)
+            train(bundles, params, cfg)
             out = tmp_path / sub
-            save_checkpoint(params, out, seed=run.seed)
+            save_checkpoint(params, out, seed=cfg.seed)
             outs.append(out)
         for f in sorted(outs[0].iterdir()):
             assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
@@ -135,23 +137,23 @@ class TestTraining:
         # 5 pairs, batch 2: each epoch uses 4 of them, reshuffled per epoch
         bundles = synthetic_bundles(12, 5, 5, 3, 4, 8)
         params = init_params(12, 8, max_frames=3)
-        run = RunConfig(d=8, max_frames=3, seed=12)
-        curve = train(bundles, params, run, TrainConfig(batch_size=2, steps=6, lr=1e-4))
+        cfg = RunConfig(d=8, max_frames=3, seed=12, batch_size=2, steps=6, lr=1e-4)
+        curve = train(bundles, params, cfg)
         assert len(curve) == 6
 
     def test_too_few_pairs_rejected(self):
         bundles = synthetic_bundles(13, 2, 5, 3, 4, 8)
         params = init_params(13, 8, max_frames=3)
-        run = RunConfig(d=8, max_frames=3, seed=13)
+        cfg = RunConfig(d=8, max_frames=3, seed=13, batch_size=4, steps=1, lr=1e-4)
         with pytest.raises(DataError):
-            train(bundles, params, run, TrainConfig(batch_size=4, steps=1, lr=1e-4))
+            train(bundles, params, cfg)
 
     def test_stop_loss_halts_early(self):
         bundles = synthetic_bundles(14, 4, 5, 3, 4, 8)
         params = init_params(14, 8, max_frames=3)
-        run = RunConfig(d=8, max_frames=3, seed=14)
-        curve = train(bundles, params, run,
-                      TrainConfig(batch_size=4, steps=500, lr=1e-3, stop_loss=0.5))
+        cfg = RunConfig(d=8, max_frames=3, seed=14, batch_size=4, steps=500, lr=1e-3,
+                        stop_loss=0.5)
+        curve = train(bundles, params, cfg)
         assert len(curve) < 500
         assert curve[-1][1] < 0.5
 
@@ -182,6 +184,35 @@ class TestCheckpointRoundtrip:
 
     def test_missing_meta_rejected(self, tmp_path):
         with pytest.raises(DataError):
+            load_checkpoint(tmp_path)
+
+    def test_non_finite_save_leaves_old_checkpoint_byte_identical(self, tmp_path):
+        save_checkpoint(init_params(21, 8, max_frames=3), tmp_path, seed=21)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        params = init_params(22, 8, max_frames=3)
+        params.pos_emb[-1, -1] = 1e39  # the last tensor written, beyond float32
+        with pytest.raises(NumericalError, match="refusing to write non-finite tensor .*pos_emb"):
+            save_checkpoint(params, tmp_path, seed=22)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("written", [0, 1, 20])
+    def test_save_failing_part_way_leaves_a_checkpoint_load_refuses(self, tmp_path, monkeypatch,
+                                                                    written):
+        import synret.params
+
+        save_checkpoint(init_params(21, 8, max_frames=3), tmp_path, seed=21)
+        calls = []
+
+        def write_then_fail(tensor, path):
+            if len(calls) == written:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            calls.append(path)
+            write_tensor(tensor, path)
+
+        monkeypatch.setattr(synret.params, "write_tensor", write_then_fail)
+        with pytest.raises(OSError):
+            save_checkpoint(init_params(22, 8, max_frames=3), tmp_path, seed=22)
+        with pytest.raises(DataError, match="cannot read checkpoint metadata"):
             load_checkpoint(tmp_path)
 
 
