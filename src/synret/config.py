@@ -50,6 +50,10 @@ class RunConfig:
             raise UsageError("batch_size must be >= 2 (contrastive loss needs negatives)")
         if self.steps < 0 or self.lr < 0:
             raise UsageError("steps and lr must be non-negative")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise UsageError("beta1 and beta2 must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise UsageError("adam_eps must be positive")
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}

@@ -53,6 +53,10 @@ class TransformerParams:
 
 @dataclass
 class ModelParams:
+    """Every tensor is a view of one float64 buffer, `flat`, laid out in
+    `named_tensors()` order; `zeros_like` sets it (it is not a field), and
+    tensors are written in place, never rebound."""
+
     d: int
     heads: int
     max_frames: int
@@ -72,7 +76,7 @@ class ModelParams:
     pos_emb: np.ndarray  # (max_frames, d)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Fixed-order flat view; the order defines checkpoint and Adam layout."""
+        """Fixed-order list; the order defines the checkpoint and `flat` layout."""
         out: list[tuple[str, np.ndarray]] = []
         _emit_tensors("", self, out)
         return out
@@ -85,12 +89,11 @@ class ModelParams:
         current = getattr(obj, parts[-1])
         if current.shape != value.shape:
             raise DataError(f"tensor {name}: shape {value.shape} != expected {current.shape}")
-        setattr(obj, parts[-1], value)
+        current[...] = value  # written through the view, so `flat` sees it
 
     def copy(self) -> "ModelParams":
         fresh = zeros_like(self)
-        for (_, dst), (_, src) in zip(fresh.named_tensors(), self.named_tensors()):
-            dst[...] = src
+        fresh.flat[...] = self.flat
         return fresh
 
 
@@ -106,53 +109,66 @@ def _emit_tensors(prefix: str, obj, out: list) -> None:
             _emit_tensors(name, value, out)
 
 
-def _zero_mlp(d_out: int, d_hidden: int, d_in: int) -> MlpParams:
-    return MlpParams(
-        w1=np.zeros((d_hidden, d_in)),
-        b1=np.zeros(d_hidden),
-        w2=np.zeros((d_out, d_hidden)),
-        b2=np.zeros(d_out),
-    )
-
-
-def _zero_ln(d: int) -> LayerNormParams:
-    return LayerNormParams(gain=np.zeros(d), bias=np.zeros(d))
-
-
 def zeros_like(p: "ModelParams | None" = None, *, d: int | None = None,
                heads: int = 8, max_frames: int = 12, tau: float = 4.0) -> ModelParams:
     """All-zero parameter set; doubles as the gradient accumulator layout."""
     if p is not None:
         d, heads, max_frames, tau = p.d, p.heads, p.max_frames, p.tau
     assert d is not None
-    return ModelParams(
+    # 5 d->d MLPs, the 2d->d fusion MLP, 7 LayerNorms, the temporal layer, pos_emb
+    flat = np.zeros(25 * d * d + (31 + max_frames) * d)
+    at = 0
+
+    # views are taken in call order, which is field order and so named_tensors()
+    # order; the leaf classes take their fields by position, as keyword calls
+    # added about 3 of 30 us to a d=16 call, made once per training step
+    def vec(n: int) -> np.ndarray:
+        nonlocal at
+        at += n
+        return flat[at - n:at]
+
+    def mat(rows: int, cols: int) -> np.ndarray:
+        nonlocal at
+        at += rows * cols
+        return flat[at - rows * cols:at].reshape(rows, cols)
+
+    def mlp(d_out: int, d_hidden: int, d_in: int) -> MlpParams:
+        return MlpParams(mat(d_hidden, d_in), vec(d_hidden), mat(d_out, d_hidden), vec(d_out))
+
+    def ln(n: int) -> LayerNormParams:
+        return LayerNormParams(vec(n), vec(n))
+
+    out = ModelParams(
         d=d,
         heads=heads,
         max_frames=max_frames,
         tau=tau,
-        mlp1=_zero_mlp(d, d, d),
-        mlp2=_zero_mlp(d, d, d),
-        mlp3=_zero_mlp(d, d, d),
-        mlp4=_zero_mlp(d, d, d),
-        mlp5=_zero_mlp(d, d, d),
-        fusion=_zero_mlp(d, d, 2 * d),
-        ln_global=_zero_ln(d),
-        ln_action=_zero_ln(d),
-        ln_entity=_zero_ln(d),
-        ln_enhance=_zero_ln(d),
-        ln_weight=_zero_ln(d),
+        mlp1=mlp(d, d, d),
+        mlp2=mlp(d, d, d),
+        mlp3=mlp(d, d, d),
+        mlp4=mlp(d, d, d),
+        mlp5=mlp(d, d, d),
+        fusion=mlp(d, d, 2 * d),
+        ln_global=ln(d),
+        ln_action=ln(d),
+        ln_entity=ln(d),
+        ln_enhance=ln(d),
+        ln_weight=ln(d),
         temporal=TransformerParams(
-            wq=np.zeros((d, d)),
-            wk=np.zeros((d, d)),
-            wv=np.zeros((d, d)),
-            wo=np.zeros((d, d)),
-            ffn_w1=np.zeros((4 * d, d)), ffn_b1=np.zeros(4 * d),
-            ffn_w2=np.zeros((d, 4 * d)), ffn_b2=np.zeros(d),
-            ln_attn=_zero_ln(d),
-            ln_ffn=_zero_ln(d),
+            wq=mat(d, d),
+            wk=mat(d, d),
+            wv=mat(d, d),
+            wo=mat(d, d),
+            ffn_w1=mat(4 * d, d), ffn_b1=vec(4 * d),
+            ffn_w2=mat(d, 4 * d), ffn_b2=vec(d),
+            ln_attn=ln(d),
+            ln_ffn=ln(d),
         ),
-        pos_emb=np.zeros((max_frames, d)),
+        pos_emb=mat(max_frames, d),
     )
+    assert at == flat.size
+    out.flat = flat
+    return out
 
 
 def init_params(seed: int, d: int, *, heads: int = 8, max_frames: int = 12,
@@ -238,7 +254,7 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
     if meta.get("tensors") != expected:
         raise DataError(f"{meta_path}: tensor list does not match this model layout")
     for name in expected:
-        p.set_tensor(name, read_tensor(ckpt / f"{name}.shet").astype(np.float64))
+        p.set_tensor(name, read_tensor(ckpt / f"{name}.shet"))  # widened by the copy
     return p
 
 
@@ -247,7 +263,14 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BLOCK = 16384  # elements per slice of the update: 128 KB of f64 per array, inside L2
+
+
 class Adam:
+    """Adam over the `flat` buffers, `ADAM_BLOCK` elements at a time, so the
+    four arrays stay in cache between the update's passes; every element
+    sees the same operations as in a whole-array update."""
+
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -255,17 +278,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = zeros_like(params)
-        self._v = zeros_like(params)
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
 
     def step(self, params: ModelParams, grads: ModelParams) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for (_, p), (_, g), (_, m), (_, v) in zip(
-            params.named_tensors(), grads.named_tensors(),
-            self._m.named_tensors(), self._v.named_tensors(),
-        ):
+        for lo in range(0, self._m.size, ADAM_BLOCK):
+            block = slice(lo, lo + ADAM_BLOCK)
+            p, g = params.flat[block], grads.flat[block]
+            m, v = self._m[block], self._v[block]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -16,6 +16,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+DRAW_CHUNK = 16384  # words drawn per vectorised pass: the pass's temporaries stay in cache
 
 
 def _mix64(z: int) -> int:
@@ -55,7 +56,11 @@ class SplitMix64:
 
     def uniform01(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), using the top 53 bits of each word."""
-        return (self._block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        out = np.empty(n)
+        for lo in range(0, n, DRAW_CHUNK):
+            chunk = out[lo:lo + DRAW_CHUNK]
+            np.multiply(self._block(chunk.size) >> np.uint64(11), 2.0**-53, out=chunk)
+        return out
 
     def uniform_sym(self, shape) -> np.ndarray:
         """Uniform(-1, 1) array of the given shape."""

@@ -225,9 +225,8 @@ def _check_determinism() -> str:
     l2, g2, s2 = batch_loss_and_grads(bundles, params, cfg)
     if l1 != l2 or not np.array_equal(s1, s2):
         raise SynretError("loss or scores differ between identical runs")
-    for (_, a), (_, b) in zip(g1.named_tensors(), g2.named_tensors()):
-        if not np.array_equal(a, b):
-            raise SynretError("gradients differ between identical runs")
+    if not np.array_equal(g1.flat, g2.flat):
+        raise SynretError("gradients differ between identical runs")
     return "bit-identical repeated evaluation"
 
 

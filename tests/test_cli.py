@@ -174,6 +174,23 @@ def _snapshot(directory):
     return {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
 
 
+@pytest.mark.parametrize("key,value", [
+    ("beta1", 1.0), ("beta1", 1.5), ("beta1", -3), ("beta2", 1.0), ("beta2", 2.0),
+    ("adam_eps", 0), ("adam_eps", -1),
+])
+def test_adam_hyperparameter_out_of_range_is_usage_error(desk_manifest, tmp_path, capsys,
+                                                         key, value):
+    """Caught when the config loads: at 1, beta1 or beta2 would divide by zero
+    at step 1, and the other values would train on without a word."""
+    ckpt = tmp_path / "ckpt"
+    capsys.readouterr()
+    assert _desk_train(desk_manifest, tmp_path, ckpt, steps=20, **{key: value}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synret: usage error: ") and key in err
+    assert len(err.splitlines()) == 1
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("steps", [2, 3])
 def test_floating_point_fault_in_train_is_one_line_exit_3(desk_manifest, tmp_path, capsys,
                                                          steps):

@@ -8,6 +8,7 @@ import pytest
 from synret.config import RunConfig
 from synret.dataset import synthetic_bundles
 from synret.errors import DataError, NumericalError
+import synret.params
 from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
 from synret.rng import SplitMix64
 from synret.tensor_store import write_tensor
@@ -101,6 +102,85 @@ class TestAdam:
         grads.mlp1.w1[...] = 1.0
         Adam(params, lr=0.01).step(params, grads)
         assert (params.mlp1.w1 < before).all()
+
+    @pytest.mark.parametrize("block", [7, 1000, synret.params.ADAM_BLOCK])
+    def test_blocked_update_equals_whole_tensor_formula(self, monkeypatch, block):
+        """At 7 and 1000 elements, tensors straddle block edges and the last
+        block of the 1872-element buffer is partial."""
+        monkeypatch.setattr(synret.params, "ADAM_BLOCK", block)
+        params = init_params(3, 8, max_frames=3)
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        want = {n: t.copy() for n, t in params.named_tensors()}
+        m = {n: np.zeros_like(t) for n, t in want.items()}
+        v = {n: np.zeros_like(t) for n, t in want.items()}
+        opt = Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        rng = SplitMix64(5)
+        for t in range(1, 6):
+            grads = zeros_like(params)
+            grads.flat[...] = rng.uniform_sym(grads.flat.size)
+            opt.step(params, grads)
+            bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+            for name, g in grads.named_tensors():
+                m[name] = m[name] * beta1 + (1.0 - beta1) * g
+                v[name] = v[name] * beta2 + (1.0 - beta2) * g * g
+                want[name] = want[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        for name, t in params.named_tensors():
+            assert np.array_equal(t, want[name]), name
+
+
+def _assert_tensors_tile_flat(p):
+    """Every named tensor is a view of `p.flat`, and the views lie end to end
+    in `named_tensors()` order and cover it exactly."""
+    assert p.flat.dtype == np.float64 and p.flat.base is None and p.flat.flags.c_contiguous
+    start = p.flat.__array_interface__["data"][0]
+    at = 0
+    for name, t in p.named_tensors():
+        assert t.base is p.flat and t.flags.c_contiguous, name
+        assert t.__array_interface__["data"][0] - start == at * p.flat.itemsize, name
+        at += t.size
+    assert at == p.flat.size
+
+
+class TestParamBuffer:
+    def test_zeros_like_tiles_one_buffer(self):
+        p = zeros_like(d=16, max_frames=4)
+        _assert_tensors_tile_flat(p)
+        _assert_tensors_tile_flat(zeros_like(p))
+        assert "flat" not in [name for name, _ in p.named_tensors()]
+        assert len(p.named_tensors()) == 47
+
+    def test_init_params_tiles_one_buffer(self):
+        _assert_tensors_tile_flat(init_params(4, 8, max_frames=3))
+
+    def test_copy_is_one_new_buffer(self):
+        p = init_params(4, 8, max_frames=3)
+        q = p.copy()
+        _assert_tensors_tile_flat(q)
+        assert not np.shares_memory(p.flat, q.flat)
+        assert np.array_equal(p.flat, q.flat)
+
+    def test_load_checkpoint_tiles_one_buffer(self, tmp_path):
+        p = init_params(4, 8, max_frames=3)
+        save_checkpoint(p, tmp_path, seed=4)
+        back = load_checkpoint(tmp_path)
+        _assert_tensors_tile_flat(back)
+        assert np.array_equal(back.flat, p.flat.astype(np.float32))
+
+    def test_set_tensor_writes_float32_through_the_view(self):
+        p = zeros_like(d=8, max_frames=3)
+        view = p.temporal.ln_ffn.gain
+        value = np.arange(8, dtype=np.float32) / 3
+        p.set_tensor("temporal.ln_ffn.gain", value)
+        assert p.temporal.ln_ffn.gain is view
+        assert view.dtype == np.float64 and np.array_equal(view, value)
+        _assert_tensors_tile_flat(p)
+
+    def test_set_tensor_rejects_a_wrong_shape(self):
+        p = zeros_like(d=8, max_frames=3)
+        message = r"^tensor mlp1\.w1: shape \(8, 7\) != expected \(8, 8\)$"
+        with pytest.raises(DataError, match=message):
+            p.set_tensor("mlp1.w1", np.zeros((8, 7)))
+        assert not p.flat.any()
 
 
 class TestTraining:
