@@ -135,6 +135,9 @@ def _json(doc) -> str:
 
 
 def _cmd_gen_fixtures(args) -> int:
+    for flag in ("pairs", "tokens", "frames", "patches", "dim"):
+        if getattr(args, flag) < 1:  # a bad flag is a usage error, raised before --out exists
+            raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     with _writing(args.out):
         manifest = gen_fixture(args.seed, args.pairs, args.tokens, args.frames,
                                args.patches, args.dim, args.out)

@@ -128,6 +128,7 @@ def train(bundles: list[FeatureBundle], params: ModelParams,
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at step {step}")
             adam.step(params, grads)
+            del grads  # else it is alive while the next step allocates its own
         except FloatingPointError as e:  # raised only where numpy is set to raise
             raise FloatingPointError(f"{e} at step {step}") from None
         curve.append((step, loss))

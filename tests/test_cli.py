@@ -239,6 +239,18 @@ def test_gen_fixtures_idempotent(tmp_path):
         assert f.read_bytes() == (b / f.name).read_bytes()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--pairs", "--tokens", "--frames", "--patches", "--dim"])
+def test_gen_fixtures_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    args = {"--pairs": "2", "--tokens": "4", "--frames": "3", "--patches": "4", "--dim": "8"}
+    args[flag] = value
+    out = tmp_path / "fx"
+    argv = ["gen-fixtures", "--seed", "9", "--out", str(out)]
+    assert main(argv + [item for pair in args.items() for item in pair]) == 1
+    assert capsys.readouterr().err == f"synret: usage error: {flag} must be >= 1, got {value}\n"
+    assert not out.exists()
+
+
 def test_train_score_eval_pipeline(fixture_dir, checkpoint, config_path, tmp_path):
     manifest = str(fixture_dir / "manifest.json")
     scores = tmp_path / "scores.shet"

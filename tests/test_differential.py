@@ -3,11 +3,12 @@
 
 Every `score_matrix` cell must agree with `pair_forward` + `score_pair` within
 1e-10, and every `fuse_pair` tensor with `pair_forward`'s, with equal frame
-and patch selections. Every batched gradient must agree with the per-pair
-backward in test_gradients.py within 1e-10 relative, `selection_margins`
-must agree with the brute-force margin in conftest.py within 1e-10, and
-every random tree must build a valid hierarchy. Gaussian features make
-exact ties a null event here; exact ties are pinned by
+and patch selections; a training step must pick the same frames and
+patches. Every batched gradient must agree with the per-pair backward in
+test_gradients.py within 1e-10 relative, `selection_margins` must agree
+with the brute-force margin in conftest.py within 1e-10, and every random
+tree must build a valid hierarchy. Gaussian features make exact ties a
+null event here; exact ties are pinned by
 `test_fuse_pair_breaks_exact_ties_as_score_video` and
 `test_score_video_breaks_exact_ties_to_lower_index` in test_scoring.py.
 """
@@ -24,7 +25,7 @@ from synret.params import init_params
 from synret.pipeline import text_forward, video_forward
 from synret.reference import caption_weights, pair_forward, score_pair
 from synret.scoring import fuse_pair, score_matrix
-from synret.train import batch_loss_and_grads, selection_margins
+from synret.train import _batch_forward, batch_loss_and_grads, selection_margins
 
 from conftest import per_pair_selection_margin
 from test_fuzz import FUZZ
@@ -91,6 +92,24 @@ def test_kernel_and_fuse_match_the_per_pair_oracle(gallery):
             assert fp.patches.tolist() == [[sel.tolist() for sel in per] for per in pf.psi3]
             for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
                 assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-10
+
+
+@FUZZ
+@given(gallery=galleries())
+def test_training_selects_as_fuse_and_the_per_pair_oracle(gallery):
+    """Each caption's rows of a training step's columns hold the frames and
+    patches that `fuse_pair` and `pair_forward` pick for that caption."""
+    bundles, params, cfg = gallery
+    tc, _, videos, _, cols, _ = _batch_forward(bundles, params, cfg)
+    for vid, col in zip(videos, cols):
+        for i in range(len(bundles)):
+            frames = col.frames[tc.first2[i]:tc.first2[i + 1]].tolist()
+            patches = col.patches[tc.first3[i]:tc.first3[i + 1]].tolist()
+            fp = fuse_pair(tc.single(i), vid, cfg)
+            pf = pair_forward(tc.caption(i), vid, cfg)
+            assert frames == fp.frames.tolist() == [sel.tolist() for sel in pf.psi2], i
+            assert patches == fp.patches.tolist() == \
+                [[sel.tolist() for sel in per] for per in pf.psi3], i
 
 
 @FUZZ

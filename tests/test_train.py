@@ -1,6 +1,7 @@
 """Contrastive loss identities, optimizer behavior, and training determinism."""
 
 import errno
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import synret.params
 from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
 from synret.rng import SplitMix64
 from synret.tensor_store import write_tensor
+import synret.train
 from synret.train import (
+    batch_loss_and_grads,
     selection_margins,
     symmetric_ce_loss,
     train,
@@ -227,6 +230,36 @@ class TestTraining:
         cfg = RunConfig(d=8, max_frames=3, seed=13, batch_size=4, steps=1, lr=1e-4)
         with pytest.raises(DataError):
             train(bundles, params, cfg)
+
+    def test_a_run_holds_one_step_of_gradients_at_a_time(self, monkeypatch):
+        """Step t's gradient set is gone before step t+1 allocates its own,
+        so a run holds four parameter-sized buffers, not five."""
+        issued = []
+
+        def tracked_zeros_like(*args, **kwargs):
+            alive = sum(ref() is not None for ref in issued)
+            assert alive == 0, f"{alive} earlier gradient set(s) alive"
+            grads = zeros_like(*args, **kwargs)
+            issued.append(weakref.ref(grads))
+            return grads
+
+        monkeypatch.setattr(synret.train, "zeros_like", tracked_zeros_like)
+        bundles = synthetic_bundles(15, 4, 5, 3, 4, 8)
+        params = init_params(15, 8, max_frames=3)
+        cfg = RunConfig(d=8, max_frames=3, seed=15, batch_size=2, steps=3, lr=1e-3)
+        assert len(train(bundles, params, cfg)) == 3
+        assert len(issued) == 3
+
+    def test_each_gradient_evaluation_is_a_new_buffer(self):
+        """Two evaluations never share a buffer, so comparing them (as
+        selfcheck's determinism check does) compares two computations."""
+        bundles = synthetic_bundles(16, 4, 5, 3, 4, 8)
+        params = init_params(16, 8, max_frames=3)
+        cfg = RunConfig(d=8, max_frames=3, seed=16)
+        _, g1, _ = batch_loss_and_grads(bundles, params, cfg)
+        _, g2, _ = batch_loss_and_grads(bundles, params, cfg)
+        assert not np.shares_memory(g1.flat, g2.flat)
+        assert np.array_equal(g1.flat, g2.flat)
 
     def test_stop_loss_halts_early(self):
         bundles = synthetic_bundles(14, 4, 5, 3, 4, 8)
