@@ -81,9 +81,11 @@ class LayerNormCache:
 
 
 def layer_norm(x: np.ndarray, ln: LayerNormParams, eps: float = LN_EPS):
-    mean = x.mean(axis=-1, keepdims=True)
+    # sum / n is `mean` bit for bit, without its per-call overhead
+    n = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / n
     centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     return xhat * ln.gain + ln.bias, LayerNormCache(xhat=xhat, inv_std=inv_std)
@@ -95,8 +97,9 @@ def layer_norm_backward(ybar: np.ndarray, cache: LayerNormCache,
     ln_grad.gain += (ybar * xhat).sum(axis=0)
     ln_grad.bias += ybar.sum(axis=0)
     dxhat = ybar * ln.gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    n = xhat.shape[-1]
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
     return inv_std * (dxhat - m1 - xhat * m2)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,30 @@ class FeatureBundle:
     @property
     def d(self) -> int:
         return self.text.shape[1]
+
+    @cached_property
+    def node_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(f1, f2, f3, f4) from `init_node_features`, gathered on first use
+        and then kept: training encodes each caption at every step."""
+        return init_node_features(self.index, self.text)
+
+
+def init_node_features(index: HierarchyIndex, text: np.ndarray):
+    """Gather initial node features from the encoder token rows.
+
+    Row 0 of `text` is the caption CLS feature; token positions are 1-based
+    row indices. The EXIST action node gets the mean of all token rows.
+    """
+    n_tokens = text.shape[0] - 1
+    for mu in [m for m in index.mu2 if m is not None] + index.mu3 + index.mu4:
+        if mu > n_tokens:
+            raise DataError(f"token position {mu} out of range (caption has {n_tokens} tokens)")
+    f1 = text[0]
+    word_mean = text[1:].mean(axis=0)
+    f2 = np.stack([word_mean if mu is None else text[mu] for mu in index.mu2])
+    f3 = text[list(index.mu3)] if index.mu3 else np.zeros((0, text.shape[1]))
+    f4 = text[list(index.mu4)] if index.mu4 else np.zeros((0, text.shape[1]))
+    return f1, f2, f3, f4
 
 
 def load_bundle(record: PairRecord, manifest_path,

@@ -9,7 +9,7 @@ layer over the concatenated frame rows of every video, with attention kept
 inside each video. The node weights depend on the caption alone, so the
 caption forward ends with them and `text_backward` starts with their
 backward. Frame and patch selection, which combines the two sides, is
-`scoring.score_video`'s.
+`scoring.score_videos`'s.
 
 Like every block in `blocks`, each forward returns its features and a tape,
 and the matching backward takes the tape back: `text_forward` returns
@@ -50,29 +50,6 @@ from .params import ModelParams
 # `text_forward`/`video_forward` call: enough rows to pay for one pass over the
 # weights, few enough to keep one chunk's activations small.
 ENCODE_CHUNK = 16
-
-
-# ---------------------------------------------------------------------------
-# Node feature initialization
-# ---------------------------------------------------------------------------
-
-
-def init_node_features(index: HierarchyIndex, text: np.ndarray):
-    """Gather initial node features from the encoder token rows.
-
-    Row 0 of `text` is the caption CLS feature; token positions are 1-based
-    row indices. The EXIST action node gets the mean of all token rows.
-    """
-    n_tokens = text.shape[0] - 1
-    for mu in [m for m in index.mu2 if m is not None] + index.mu3 + index.mu4:
-        if mu > n_tokens:
-            raise DataError(f"token position {mu} out of range (caption has {n_tokens} tokens)")
-    f1 = text[0]
-    word_mean = text[1:].mean(axis=0)
-    f2 = np.stack([word_mean if mu is None else text[mu] for mu in index.mu2])
-    f3 = text[list(index.mu3)] if index.mu3 else np.zeros((0, text.shape[1]))
-    f4 = text[list(index.mu4)] if index.mu4 else np.zeros((0, text.shape[1]))
-    return f1, f2, f3, f4
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +225,7 @@ def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> tuple[Tex
     for b in bundles:
         if b.d != params.d:
             raise DataError(f"{b.pair_id}: dimension mismatch (features d={b.d}, model d={params.d})")
-        feats.append(init_node_features(b.index, b.text))
+        feats.append(b.node_features)
     indexes = [b.index for b in bundles]
     first4 = _offsets([len(idx.mu4) for idx in indexes])
     f1s, f2s, f3s, f4s = zip(*feats)
@@ -307,7 +284,6 @@ class Video:
     frames: np.ndarray   # raw frame features (N_v, d)
     patches: np.ndarray  # (N_v, N_p, d), the bundle's float32 array
     g: np.ndarray        # temporal-encoded frames (N_v, d), a view into the batch's rows
-    rows: slice          # this video's rows in the batch
 
 
 def video_forward(bundles: list[FeatureBundle],
@@ -319,7 +295,7 @@ def video_forward(bundles: list[FeatureBundle],
     g, tape = transformer_encode(np.concatenate([b.frames for b in bundles]),
                                  params.temporal, params.pos_emb, params.heads, lengths)
     first = _offsets(lengths)
-    videos = [Video(frames=b.frames, patches=b.patches, g=g[lo:hi], rows=slice(lo, hi))
+    videos = [Video(frames=b.frames, patches=b.patches, g=g[lo:hi])
               for b, lo, hi in zip(bundles, first[:-1], first[1:])]
     return videos, tape
 

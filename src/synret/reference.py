@@ -7,7 +7,7 @@ lets each entity node pick top patches inside its parent action's frames;
 `score_pair` then weights the node scores per layer with `caption_weights`.
 Production code computes the same quantities for every caption at once,
 the weights in `pipeline.TextCache.stack` and the rest in
-`scoring.score_video`, and the tests, `selfcheck`'s checks and the
+`scoring.score_videos`, and the tests, `selfcheck`'s checks and the
 differential property tests compare it against this module. No CLI command
 other than `selfcheck` calls it.
 """

@@ -10,7 +10,7 @@ from .errors import DataError, NumericalError
 from .params import Adam, ModelParams, zeros_like
 from .pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
 from .rng import SplitMix64
-from .scoring import score_video, score_video_backward
+from .scoring import score_videos, score_videos_backward
 from .tensor_store import write_file
 
 
@@ -47,13 +47,12 @@ def symmetric_ce_loss(s: np.ndarray, tau: float):
 
 def _batch_forward(bundles: list[FeatureBundle], params: ModelParams, cfg: RunConfig):
     """Every caption in the batch against every video: one stacked caption
-    forward, one temporal pass over all frame rows, one kernel call per
-    video."""
+    forward, one temporal pass over all frame rows, one kernel call over all
+    videos."""
     tc, text_tape = text_forward(bundles, params)
     videos, video_tape = video_forward(bundles, params)
-    cols = [score_video(tc, vid, cfg) for vid in videos]
-    scores = np.stack([col.scores for col in cols], axis=1)
-    return tc, text_tape, videos, video_tape, cols, scores
+    cols = score_videos(tc, videos, cfg)
+    return tc, text_tape, videos, video_tape, cols, cols.scores
 
 
 def batch_loss(bundles: list[FeatureBundle], params: ModelParams,
@@ -66,8 +65,8 @@ def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
                          cfg: RunConfig):
     """Forward, loss, and full analytic backward pass.
 
-    Each video's column of dloss/ds lands on the stacked caption gradients
-    (node weights included) and on that video's rows of the
+    One kernel backward takes dloss/ds to the stacked caption gradients
+    (node weights included) and to each video's rows of the
     temporal-encoding gradient. The caption side, weights first, and the
     temporal layer then run their backward once each over the whole batch.
     Every sum runs in a fixed order, so gradients are bit-reproducible.
@@ -77,9 +76,7 @@ def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
 
     grads = zeros_like(params)
     tg = TextGrad.zeros(tc)
-    g_bar = np.zeros((videos[-1].rows.stop, params.d))
-    for j, (vid, col) in enumerate(zip(videos, cols)):
-        score_video_backward(ds[:, j], tc, vid, col, cfg, tg, g_bar[vid.rows])
+    g_bar = score_videos_backward(ds, tc, videos, cols, cfg, tg)
     text_backward(tg, tc, text_tape, params, grads)
     video_backward(g_bar, video_tape, params, grads)
     return loss, grads, scores
@@ -92,7 +89,7 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     Finite-difference checks need this to be comfortably larger than the
     probe step so no selection flips during perturbation.
     """
-    return min(col.margin for col in _batch_forward(bundles, params, cfg)[4])
+    return float(_batch_forward(bundles, params, cfg)[4].margin.min())
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synret.blocks import (
+    LN_EPS,
     dot_softmax_attend,
     gelu,
     layer_norm,
+    layer_norm_backward,
     mlp,
     softmax,
     transformer_backward,
@@ -62,6 +64,25 @@ class TestLayerNorm:
         for i in range(3):
             yi, _ = layer_norm(x[i], p)
             assert np.array_equal(y[i], yi)
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 7), (3, 8), (5, 16), (40, 512)])
+    def test_sum_form_is_the_mean_form_bit_for_bit(self, shape):
+        """The forward and backward take their means as sum / n; that is
+        numpy's `mean`, bit for bit."""
+        rng = SplitMix64(7)
+        x = 3.0 * rng.uniform_sym(shape) + 0.5
+        p = LayerNormParams(gain=rng.uniform_sym(shape[-1]), bias=rng.uniform_sym(shape[-1]))
+        ybar = rng.uniform_sym(shape)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LN_EPS)
+        xhat = centered * inv_std
+        dxhat = ybar * p.gain
+        want = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        y, cache = layer_norm(x, p)
+        xbar = layer_norm_backward(ybar, cache, p, ln_params(shape[-1], gain=0.0))
+        assert np.array_equal(y, xhat * p.gain + p.bias)
+        assert np.array_equal(xbar, want)
 
 
 class TestMlp:

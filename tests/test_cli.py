@@ -222,6 +222,34 @@ def test_floating_point_fault_in_eval_is_one_line_exit_3(desk_manifest, tmp_path
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_token_position_out_of_range_is_one_line_exit_2(desk_manifest, tmp_path, capsys,
+                                                        monkeypatch, command):
+    """Node features are gathered when a caption is first encoded; a token
+    position past the caption's rows still fails there with the same
+    message. No file can carry one, since loading checks the token count
+    against the text rows, so the caption index is altered after loading."""
+    import dataclasses
+
+    import synret.dataset
+
+    ckpt, report = tmp_path / "ckpt", tmp_path / "report.json"
+    if command == "eval":
+        assert _desk_train(desk_manifest, tmp_path, ckpt) == 0
+    index_hierarchy = synret.dataset.index_hierarchy
+    monkeypatch.setattr(synret.dataset, "index_hierarchy", lambda h: dataclasses.replace(
+        index_hierarchy(h), mu4=index_hierarchy(h).mu4 + [7]))
+    capsys.readouterr()
+    if command == "train":
+        assert _desk_train(desk_manifest, tmp_path, ckpt) == 2
+    else:
+        assert main(["eval", "--manifest", desk_manifest, "--params", str(ckpt),
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "synret: data error: token position 7 out of range (caption has 6 tokens)\n")
+    assert not report.exists() and (command == "eval" or not (ckpt / "meta.json").exists())
+
+
 def test_build_hierarchy_matches_golden(golden_dir, tmp_path):
     out = tmp_path / "h.json"
     rc = main(["build-hierarchy", str(golden_dir / "simple.conllu"), "-o", str(out)])

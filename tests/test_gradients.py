@@ -36,7 +36,7 @@ from synret.pipeline import (
 )
 from synret.reference import caption_weights, pair_forward, score_pair
 from synret.rng import SplitMix64
-from synret.scoring import score_video, score_video_backward
+from synret.scoring import score_videos, score_videos_backward
 from synret.train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
 
 from conftest import tie_fixture
@@ -284,17 +284,17 @@ _TWO_ADJ_ENTITIES = """\
 """
 
 
-def mixed_batch(golden_dir, d):
+def mixed_batch(golden_dir, d, shapes=((1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9))):
     """Golden captions (verbless/EXIST, entity-less, several verbs) plus one
-    with adjectives on two entities, each paired with a video of its own
-    frame and patch count."""
+    with adjectives on two entities, in turn, each paired with a video of
+    the next (frame, patch) count in `shapes`."""
     parses = [(golden_dir / f"{name}.conllu").read_text()
               for name in ("verbless", "punct_only", "two_verbs", "deep_chain", "simple")]
     parses.append(_TWO_ADJ_ENTITIES)
-    shapes = [(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9)]
     rng = SplitMix64(404)
     bundles = []
-    for k, (conllu, (n_v, n_p)) in enumerate(zip(parses, shapes)):
+    for k, (n_v, n_p) in enumerate(shapes):
+        conllu = parses[k % len(parses)]
         h = build_hierarchy(parse_conllu(conllu))
         bundles.append(FeatureBundle(
             pair_id=f"pair{k}", hierarchy=h, index=index_hierarchy(h),
@@ -325,6 +325,36 @@ def test_batched_step_matches_per_pair_reference(golden_dir, lambda_frame, lambd
     assert any(np.abs(g).max() > 0 for _, g in grads.named_tensors())
 
 
+def test_full_pipeline_gradients_on_a_mixed_shape_batch(golden_dir):
+    """Videos of unequal N_v and N_p, three of one shape, so the kernel's
+    grouping by shape and its per-video row offsets are checked end to end.
+    Each parameter tensor is probed by central differences along its
+    analytic gradient and along a seeded random direction."""
+    d, h = 8, 1e-4
+    bundles = mixed_batch(golden_dir, d, shapes=[(3, 5), (2, 3), (3, 5), (4, 2), (1, 1), (3, 5)])
+    cfg = RunConfig(d=d, max_frames=4, seed=0)
+    params = init_params(410, d, max_frames=4)
+    assert selection_margins(bundles, params, cfg) > 5e-3  # no pick flips under a probe
+    _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
+    rng = SplitMix64(409)
+    worst = 0.0
+    for (name, p), (_, g) in zip(params.named_tensors(), grads.named_tensors()):
+        for v in (g, rng.uniform_sym(g.shape)):
+            if not np.any(v):
+                continue
+            v = v / np.linalg.norm(v)
+            base = p.copy()
+            p += h * v
+            lp = batch_loss(bundles, params, cfg)
+            p[...] = base - h * v
+            lm = batch_loss(bundles, params, cfg)
+            p[...] = base
+            numeric = (lp - lm) / (2 * h)
+            worst = max(worst, abs(float((g * v).sum()) - numeric)
+                        / max(float(np.linalg.norm(g)), abs(numeric)))
+    assert worst < 1e-4
+
+
 @pytest.mark.parametrize("literal", [False, True])
 @pytest.mark.parametrize("lambda_patch", [1, 2, 3])
 @pytest.mark.parametrize("lambda_frame", [1, 2, 3])
@@ -336,11 +366,11 @@ def test_training_selections_equal_score_video_on_exact_ties(lambda_frame, lambd
     vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    col = score_video(stack, vid, cfg)
+    cols = score_videos(stack, [vid], cfg)
+    col = cols[0]
     s_bar = np.array([1.0, -0.5])
     tg = TextGrad.zeros(stack)
-    g_bar = np.zeros_like(vid.g)
-    score_video_backward(s_bar, stack, vid, col, cfg, tg, g_bar)
+    g_bar = score_videos_backward(s_bar[:, None], stack, [vid], cols, cfg, tg)
     weights_backward(tg, stack)
 
     ref_g_bar = np.zeros_like(vid.g)

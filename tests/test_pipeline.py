@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from synret.blocks import layer_norm, mlp
+from synret.dataset import init_node_features
 from synret.errors import DataError
 from synret.hierarchy import HierarchyIndex
 from synret.params import init_params
 from synret.pipeline import (
     enhance_entities,
-    init_node_features,
     text_forward,
     video_forward,
 )

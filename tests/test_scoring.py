@@ -16,7 +16,7 @@ from synret.dataset import FeatureBundle
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
-from synret.pipeline import ENCODE_CHUNK, TextCache, text_forward, video_forward
+from synret.pipeline import ENCODE_CHUNK, TextCache, TextGrad, text_forward, video_forward
 from synret.reference import (
     WeightCache,
     caption_weights,
@@ -28,10 +28,18 @@ from synret.reference import (
     score_pair,
 )
 from synret.rng import SplitMix64
-from synret.scoring import dsl_postprocess, fuse_pair, score_matrix, score_video, top
+from synret.scoring import (
+    dsl_postprocess,
+    fuse_pair,
+    score_matrix,
+    score_videos,
+    score_videos_backward,
+    top,
+)
 
 from conftest import GOLDEN_NAMES, encode_pair, reference_score, tie_fixture
 from test_fuzz import FUZZ
+from test_gradients import mixed_batch
 
 
 def stub(e1, e2, e3, ev1, ev2, ev3):
@@ -312,7 +320,7 @@ def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch
     vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    got = score_video(stack, vid, cfg).scores
+    got = score_videos(stack, [vid], cfg).scores[:, 0]
     for i, cap in enumerate(caps):
         want = score_pair(cap, caption_weights(cap), pair_forward(cap, vid, cfg)).final
         assert abs(got[i] - want) <= 1e-10
@@ -331,11 +339,11 @@ def _lower_index_top_k(scores, k):
 @pytest.mark.parametrize("lambda_patch", [1, 2, 3])
 @pytest.mark.parametrize("lambda_frame", [1, 2, 3])
 def test_fuse_pair_breaks_exact_ties_as_score_video(lambda_frame, lambda_patch, literal):
-    """Exact integer ties: fuse selects the lower index, as score_video does."""
+    """Exact integer ties: fuse selects the lower index, as score_videos does."""
     vid, caps, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
-    col = score_video(stack, vid, cfg)
+    col = score_videos(stack, [vid], cfg)[0]
     for i, cap in enumerate(caps):
         fp = fuse_pair(_one_caption_stack(cap), vid, cfg)
         rows2 = np.flatnonzero(stack.owner2 == i)
@@ -429,3 +437,39 @@ class TestDsl:
     def test_unknown_direction_rejected(self):
         with pytest.raises(DataError):
             dsl_postprocess(np.ones((2, 2)), 100.0, "sideways")
+
+
+@pytest.mark.parametrize("lambda_frame,lambda_patch,literal", [(2, 4, False), (3, 6, True)])
+def test_batch_columns_equal_one_video_calls_bit_for_bit(golden_dir, lambda_frame,
+                                                        lambda_patch, literal):
+    """A d=32 batch that mixes (N_v, N_p), with an odd number of stacked
+    actions: each column of one `score_videos` call, and its backward,
+    equal one-video calls exactly. Stacking the videos' rows into one
+    layer-1 or layer-2 GEMM would round differently at such shapes."""
+    d = 32
+    bundles = mixed_batch(golden_dir, d, shapes=[(4, 9), (3, 5), (4, 9), (1, 1), (4, 9),
+                                                 (3, 5), (4, 9), (2, 3), (4, 9)])
+    for b in bundles:
+        b.patches = b.patches.astype(np.float32)  # as `load_bundles` holds them
+    params = init_params(408, d, max_frames=4)
+    cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame, lambda_patch=lambda_patch,
+                    literal_patch_norm=literal)
+    tc = text_forward(bundles, params)[0]
+    videos = video_forward(bundles, params)[0]
+    assert tc.e2.shape[0] % 2 == 1
+    cols = score_videos(tc, videos, cfg)
+    s_bar = SplitMix64(409).uniform_sym(cols.scores.shape)
+    tg = TextGrad.zeros(tc)
+    g_bar = score_videos_backward(s_bar, tc, videos, cols, cfg, tg)
+
+    want_tg, want_g_bar = TextGrad.zeros(tc), []
+    for b, (vid, col) in enumerate(zip(videos, cols)):
+        one = score_videos(tc, [vid], cfg)
+        for name in ("scores", "logits", "frames", "score2", "patches", "score3"):
+            got, want = getattr(col, name), getattr(one[0], name)
+            assert got.shape == want.shape and np.array_equal(got, want), (b, name)
+        assert col.margin == one[0].margin, b
+        want_g_bar.append(score_videos_backward(s_bar[:, b:b + 1], tc, [vid], one, cfg, want_tg))
+    for name in ("e1", "e2", "e3", "m2", "w2", "w3"):
+        assert np.array_equal(getattr(tg, name), getattr(want_tg, name)), name
+    assert np.array_equal(g_bar, np.concatenate(want_g_bar))
