@@ -28,12 +28,8 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # ---------------------------------------------------------------------------
 
 
-def gelu(z: np.ndarray) -> np.ndarray:
-    """Exact-erf GELU: z * Phi(z)."""
-    return z * 0.5 * (1.0 + erf(z * _INV_SQRT2))
-
-
 def _gelu_with_cdf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-erf GELU, z * Phi(z), and Phi(z)."""
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
     return z * cdf, cdf
 

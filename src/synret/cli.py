@@ -14,6 +14,7 @@ import json
 import sys
 import tempfile
 import traceback
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import __version__
 from .config import RunConfig, dump_config, load_config
 from .conllu import parse_conllu
 from .dataset import load_bundles
-from .errors import DataError, NumericalError, SynretError, UsageError
+from .errors import DataError, DataWarning, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
 from .params import init_params, load_checkpoint, save_checkpoint
@@ -41,6 +42,15 @@ try:  # glibc only; elsewhere freed memory is left to the allocator
     _malloc_trim.argtypes = [ctypes.c_size_t]
 except (OSError, AttributeError):
     _malloc_trim = None
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A DataWarning is one line on stderr, as an error is; any other warning
+    is shown as Python shows it."""
+    if issubclass(category, DataWarning):
+        print(f"synret: warning: {message}", file=sys.stderr)
+    else:
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +156,8 @@ def _cmd_gen_fixtures(args) -> int:
 
 
 def _cmd_build_hierarchy(args) -> int:
-    try:
-        raw = Path(args.conllu).read_text(encoding="utf-8")
+    try:  # bytes: parse_conllu reports input that is not UTF-8 as a data error
+        raw = Path(args.conllu).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read {args.conllu}: {e}") from None
     doc = hierarchy_to_json(build_hierarchy(parse_conllu(raw)))
@@ -174,11 +184,11 @@ def _cmd_fuse(args) -> int:
         del tape  # its backward caches would stay alive while the chunk is fused
         videos = video_forward(chunk, params)[0]
         for i, b in enumerate(chunk):
-            cap, vid = tc.caption(i), videos[i]
+            one, vid = tc.single(i), videos[i]
             s3 = slice(tc.first3[i], tc.first3[i + 1])
-            fp = fuse_pair(tc.single(i), vid, cfg)
+            fp = fuse_pair(one, vid, cfg)
             tensors = {
-                "e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": e3p[s3], "f3p": f3p[s3],
+                "e1": one.e1[0], "e2": one.e2, "e3": one.e3, "e3p": e3p[s3], "f3p": f3p[s3],
                 "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3,
             }
             files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
@@ -295,7 +305,10 @@ def main(argv=None) -> int:
             return 1
         # a floating-point fault is one line of numerical error, not a numpy
         # warning on stderr before an exit 0; underflow to zero stays silent
-        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        with (np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"),
+              warnings.catch_warnings()):
+            warnings.simplefilter("always", DataWarning)  # every caption's, not the first only
+            warnings.showwarning = _show_warning
             try:
                 return _COMMANDS[args.command](args)
             except FloatingPointError as e:

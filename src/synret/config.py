@@ -93,7 +93,7 @@ def config_from_dict(data: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise UsageError(f"cannot read config {path}: {e}") from None
     if not isinstance(data, dict):
         raise UsageError(f"{path}: config must be a JSON object")

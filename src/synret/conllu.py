@@ -5,7 +5,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, DataWarning
 
 NOUN_TAGS = frozenset({"NOUN", "PROPN", "PRON"})
 VERB_TAG = "VERB"
@@ -25,7 +25,7 @@ def parse_conllu(text: str | bytes) -> list[ParsedToken]:
     """Parse the first sentence of a CoNLL-U document.
 
     Multiword ranges ("3-4") and empty nodes ("5.1") are skipped. A second
-    sentence triggers a warning and is ignored.
+    sentence triggers a `DataWarning` and is ignored.
     """
     if isinstance(text, bytes):
         try:
@@ -62,7 +62,8 @@ def parse_conllu(text: str | bytes) -> list[ParsedToken]:
     if not tokens:
         raise DataError("conllu: no sentence found")
     if extra_sentences:
-        warnings.warn("conllu input has multiple sentences; only the first is used", stacklevel=2)
+        warnings.warn("conllu input has multiple sentences; only the first is used",
+                      DataWarning, stacklevel=2)
     _validate(tokens)
     return tokens
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .conllu import parse_conllu
-from .errors import DataError
-from .hierarchy import HierarchyIndex, SyntaxHierarchy, build_hierarchy, index_hierarchy
+from .errors import DataError, DataWarning
+from .hierarchy import HierarchyIndex, build_hierarchy, index_hierarchy
 from .tensor_store import (
     PairRecord, gen_fixture, read_manifest, read_tensor, read_tensor_shape, resolve,
 )
@@ -23,16 +24,11 @@ class FeatureBundle:
     """Everything needed to evaluate one caption against one video."""
 
     pair_id: str
-    hierarchy: SyntaxHierarchy
     index: HierarchyIndex
     text: np.ndarray     # (N_t+1, d) float64, row 0 = caption CLS
     frames: np.ndarray   # (N_v, d) float64
     patches: np.ndarray  # (N_v, N_p, d) float32 as stored; readers widen what
                          # they read (a frame, the picked rows) to float64
-
-    @property
-    def n_tokens(self) -> int:
-        return self.text.shape[0] - 1
 
     @property
     def d(self) -> int:
@@ -69,11 +65,17 @@ def load_bundle(record: PairRecord, manifest_path,
     payload (see `read_tensor`)."""
     conllu_path = resolve(manifest_path, record.text_conllu_path)
     try:
-        raw = Path(conllu_path).read_text(encoding="utf-8")
+        raw = Path(conllu_path).read_bytes()
     except OSError as e:
         raise DataError(f"{record.pair_id}: cannot read {conllu_path}: {e}") from None
-    tokens = parse_conllu(raw)
-    hierarchy = build_hierarchy(tokens)
+    try:  # a caption's error or warning names the pair and the file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DataWarning)
+            tokens = parse_conllu(raw)
+    except DataError as e:
+        raise DataError(f"{record.pair_id}: {conllu_path}: {e}") from None
+    for w in caught:
+        warnings.warn(f"{record.pair_id}: {conllu_path}: {w.message}", DataWarning, stacklevel=2)
 
     text = read_tensor(resolve(manifest_path, record.text_features_path)).astype(np.float64)
     frames = read_tensor(resolve(manifest_path, record.frame_cls_path)).astype(np.float64)
@@ -103,8 +105,7 @@ def load_bundle(record: PairRecord, manifest_path,
         )
     return FeatureBundle(
         pair_id=record.pair_id,
-        hierarchy=hierarchy,
-        index=index_hierarchy(hierarchy),
+        index=index_hierarchy(build_hierarchy(tokens)),
         text=text,
         frames=frames,
         patches=patches,

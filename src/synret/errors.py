@@ -1,5 +1,6 @@
 """Exception hierarchy shared by the library and the CLI exit-code mapping:
-the CLI prints `synret: <label>: <message>` and exits with `exit_code`."""
+the CLI prints `synret: <label>: <message>` and exits with `exit_code`. A
+`DataWarning` does not stop the command."""
 
 
 class SynretError(Exception):
@@ -20,3 +21,8 @@ class DataError(SynretError):
 class NumericalError(SynretError):
     """Non-finite values encountered where finite math is required."""
     label, exit_code = "numerical error", 3
+
+
+class DataWarning(UserWarning):
+    """Input that loads, but not all of it is used; the CLI prints each one
+    as a `synret: warning: <message>` line and carries on."""

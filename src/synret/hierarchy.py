@@ -29,10 +29,6 @@ class SyntaxHierarchy:
     layers: list[list[Node]]  # exactly 4 lists
     exist_node_used: bool
 
-    @property
-    def whole(self) -> Node:
-        return self.layers[0][0]
-
 
 def _walk_heads(start: ParsedToken, by_index: dict[int, ParsedToken]):
     """Yield the ancestors of a token along head links, stopping at the root.
@@ -209,11 +205,9 @@ def hierarchy_to_json(h: SyntaxHierarchy) -> str:
 
 
 def hierarchy_from_json(text: str | bytes) -> SyntaxHierarchy:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    try:  # ValueError covers bytes that are not UTF-8 as well as bad JSON
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as e:
         raise DataError(f"hierarchy json: {e}") from None
     try:
         layers = [

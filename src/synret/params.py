@@ -231,7 +231,7 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
     meta_path = ckpt / "meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"cannot read checkpoint metadata {meta_path}: {e}") from None
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: checkpoint metadata must be a JSON object")

@@ -107,16 +107,6 @@ def enhance_entities_backward(f3p_bar: np.ndarray, cache: EnhanceCache,
 
 
 @dataclass
-class Caption:
-    """One caption's node features, as views into a TextCache."""
-    index: HierarchyIndex
-    e1: np.ndarray   # (d,)
-    e2: np.ndarray   # (n2, d)
-    e3: np.ndarray   # (n3, d)
-    m2: np.ndarray   # (n2, d)
-
-
-@dataclass
 class TextCache:
     """Node features and weights of a batch of captions. Action and entity
     rows of all captions are stacked in caption order; owner2/owner3 give the
@@ -157,12 +147,6 @@ class TextCache:
             sim3=sim3, w3=segment_softmax(sim2[parent3] + sim3, owner3, n_t),
         )
 
-    def caption(self, i: int) -> Caption:
-        s2 = slice(self.first2[i], self.first2[i + 1])
-        s3 = slice(self.first3[i], self.first3[i + 1])
-        return Caption(index=self.indexes[i], e1=self.e1[i], e2=self.e2[s2], e3=self.e3[s3],
-                       m2=self.m2[s2])
-
     @classmethod
     def concat(cls, parts: list["TextCache"]) -> "TextCache":
         """Consecutive batches as one."""
@@ -174,9 +158,11 @@ class TextCache:
 
     def single(self, i: int) -> "TextCache":
         """Caption i alone, as a stack of one whose rows are views into this
-        one's."""
-        cap = self.caption(i)
-        return TextCache.stack([cap.index], cap.e1[None], cap.e2, cap.e3, cap.m2)
+        one's: the one form in which a caption is taken on its own."""
+        s2 = slice(self.first2[i], self.first2[i + 1])
+        s3 = slice(self.first3[i], self.first3[i + 1])
+        return TextCache.stack([self.indexes[i]], self.e1[i:i + 1], self.e2[s2], self.e3[s3],
+                               self.m2[s2])
 
 
 @dataclass

@@ -5,6 +5,9 @@ One caption against one video, written as directly as the method reads:
 action node pick its top frames with `top_k_indices` and average them, and
 lets each entity node pick top patches inside its parent action's frames;
 `score_pair` then weights the node scores per layer with `caption_weights`.
+The caption comes as a one-caption `pipeline.TextCache` (`TextCache.single`),
+of which the oracle reads the node features `e1[0]`, `e2`, `e3`, `m2` and
+the tree `indexes[0]`, never the stack's weights.
 Production code computes the same quantities for every caption at once,
 the weights in `pipeline.TextCache.stack` and the rest in
 `scoring.score_videos`, and the tests, `selfcheck`'s checks and the
@@ -21,7 +24,7 @@ import numpy as np
 from .blocks import AttendCache, dot_softmax_attend, softmax
 from .config import RunConfig
 from .errors import DataError
-from .pipeline import Caption, Video
+from .pipeline import TextCache, Video
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -103,12 +106,13 @@ def fuse_entities(e3: np.ndarray, patches: np.ndarray, parent3: list[int],
     return psi3, ev3_frames, ev3
 
 
-def pair_forward(cap: Caption, vid: Video, cfg: RunConfig) -> PairFeatures:
-    """One caption against one video."""
-    alpha_cls, ev1, attend_cache = fuse_global(cap.e1, vid.frames)
-    psi2, ev2 = fuse_actions(cap.e2, vid.g, cfg.lambda_frame)
+def pair_forward(tc: TextCache, vid: Video, cfg: RunConfig) -> PairFeatures:
+    """One caption, a stack of one, against one video."""
+    (index,) = tc.indexes
+    alpha_cls, ev1, attend_cache = fuse_global(tc.e1[0], vid.frames)
+    psi2, ev2 = fuse_actions(tc.e2, vid.g, cfg.lambda_frame)
     psi3, ev3_frames, ev3 = fuse_entities(
-        cap.e3, vid.patches, cap.index.parent3, psi2, cfg.lambda_patch,
+        tc.e3, vid.patches, index.parent3, psi2, cfg.lambda_patch,
         cfg.literal_patch_norm,
     )
     return PairFeatures(
@@ -148,9 +152,10 @@ def layer3_weights(m2: np.ndarray, e3: np.ndarray, parent3: list[int],
     return sim3, softmax(sim2[parents] + sim3)
 
 
-def caption_weights(cap: Caption) -> WeightCache:
-    sim2, w2 = layer2_weights(cap.e1, cap.m2)
-    sim3, w3 = layer3_weights(cap.m2, cap.e3, cap.index.parent3, sim2)
+def caption_weights(tc: TextCache) -> WeightCache:
+    (index,) = tc.indexes
+    sim2, w2 = layer2_weights(tc.e1[0], tc.m2)
+    sim3, w3 = layer3_weights(tc.m2, tc.e3, index.parent3, sim2)
     return WeightCache(sim2=sim2, w2=w2, sim3=sim3, w3=w3)
 
 
@@ -168,10 +173,10 @@ class ScoreBreakdown:
     final: float
 
 
-def node_scores(cap: Caption, pf: PairFeatures):
-    score1 = float(cap.e1 @ pf.ev1)
-    score2 = (cap.e2 * pf.ev2).sum(axis=1)
-    score3 = (cap.e3 * pf.ev3).sum(axis=1)
+def node_scores(tc: TextCache, pf: PairFeatures):
+    score1 = float(tc.e1[0] @ pf.ev1)
+    score2 = (tc.e2 * pf.ev2).sum(axis=1)
+    score3 = (tc.e3 * pf.ev3).sum(axis=1)
     return score1, score2, score3
 
 
@@ -185,6 +190,6 @@ def final_score(score1: float, score2: np.ndarray, score3: np.ndarray,
                           layer_scores=(s1, s2, s3), final=final)
 
 
-def score_pair(cap: Caption, wc: WeightCache, pf: PairFeatures) -> ScoreBreakdown:
-    s1, s2, s3 = node_scores(cap, pf)
+def score_pair(tc: TextCache, wc: WeightCache, pf: PairFeatures) -> ScoreBreakdown:
+    s1, s2, s3 = node_scores(tc, pf)
     return final_score(s1, s2, s3, wc)

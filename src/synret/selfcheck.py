@@ -181,15 +181,14 @@ def _check_score_kernel() -> str:
         got = score_matrix(captions, bundles, params, cfg)
         for i, bt in enumerate(captions):
             tc = text_forward([bt], params)[0]
-            cap = tc.caption(0)
-            wc = caption_weights(cap)  # the oracle's own weights
+            wc = caption_weights(tc)  # the oracle's own weights
             for j, vid in enumerate(vids):
-                pf = pair_forward(cap, vid, cfg)  # per-pair path
+                pf = pair_forward(tc, vid, cfg)  # per-pair path
                 fp = fuse_pair(tc, vid, cfg)
                 if (fp.frames.tolist() != [sel.tolist() for sel in pf.psi2] or fp.patches.tolist()
                         != [[sel.tolist() for sel in per] for per in pf.psi3]):
                     raise SynretError(f"fuse_pair picks differ from the per-pair path at ({i}, {j})")
-                worst = max(worst, abs(got[i, j] - score_pair(cap, wc, pf).final),
+                worst = max(worst, abs(got[i, j] - score_pair(tc, wc, pf).final),
                             *(np.abs(a - b).max(initial=0.0) for a, b in
                               [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]))
     if worst > 1e-10:

@@ -161,7 +161,7 @@ def write_manifest(records: list[PairRecord], path) -> None:
 def read_manifest(path) -> list[PairRecord]:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from None
     if not isinstance(data, list):
         raise DataError(f"{path}: manifest must be a JSON array")

@@ -51,13 +51,12 @@ def _batch_forward(bundles: list[FeatureBundle], params: ModelParams, cfg: RunCo
     videos."""
     tc, text_tape = text_forward(bundles, params)
     videos, video_tape = video_forward(bundles, params)
-    cols = score_videos(tc, videos, cfg)
-    return tc, text_tape, videos, video_tape, cols, cols.scores
+    return tc, text_tape, videos, video_tape, score_videos(tc, videos, cfg)
 
 
 def batch_loss(bundles: list[FeatureBundle], params: ModelParams,
                cfg: RunConfig) -> float:
-    loss, _ = symmetric_ce_loss(_batch_forward(bundles, params, cfg)[-1], cfg.tau)
+    loss, _ = symmetric_ce_loss(_batch_forward(bundles, params, cfg)[-1].scores, cfg.tau)
     return loss
 
 
@@ -71,15 +70,15 @@ def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
     temporal layer then run their backward once each over the whole batch.
     Every sum runs in a fixed order, so gradients are bit-reproducible.
     """
-    tc, text_tape, videos, video_tape, cols, scores = _batch_forward(bundles, params, cfg)
-    loss, ds = symmetric_ce_loss(scores, cfg.tau)
+    tc, text_tape, videos, video_tape, cols = _batch_forward(bundles, params, cfg)
+    loss, ds = symmetric_ce_loss(cols.scores, cfg.tau)
 
     grads = zeros_like(params)
     tg = TextGrad.zeros(tc)
     g_bar = score_videos_backward(ds, tc, videos, cols, cfg, tg)
     text_backward(tg, tc, text_tape, params, grads)
     video_backward(g_bar, video_tape, params, grads)
-    return loss, grads, scores
+    return loss, grads, cols.scores
 
 
 def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
@@ -89,7 +88,7 @@ def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
     Finite-difference checks need this to be comfortably larger than the
     probe step so no selection flips during perturbation.
     """
-    return float(_batch_forward(bundles, params, cfg)[4].margin.min())
+    return float(_batch_forward(bundles, params, cfg)[-1].margin.min())
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,16 @@ def small_setup():
 
 def encode_pair(bt, bv, params):
     """One caption and one video through the batch encoders, in the form the
-    per-pair reference path (`pair_forward` + `score_pair`) takes them, with
-    the caption's weights from the reference path's own `caption_weights`."""
-    cap = text_forward([bt], params)[0].caption(0)
-    return cap, caption_weights(cap), video_forward([bv], params)[0][0]
+    per-pair reference path (`pair_forward` + `score_pair`) takes them: the
+    caption as a stack of one, with its weights from the reference path's
+    own `caption_weights`."""
+    tc = text_forward([bt], params)[0]
+    return tc, caption_weights(tc), video_forward([bv], params)[0][0]
 
 
 def reference_score(bt, bv, params, cfg) -> float:
-    cap, wc, vid = encode_pair(bt, bv, params)
-    return score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
+    tc, wc, vid = encode_pair(bt, bv, params)
+    return score_pair(tc, wc, pair_forward(tc, vid, cfg)).final
 
 
 def per_pair_selection_margin(bundles, params, cfg) -> float:
@@ -96,21 +97,22 @@ def per_pair_selection_margin(bundles, params, cfg) -> float:
     want = np.inf
     for bt in bundles:
         for bv in bundles:
-            cap, _, vc = encode_pair(bt, bv, params)
-            pf = pair_forward(cap, vc, cfg)  # per-pair path
-            for row in cap.e2 @ vc.g.T:
+            tc, _, vc = encode_pair(bt, bv, params)
+            pf = pair_forward(tc, vc, cfg)  # per-pair path
+            for row in tc.e2 @ vc.g.T:
                 want = min(want, kth_gap(row, cfg.lambda_frame))
-            for ei in range(cap.index.n_entities):
-                for fj in pf.psi2[cap.index.parent3[ei]]:
-                    want = min(want, kth_gap(vc.patches[fj] @ cap.e3[ei], cfg.lambda_patch))
+            for ei, parent in enumerate(tc.indexes[0].parent3):
+                for fj in pf.psi2[parent]:
+                    want = min(want, kth_gap(vc.patches[fj] @ tc.e3[ei], cfg.lambda_patch))
     return want
 
 
 def tie_fixture():
     """Small integer features that make every node score exact in every
     path. Frames 0 and 2 tie while holding different patches, so a tie broken
-    the other way changes the entity scores. Returns (video, captions,
-    stack), where `stack` is the TextCache of both captions."""
+    the other way changes the entity scores. Returns (video, stack), where
+    `stack` is the TextCache of both captions; `stack.single(i)` is caption
+    i alone."""
     g = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
     patches = np.array([
         [[0.0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -119,17 +121,11 @@ def tie_fixture():
     ])
     vid = SimpleNamespace(frames=g, g=g, patches=patches)
     e2 = np.array([[2.0, 1, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0]])
-    caps = [
-        SimpleNamespace(e1=np.array([1.0, 0, 0, 0]), e2=e2, m2=e2,
-                        e3=np.array([[0.0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
-                        index=SimpleNamespace(parent3=[0, 1, 2], n_actions=3, n_entities=3)),
-        SimpleNamespace(e1=np.array([0.0, 1, 0, 0]), e2=e2[2:], m2=e2[2:],
-                        e3=np.zeros((0, 4)),
-                        index=SimpleNamespace(parent3=[], n_actions=1, n_entities=0)),
-    ]
+    e2 = np.concatenate([e2, e2[2:]])  # caption 0 has actions 0-2, caption 1 action 3
     stack = TextCache.stack(
-        [c.index for c in caps], np.stack([c.e1 for c in caps]),
-        np.concatenate([c.e2 for c in caps]), np.concatenate([c.e3 for c in caps]),
-        np.concatenate([c.m2 for c in caps]),
+        [SimpleNamespace(parent3=[0, 1, 2], n_actions=3, n_entities=3),
+         SimpleNamespace(parent3=[], n_actions=1, n_entities=0)],
+        np.array([[1.0, 0, 0, 0], [0, 1, 0, 0]]), e2,
+        np.array([[0.0, 0, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]), e2,
     )
-    return vid, caps, stack
+    return vid, stack

@@ -210,29 +210,28 @@ def test_criterion_03_formula_oracles(small_setup):
     combos = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 0)]
     for ti, vi in combos:
         tc, tape = text_forward([bundles[ti]], params)
-        cap = tc.caption(0)
         vc = video_forward([bundles[vi]], params)[0][0]
-        pf = pair_forward(cap, vc, cfg)
-        bd = score_pair(cap, tc, pf)
+        pf = pair_forward(tc, vc, cfg)
+        bd = score_pair(tc, tc, pf)
         o = _oracle_pair(bundles[ti], bundles[vi], params, cfg)
 
-        if cap.index.n_entities:
+        if tc.indexes[0].n_entities:
             check(tape.e3p, np.stack(o["e3p"]))    # entity enhancement
             check(tape.f3p, np.stack(o["f3p"]))
-            check(cap.e3, np.stack(o["e3"]))
-        check(cap.e1, o["e1"])
-        check(cap.e2, np.stack(o["e2"]))
-        check(cap.m2, np.stack(o["m2"]))
+            check(tc.e3, np.stack(o["e3"]))
+        check(tc.e1[0], o["e1"])
+        check(tc.e2, np.stack(o["e2"]))
+        check(tc.m2, np.stack(o["m2"]))
         check(pf.alpha_cls, o["alpha_cls"])         # global fusion
         check(pf.ev1, o["ev1"])
         check(vc.g, o["g"])                         # temporal encoding
         assert [list(s) for s in pf.psi2] == o["psi2"]  # frame selection
         check(pf.ev2, np.stack(o["ev2"]))
-        if cap.index.n_entities:
+        if tc.indexes[0].n_entities:
             check(pf.ev3, np.stack(o["ev3"]))       # patch selection
         check(tc.sim2, o["sim2"])                   # action weights
         check(tc.w2, o["w2"])
-        if cap.index.n_entities:
+        if tc.indexes[0].n_entities:
             check(tc.sim3, o["sim3"])               # entity weights
             check(tc.w3, o["w3"])
         check(bd.layer_scores, o["layers"])         # layer aggregation
@@ -326,12 +325,11 @@ def test_criterion_06_weight_normalization(small_setup, golden_dir):
 
 def _bundle_from_conllu(path, seed, d, n_frames=4, n_patches=9):
     tokens = parse_conllu(path.read_text())
-    h = build_hierarchy(tokens)
     rng = SplitMix64(seed)
     unit = lambda shape: (lambda x: x / np.linalg.norm(x, axis=-1, keepdims=True))(
         rng.uniform_sym(shape))
     return FeatureBundle(
-        pair_id=path.stem, hierarchy=h, index=index_hierarchy(h),
+        pair_id=path.stem, index=index_hierarchy(build_hierarchy(tokens)),
         text=unit((len(tokens) + 1, d)), frames=unit((n_frames, d)),
         patches=unit((n_frames, n_patches, d)),
     )
@@ -349,8 +347,8 @@ def test_criterion_07_final_score_identity(small_setup, golden_dir):
     for bt in texts:
         tc = text_forward([bt], params)[0]
         for bv in videos:
-            pf = pair_forward(tc.caption(0), video_forward([bv], params)[0][0], cfg)
-            bd = score_pair(tc.caption(0), tc, pf)
+            pf = pair_forward(tc, video_forward([bv], params)[0][0], cfg)
+            bd = score_pair(tc, tc, pf)
             s1, s2, s3 = bd.layer_scores
             assert bd.final == (s1 + s2 + s3) / 3.0  # bitwise
             count += 1
@@ -358,8 +356,8 @@ def test_criterion_07_final_score_identity(small_setup, golden_dir):
     # caption without entities: declared policy keeps the divisor at 3
     nouns_free = _bundle_from_conllu(golden_dir / "punct_only.conllu", seed=71, d=8)
     tc = text_forward([nouns_free], params)[0]
-    pf = pair_forward(tc.caption(0), video_forward([videos[0]], params)[0][0], cfg)
-    bd = score_pair(tc.caption(0), tc, pf)
+    pf = pair_forward(tc, video_forward([videos[0]], params)[0][0], cfg)
+    bd = score_pair(tc, tc, pf)
     s1, s2, s3 = bd.layer_scores
     assert s3 == 0.0
     assert bd.final == (s1 + s2) / 3.0

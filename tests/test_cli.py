@@ -499,6 +499,66 @@ def test_checkpoint_missing_tensor_is_data_error(fixture_dir, checkpoint, tmp_pa
     assert "mlp1.w1.shet" in err
 
 
+@pytest.mark.parametrize("target,code,start", [
+    ("build-hierarchy", 2, "synret: data error: conllu: not UTF-8 ("),
+    ("config", 1, "synret: usage error: cannot read config "),
+    ("manifest", 2, "synret: data error: cannot read manifest "),
+    ("caption", 2, "synret: data error: pair0001: {fx}/pair0001.conllu: conllu: not UTF-8 ("),
+    ("meta.json", 2, "synret: data error: cannot read checkpoint metadata "),
+])
+def test_input_not_utf8_is_one_line(fixture_dir, checkpoint, tmp_path, capsys, target, code,
+                                    start):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    manifest, report = fixture_dir / "manifest.json", tmp_path / "r.json"
+    argv = ["eval", "--manifest", str(manifest), "--params", str(checkpoint),
+            "--report", str(report)]
+    if target == "build-hierarchy":
+        argv = ["build-hierarchy", str(bad)]
+    elif target == "config":
+        argv += ["--config", str(bad)]
+    else:
+        path = {"manifest": manifest, "caption": fixture_dir / "pair0001.conllu",
+                "meta.json": checkpoint / "meta.json"}[target]
+        path.write_bytes(bad.read_bytes())
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start.format(fx=fixture_dir)) and len(err.splitlines()) == 1, err
+    assert not report.exists()
+
+
+def test_malformed_caption_error_names_pair_and_file(fixture_dir, checkpoint, tmp_path, capsys):
+    caption = fixture_dir / "pair0001.conllu"
+    caption.write_text("1\tdog\n")
+    capsys.readouterr()
+    assert main(["eval", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--params", str(checkpoint), "--report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"synret: data error: pair0001: {caption}: "
+        "conllu line 1: expected 10 tab-separated fields, got 2\n")
+
+
+def test_second_sentence_is_one_warning_line_per_caption(fixture_dir, checkpoint, tmp_path,
+                                                         capsys):
+    """The extra sentence is ignored, so the report is unchanged; each caption
+    with one says so in one line, on every run in the process."""
+    argv = ["eval", "--manifest", str(fixture_dir / "manifest.json"),
+            "--params", str(checkpoint), "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    want = (tmp_path / "r.json").read_bytes()
+    captions = [fixture_dir / "pair0000.conllu", fixture_dir / "pair0002.conllu"]
+    for caption in captions:
+        caption.write_text(caption.read_text() + "\n" + caption.read_text())
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "".join(
+            f"synret: warning: {c.stem}: {c}: conllu input has multiple sentences; "
+            "only the first is used\n" for c in captions)
+        assert (tmp_path / "r.json").read_bytes() == want
+
+
 @pytest.mark.parametrize("command", ["eval", "score", "fuse"])
 def test_unwritable_output_is_usage_error(fixture_dir, checkpoint, config_path, tmp_path,
                                           capsys, command):
@@ -590,9 +650,9 @@ def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
     assert sorted(index) == [b.pair_id for b in bundles]
     for b in bundles:
         tc, tape = text_forward([b], params)
-        cap, vid = tc.caption(0), video_forward([b], params)[0][0]
-        pf = pair_forward(cap, vid, run)
-        want = {"e1": cap.e1, "e2": cap.e2, "e3": cap.e3, "e3p": tape.e3p, "f3p": tape.f3p,
+        vid = video_forward([b], params)[0][0]
+        pf = pair_forward(tc, vid, run)
+        want = {"e1": tc.e1[0], "e2": tc.e2, "e3": tc.e3, "e3p": tape.e3p, "f3p": tape.f3p,
                 "ev1": pf.ev1, "g": vid.g, "ev2": pf.ev2, "ev3": pf.ev3}
         entry = index[b.pair_id]
         assert sorted(entry["tensors"]) == sorted(want)

@@ -19,7 +19,7 @@ def test_load_bundles_shapes(fixture):
     bundles = load_bundles(manifest)
     assert len(bundles) == 2
     b = bundles[0]
-    assert b.text.shape == (6, 8) and b.n_tokens == 5
+    assert b.text.shape == (6, 8)  # a CLS row and 5 token rows
     assert b.frames.shape == (3, 8)
     assert b.patches.shape == (3, 4, 8)
     assert b.text.dtype == np.float64

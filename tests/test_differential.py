@@ -61,9 +61,8 @@ def galleries(draw):
         conllu = draw(conllu_trees())
         n_tokens = len(parse_conllu(conllu))
         n_v, n_p = draw(st.integers(1, MAX_FRAMES)), draw(st.integers(1, MAX_PATCHES))
-        h = build_hierarchy(parse_conllu(conllu))
         bundles.append(FeatureBundle(
-            pair_id=f"pair{k}", hierarchy=h, index=index_hierarchy(h),
+            pair_id=f"pair{k}", index=index_hierarchy(build_hierarchy(parse_conllu(conllu))),
             text=rng.standard_normal((n_tokens + 1, D)), frames=rng.standard_normal((n_v, D)),
             patches=rng.standard_normal((n_v, n_p, D)).astype(np.float32)))
     params = init_params(draw(st.integers(0, 1000)), D, max_frames=MAX_FRAMES)
@@ -82,12 +81,12 @@ def test_kernel_and_fuse_match_the_per_pair_oracle(gallery):
     tc = text_forward(bundles, params)[0]  # one chunk, as score_matrix and fuse encode it
     videos = video_forward(bundles, params)[0]
     for i in range(len(bundles)):
-        cap = tc.caption(i)
-        wc = caption_weights(cap)
+        one = tc.single(i)
+        wc = caption_weights(one)
         for j, vid in enumerate(videos):
-            pf = pair_forward(cap, vid, cfg)
-            assert abs(s[i, j] - score_pair(cap, wc, pf).final) <= 1e-10, (i, j)
-            fp = fuse_pair(tc.single(i), vid, cfg)
+            pf = pair_forward(one, vid, cfg)
+            assert abs(s[i, j] - score_pair(one, wc, pf).final) <= 1e-10, (i, j)
+            fp = fuse_pair(one, vid, cfg)
             assert fp.frames.tolist() == [sel.tolist() for sel in pf.psi2]
             assert fp.patches.tolist() == [[sel.tolist() for sel in per] for per in pf.psi3]
             for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
@@ -100,13 +99,13 @@ def test_training_selects_as_fuse_and_the_per_pair_oracle(gallery):
     """Each caption's rows of a training step's columns hold the frames and
     patches that `fuse_pair` and `pair_forward` pick for that caption."""
     bundles, params, cfg = gallery
-    tc, _, videos, _, cols, _ = _batch_forward(bundles, params, cfg)
+    tc, _, videos, _, cols = _batch_forward(bundles, params, cfg)
     for vid, col in zip(videos, cols):
         for i in range(len(bundles)):
             frames = col.frames[tc.first2[i]:tc.first2[i + 1]].tolist()
             patches = col.patches[tc.first3[i]:tc.first3[i + 1]].tolist()
-            fp = fuse_pair(tc.single(i), vid, cfg)
-            pf = pair_forward(tc.caption(i), vid, cfg)
+            one = tc.single(i)
+            fp, pf = fuse_pair(one, vid, cfg), pair_forward(one, vid, cfg)
             assert frames == fp.frames.tolist() == [sel.tolist() for sel in pf.psi2], i
             assert patches == fp.patches.tolist() == \
                 [[sel.tolist() for sel in per] for per in pf.psi3], i

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from synret.config import config_from_dict
+from synret.config import config_from_dict, load_config
 from synret.conllu import parse_conllu
 from synret.errors import SynretError
 from synret.hierarchy import build_hierarchy
@@ -35,6 +35,14 @@ def value_or_synret_error(fn, *args):
         return fn(*args)
     except SynretError:
         return None
+
+
+def write_json_or_bytes(path, data):
+    """`data` as JSON, or as the file's raw bytes (which need not be UTF-8)."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data), encoding="utf-8")
 
 
 # a well-formed header body (version 1, f32, ndim) followed by arbitrary dims
@@ -87,10 +95,11 @@ _record = st.fixed_dictionaries({}, optional={
 
 
 @FUZZ
-@given(data=_json | st.lists(_record | _json, max_size=4))
+@given(data=_json | st.lists(_record | _json, max_size=4) | st.binary(max_size=32))
+@example(data=b"\xff\xfe")  # not UTF-8: raised UnicodeDecodeError
 def test_read_manifest_fuzz(tmp_path, data):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    write_json_or_bytes(path, data)
     value_or_synret_error(read_manifest, path)
 
 
@@ -121,6 +130,16 @@ def test_config_from_dict_fuzz(data):
     value_or_synret_error(config_from_dict, data)
 
 
+@FUZZ
+@given(data=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _config_value, max_size=3)
+       | st.binary(max_size=32))
+@example(data=b"\xff\xfe")  # not UTF-8: raised UnicodeDecodeError
+def test_load_config_fuzz(tmp_path, data):
+    path = tmp_path / "config.json"
+    write_json_or_bytes(path, data)
+    value_or_synret_error(load_config, path)
+
+
 @pytest.fixture(scope="module")
 def checkpoint_dir(tmp_path_factory):
     """A d=8 checkpoint and its metadata as written."""
@@ -132,7 +151,8 @@ def checkpoint_dir(tmp_path_factory):
 @FUZZ
 @given(data=_json | st.dictionaries(
     st.sampled_from(["format_version", "d", "heads", "max_frames", "tau", "tensors"]),
-    _config_value, max_size=4))
+    _config_value, max_size=4) | st.binary(max_size=32))
+@example(data=b"\xff\xfe")          # not UTF-8: raised UnicodeDecodeError
 @example(data=[1])                   # raised AttributeError
 @example(data={"d": [16]})           # raised TypeError
 @example(data={"d": -4})             # raised ValueError from np.zeros
@@ -144,5 +164,5 @@ def test_load_checkpoint_fuzz(checkpoint_dir, data):
     ckpt, meta = checkpoint_dir
     if isinstance(data, dict) and set(data) <= set(meta):
         data = {**meta, **data}
-    (ckpt / "meta.json").write_text(json.dumps(data), encoding="utf-8")
+    write_json_or_bytes(ckpt / "meta.json", data)
     value_or_synret_error(load_checkpoint, ckpt)

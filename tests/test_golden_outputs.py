@@ -1,0 +1,98 @@
+"""Output bytes pinned: SHA-256 digests of every file two CLI runs write.
+
+The runs are the README walkthrough at desk scale (fixture seed 1: train,
+eval, score --dsl, fuse) and a small run at reference frame and patch counts
+(d=64, 12 frames, 49 patches: train for 3 steps, eval, fuse), plus the
+`--dump-config` output. The digests depend on the numpy and BLAS builds,
+which `tests/golden/outputs.json` records.
+
+A change that moves output bytes on purpose regenerates the file, with a
+CHANGES.md line saying why:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+from synret.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
+
+RUNS = {
+    "desk": (["--seed", "1", "--pairs", "8", "--tokens", "6", "--frames", "4",
+              "--patches", "9", "--dim", "16"],
+             {"d": 16, "max_frames": 4, "seed": 1, "batch_size": 8,
+              "steps": 500, "lr": 1e-3, "stop_loss": 0.01}),
+    "ref64": (["--seed", "1", "--pairs", "8", "--tokens", "12", "--frames", "12",
+               "--patches", "49", "--dim", "64"],
+              {"d": 64, "max_frames": 12, "seed": 1, "batch_size": 8,
+               "steps": 3, "lr": 1e-3}),
+}
+
+
+def build_info() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy older than 1.25 has no dict form
+        blas_name = "unknown"
+    return {"numpy": np.__version__, "blas": blas_name}
+
+
+def _run(root: Path, name: str, fixture_args: list, cfg: dict) -> None:
+    run = root / name
+    fx, ckpt, cfg_path = run / "fx", run / "ckpt", run / "train.json"
+    common = ["--manifest", str(fx / "manifest.json"), "--config", str(cfg_path)]
+    steps = [
+        ["gen-fixtures", *fixture_args, "--out", str(fx)],
+        ["train", *common, "--out", str(ckpt)],
+        ["eval", *common, "--params", str(ckpt), "--report", str(run / "report.json")],
+        ["fuse", *common, "--params", str(ckpt), "--out", str(run / "feats")],
+    ]
+    if name == "desk":
+        steps.append(["score", *common, "--params", str(ckpt), "--dsl",
+                      "--out", str(run / "scores.shet")])
+    run.mkdir()
+    cfg_path.write_text(json.dumps(cfg))
+    for argv in steps:
+        assert main(argv) == 0, argv
+
+
+def output_digests(root: Path) -> dict:
+    """{relative path: sha256} of every output the runs write under `root`."""
+    with redirect_stdout(io.StringIO()):
+        for name, (fixture_args, cfg) in RUNS.items():
+            _run(root, name, fixture_args, cfg)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["--dump-config"]) == 0
+    digests = {"dump-config": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    for p in sorted(root.rglob("*")):
+        if p.is_file() and p.name != "train.json":
+            digests[p.relative_to(root).as_posix()] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return digests
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    golden, here = json.loads(GOLDEN.read_text()), build_info()
+    got = output_digests(tmp_path)
+    differ = [k for k in sorted(golden["digests"].keys() | got.keys())
+              if golden["digests"].get(k) != got.get(k)]
+    assert not differ, (
+        f"{len(differ)} output digests differ from {GOLDEN.name}, first {differ[0]}; "
+        f"recorded with numpy {golden['numpy']} and BLAS {golden['blas']}, "
+        f"running numpy {here['numpy']} and BLAS {here['blas']}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {**build_info(), "digests": output_digests(Path(tmp))}
+    GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(doc['digests'])} digests to {GOLDEN}", file=sys.stderr)

@@ -196,9 +196,9 @@ def test_text_backward_through_adjective_attention():
     no gradient, so the end-to-end fixtures above leave this path unchecked."""
     d = 8
     rng = SplitMix64(406)
-    h = build_hierarchy(parse_conllu(_TWO_ADJ_ENTITIES))
-    assert max(len(kids) for kids in index_hierarchy(h).adj_children) == 2
-    b = FeatureBundle(pair_id="pair0", hierarchy=h, index=index_hierarchy(h),
+    index = index_hierarchy(build_hierarchy(parse_conllu(_TWO_ADJ_ENTITIES)))
+    assert max(len(kids) for kids in index.adj_children) == 2
+    b = FeatureBundle(pair_id="pair0", index=index,
                       text=rng.uniform_sym((7, d)), frames=rng.uniform_sym((1, d)),
                       patches=rng.uniform_sym((1, 1, d)))
     params = init_params(407, d, max_frames=1)
@@ -226,38 +226,40 @@ def test_text_backward_through_adjective_attention():
 # ---------------------------------------------------------------------------
 
 
-def pair_backward_reference(lbar, cap, wc, pf, bd, bar, g_bar):
+def pair_backward_reference(lbar, tc, wc, pf, bd, bar, g_bar):
     """Backward of lbar * (s1 + s2 + s3) for one (caption, video) cell into
     the caption's node gradients `bar` (e1, e2, e3, m2) and the video's
-    g_bar, from the per-pair path's pooled features and selections."""
+    g_bar, from the per-pair path's pooled features and selections; `tc` is
+    the caption as a stack of one."""
+    e1 = tc.e1[0]
     # layer 1: e1 . ev1, where ev1 pools the frames by e1-attention
-    qbar, _, _ = dot_softmax_attend_backward(lbar * cap.e1, pf.attend_cache)
+    qbar, _, _ = dot_softmax_attend_backward(lbar * e1, pf.attend_cache)
     bar.e1 += lbar * pf.ev1 + qbar
     # layer 2: w2 . (e2 . ev2), where ev2 is the mean of the picked g rows
     bar.e2 += (lbar * wc.w2)[:, None] * pf.ev2
     for i, sel in enumerate(pf.psi2):
-        g_bar[sel] += lbar * wc.w2[i] * cap.e2[i] / len(sel)
+        g_bar[sel] += lbar * wc.w2[i] * tc.e2[i] / len(sel)
     sim2_bar = softmax_vjp(wc.w2, lbar * bd.score2)
     # layer 3: w3 . (e3 . ev3); the pooled patch rows are frozen
     if bd.score3.size:
         bar.e3 += (lbar * wc.w3)[:, None] * pf.ev3
         z_bar = softmax_vjp(wc.w3, lbar * bd.score3)
-        parents = np.asarray(cap.index.parent3)
+        parents = np.asarray(tc.indexes[0].parent3)
         np.add.at(sim2_bar, parents, z_bar)
-        np.add.at(bar.m2, parents, z_bar[:, None] * cap.e3)
-        bar.e3 += z_bar[:, None] * cap.m2[parents]
-    bar.e1 += sim2_bar @ cap.m2
-    bar.m2 += sim2_bar[:, None] * cap.e1
+        np.add.at(bar.m2, parents, z_bar[:, None] * tc.e3)
+        bar.e3 += z_bar[:, None] * tc.m2[parents]
+    bar.e1 += sim2_bar @ tc.m2
+    bar.m2 += sim2_bar[:, None] * e1
 
 
 def per_pair_loss_and_grads(bundles, params, cfg):
     """pair_forward + score_pair per cell, the per-pair backward above, and
     each caption's and each video's chain run on its own."""
     tcs, text_tapes = zip(*[text_forward([b], params) for b in bundles])
-    wcs = [caption_weights(tc.caption(0)) for tc in tcs]
+    wcs = [caption_weights(tc) for tc in tcs]
     vcs, video_tapes = zip(*[video_forward([b], params) for b in bundles])
-    pfs = [[pair_forward(tc.caption(0), vc[0], cfg) for vc in vcs] for tc in tcs]
-    bds = [[score_pair(tc.caption(0), wc, pf) for pf in row]
+    pfs = [[pair_forward(tc, vc[0], cfg) for vc in vcs] for tc in tcs]
+    bds = [[score_pair(tc, wc, pf) for pf in row]
            for tc, wc, row in zip(tcs, wcs, pfs)]
     scores = np.array([[bd.final for bd in row] for row in bds])
     loss, ds = symmetric_ce_loss(scores, cfg.tau)
@@ -266,7 +268,7 @@ def per_pair_loss_and_grads(bundles, params, cfg):
     for i, (tc, wc, tape) in enumerate(zip(tcs, wcs, text_tapes)):
         tg = TextGrad.zeros(tc)
         for j, g_bar in enumerate(g_bars):
-            pair_backward_reference(ds[i, j] / 3.0, tc.caption(0), wc, pfs[i][j], bds[i][j],
+            pair_backward_reference(ds[i, j] / 3.0, tc, wc, pfs[i][j], bds[i][j],
                                     tg, g_bar)
         text_backward(tg, tc, tape, params, grads)
     for tape, g_bar in zip(video_tapes, g_bars):
@@ -295,9 +297,8 @@ def mixed_batch(golden_dir, d, shapes=((1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (
     bundles = []
     for k, (n_v, n_p) in enumerate(shapes):
         conllu = parses[k % len(parses)]
-        h = build_hierarchy(parse_conllu(conllu))
         bundles.append(FeatureBundle(
-            pair_id=f"pair{k}", hierarchy=h, index=index_hierarchy(h),
+            pair_id=f"pair{k}", index=index_hierarchy(build_hierarchy(parse_conllu(conllu))),
             text=rng.uniform_sym((len(parse_conllu(conllu)) + 1, d)),
             frames=rng.uniform_sym((n_v, d)), patches=rng.uniform_sym((n_v, n_p, d))))
     return bundles
@@ -310,7 +311,7 @@ def test_batched_step_matches_per_pair_reference(golden_dir, lambda_frame, lambd
                                                  literal):
     d = 8
     bundles = mixed_batch(golden_dir, d)
-    assert any(b.hierarchy.exist_node_used for b in bundles)
+    assert any(None in b.index.mu2 for b in bundles)
     assert any(b.index.n_entities == 0 for b in bundles)
     assert sum(bool(kids) for b in bundles for kids in b.index.adj_children) >= 3
     params = init_params(405, d, max_frames=4)
@@ -363,7 +364,7 @@ def test_training_selections_equal_score_video_on_exact_ties(lambda_frame, lambd
     # frames 0 and 2 tie while holding different patches, and patch rows tie
     # inside frames: a tie broken the other way moves the g gradient to
     # another frame or changes the pooled patch rows e3 is pulled towards
-    vid, caps, stack = tie_fixture()
+    vid, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
     cols = score_videos(stack, [vid], cfg)
@@ -375,14 +376,15 @@ def test_training_selections_equal_score_video_on_exact_ties(lambda_frame, lambd
 
     ref_g_bar = np.zeros_like(vid.g)
     rows2 = rows3 = 0
-    for i, cap in enumerate(caps):
-        cw = caption_weights(cap)
-        pf = pair_forward(cap, vid, cfg)
-        n2, n3 = cap.e2.shape[0], cap.e3.shape[0]
+    for i in range(len(stack.indexes)):
+        one = stack.single(i)
+        cw = caption_weights(one)
+        pf = pair_forward(one, vid, cfg)
+        n2, n3 = one.e2.shape[0], one.e3.shape[0]
         assert [sel.tolist() for sel in pf.psi2] == col.frames[rows2:rows2 + n2].tolist()
         bar = SimpleNamespace(e1=np.zeros(4), e2=np.zeros((n2, 4)), e3=np.zeros((n3, 4)),
                               m2=np.zeros((n2, 4)))
-        pair_backward_reference(s_bar[i] / 3.0, cap, cw, pf, score_pair(cap, cw, pf), bar,
+        pair_backward_reference(s_bar[i] / 3.0, one, cw, pf, score_pair(one, cw, pf), bar,
                                 ref_g_bar)
         assert np.abs(tg.e1[i] - bar.e1).max() <= 1e-12
         for name, rows, n in (("e2", rows2, n2), ("m2", rows2, n2), ("e3", rows3, n3)):

@@ -164,6 +164,10 @@ class TestSerialization:
         with pytest.raises(DataError):
             hierarchy_from_json('{"layers": [[], [], [], []], "exist_node_used": false}')
 
+    def test_bytes_not_utf8_rejected_on_load(self):
+        with pytest.raises(DataError, match="hierarchy json: .*utf-8"):
+            hierarchy_from_json(b"\xff\xfe{}")
+
 
 class TestIndexView:
     def test_parent_and_children_positions(self, golden_dir):

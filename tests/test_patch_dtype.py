@@ -51,8 +51,8 @@ def test_float32_patches_score_and_train_bit_identically(tmp_path):
         pairs = zip(video_forward(stored, params)[0], video_forward(widened, params)[0])
         for j, (vid_a, vid_b) in enumerate(pairs):
             for i in range(len(stored)):
-                pa = pair_forward(tc.caption(i), vid_a, cfg)
-                pb = pair_forward(tc.caption(i), vid_b, cfg)
+                pa = pair_forward(tc.single(i), vid_a, cfg)
+                pb = pair_forward(tc.single(i), vid_b, cfg)
                 assert np.array_equal(pa.ev3, pb.ev3), (i, j)
                 assert _selections(pa.psi3) == _selections(pb.psi3), (i, j)
 

@@ -217,15 +217,15 @@ class TestPairInvariants:
         params = params.copy()
         params.pos_emb[...] = 0.0  # temporal encoding must not pin frame order
         b = bundles[0]
-        cap = text_forward([b], params)[0].caption(0)
+        tc = text_forward([b], params)[0]
         vc = video_forward([b], params)[0][0]
-        pf = pair_forward(cap, vc, cfg)
+        pf = pair_forward(tc, vc, cfg)
 
         perm = [2, 0, 3, 1]
-        b2 = type(b)(pair_id=b.pair_id, hierarchy=b.hierarchy, index=b.index,
+        b2 = type(b)(pair_id=b.pair_id, index=b.index,
                      text=b.text, frames=b.frames[perm], patches=b.patches[perm])
         vc2 = video_forward([b2], params)[0][0]
-        pf2 = pair_forward(cap, vc2, cfg)
+        pf2 = pair_forward(tc, vc2, cfg)
 
         assert np.allclose(pf2.ev1, pf.ev1, atol=1e-12)
         assert np.allclose(pf2.ev2, pf.ev2, atol=1e-12)
@@ -237,13 +237,13 @@ class TestPairInvariants:
     def test_pooled_features_are_exact_means(self, small_setup):
         bundles, params, cfg = small_setup
         for b in bundles:
-            cap = text_forward([b], params)[0].caption(0)
+            tc = text_forward([b], params)[0]
             vc = video_forward([b], params)[0][0]
-            pf = pair_forward(cap, vc, cfg)
+            pf = pair_forward(tc, vc, cfg)
             for i, sel in enumerate(pf.psi2):
                 assert np.array_equal(pf.ev2[i], vc.g[sel].mean(axis=0))
-            for i in range(cap.index.n_entities):
-                sel_frames = pf.psi2[cap.index.parent3[i]]
+            for i, parent in enumerate(b.index.parent3):
+                sel_frames = pf.psi2[parent]
                 rebuilt = [
                     vc.patches[j][pf.psi3[i][jj]].mean(axis=0)
                     for jj, j in enumerate(sel_frames)

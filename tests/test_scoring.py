@@ -43,7 +43,7 @@ from test_gradients import mixed_batch
 
 
 def stub(e1, e2, e3, ev1, ev2, ev3):
-    tc = SimpleNamespace(e1=e1, e2=e2, e3=e3)
+    tc = SimpleNamespace(e1=e1[None], e2=e2, e3=e3)  # the fields of a one-caption stack
     pf = SimpleNamespace(ev1=ev1, ev2=ev2, ev3=ev3)
     return tc, pf
 
@@ -150,19 +150,19 @@ class TestFinalScore:
 
     def test_final_is_exact_mean_of_layer_scores(self, small_setup):
         bundles, params, cfg = small_setup
-        cap, wc, vid = encode_pair(bundles[0], bundles[1], params)
-        bd = score_pair(cap, wc, pair_forward(cap, vid, cfg))
+        tc, wc, vid = encode_pair(bundles[0], bundles[1], params)
+        bd = score_pair(tc, wc, pair_forward(tc, vid, cfg))
         s1, s2, s3 = bd.layer_scores
         assert bd.final == (s1 + s2 + s3) / 3.0
 
     def test_matches_composed_oracle(self, small_setup):
         bundles, params, cfg = small_setup
-        cap, wc, vid = encode_pair(bundles[2], bundles[3], params)
-        pf = pair_forward(cap, vid, cfg)
-        bd = score_pair(cap, wc, pf)
-        s1 = float(cap.e1 @ pf.ev1)
-        s2 = sum(float(wc.w2[i]) * float(cap.e2[i] @ pf.ev2[i]) for i in range(cap.e2.shape[0]))
-        s3 = sum(float(wc.w3[i]) * float(cap.e3[i] @ pf.ev3[i]) for i in range(cap.e3.shape[0]))
+        tc, wc, vid = encode_pair(bundles[2], bundles[3], params)
+        pf = pair_forward(tc, vid, cfg)
+        bd = score_pair(tc, wc, pf)
+        s1 = float(tc.e1[0] @ pf.ev1)
+        s2 = sum(float(wc.w2[i]) * float(tc.e2[i] @ pf.ev2[i]) for i in range(tc.e2.shape[0]))
+        s3 = sum(float(wc.w3[i]) * float(tc.e3[i] @ pf.ev3[i]) for i in range(tc.e3.shape[0]))
         assert abs(bd.final - (s1 + s2 + s3) / 3.0) < 1e-12
 
 
@@ -187,9 +187,8 @@ class TestScoreMatrix:
 
 
 def _bundle(pair_id, conllu, text, frames, patches):
-    h = build_hierarchy(parse_conllu(conllu))
-    return FeatureBundle(pair_id=pair_id, hierarchy=h, index=index_hierarchy(h),
-                         text=text, frames=frames, patches=patches)
+    index = index_hierarchy(build_hierarchy(parse_conllu(conllu)))
+    return FeatureBundle(pair_id=pair_id, index=index, text=text, frames=frames, patches=patches)
 
 
 _VIDEO_SHAPES = [(1, 1), (2, 3), (3, 5), (4, 9), (4, 2), (3, 9), (2, 1)]
@@ -229,7 +228,7 @@ def test_score_matrix_cells_match_per_pair_path(golden_dir, ties, lambda_frame,
     d = 8
     captions, videos = _cross_gallery(golden_dir, SplitMix64(91 + lambda_patch), d, ties)
     assert any(c.index.n_entities == 0 for c in captions)
-    assert any(c.hierarchy.exist_node_used for c in captions)
+    assert any(None in c.index.mu2 for c in captions)
     params = init_params(92, d, max_frames=4)
     if ties:  # without positions, repeated frames also tie after the temporal encoder
         params.pos_emb[...] = 0.0
@@ -249,9 +248,9 @@ def _assert_cells_match_separate_encoding(captions, videos, params, cfg):
     assert s.shape == (len(captions), len(videos))
     encoded = [encode_pair(bt, bt, params)[:2] for bt in captions]
     vids = [video_forward([bv], params)[0][0] for bv in videos]
-    for i, (cap, wc) in enumerate(encoded):
+    for i, (tc, wc) in enumerate(encoded):
         for j, vid in enumerate(vids):
-            want = score_pair(cap, wc, pair_forward(cap, vid, cfg)).final
+            want = score_pair(tc, wc, pair_forward(tc, vid, cfg)).final
             assert abs(s[i, j] - want) <= 1e-10, (i, j)
 
 
@@ -262,7 +261,7 @@ def test_score_matrix_spans_encode_chunks(golden_dir, lambda_frame, lambda_patch
     n_videos = 2 * ENCODE_CHUNK + 5
     captions, videos = _cross_gallery(golden_dir, SplitMix64(131), d, False, n_videos)
     assert any(c.index.n_entities == 0 for c in captions)
-    assert any(c.hierarchy.exist_node_used for c in captions)
+    assert any(None in c.index.mu2 for c in captions)
     params = init_params(132, d, max_frames=4)
     cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
@@ -276,7 +275,7 @@ def test_score_matrix_spans_caption_chunks(golden_dir, lambda_frame, lambda_patc
     n_captions = 2 * ENCODE_CHUNK + 5
     captions, videos = _cross_gallery(golden_dir, SplitMix64(137), d, False, 4, n_captions)
     assert any(c.index.n_entities == 0 for c in captions[2 * ENCODE_CHUNK:])
-    assert any(c.hierarchy.exist_node_used for c in captions[2 * ENCODE_CHUNK:])
+    assert any(None in c.index.mu2 for c in captions[2 * ENCODE_CHUNK:])
     params = init_params(138, d, max_frames=4)
     cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
@@ -292,7 +291,7 @@ def test_text_weights_match_per_caption_weights(golden_dir):
     captions, _ = _cross_gallery(golden_dir, SplitMix64(141), d, False, 0,
                                  2 * len(GOLDEN_NAMES))
     assert any(c.index.n_entities == 0 for c in captions)
-    assert any(c.hierarchy.exist_node_used for c in captions)
+    assert any(None in c.index.mu2 for c in captions)
     params = init_params(142, d, max_frames=4)
     tc = text_forward(captions, params)[0]
     names = ("sim2", "w2", "sim3", "w3")
@@ -302,7 +301,7 @@ def test_text_weights_match_per_caption_weights(golden_dir):
         assert np.array_equal(getattr(joined, name),
                               np.concatenate([getattr(c, name) for c in chunks])), name
     for i in range(len(captions)):
-        want = caption_weights(tc.caption(i))
+        want = caption_weights(tc.single(i))
         s2 = slice(tc.first2[i], tc.first2[i + 1])
         s3 = slice(tc.first3[i], tc.first3[i + 1])
         for got, ref in [(tc.sim2[s2], want.sim2), (tc.w2[s2], want.w2),
@@ -317,18 +316,14 @@ def test_text_weights_match_per_caption_weights(golden_dir):
 @pytest.mark.parametrize("lambda_patch", [1, 2, 3])
 @pytest.mark.parametrize("lambda_frame", [1, 2, 3])
 def test_score_video_breaks_exact_ties_to_lower_index(lambda_frame, lambda_patch, literal):
-    vid, caps, stack = tie_fixture()
+    vid, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
     got = score_videos(stack, [vid], cfg).scores[:, 0]
-    for i, cap in enumerate(caps):
-        want = score_pair(cap, caption_weights(cap), pair_forward(cap, vid, cfg)).final
+    for i in range(len(stack.indexes)):
+        one = stack.single(i)
+        want = score_pair(one, caption_weights(one), pair_forward(one, vid, cfg)).final
         assert abs(got[i] - want) <= 1e-10
-
-
-def _one_caption_stack(cap):
-    """A tie_fixture caption as a stack of one, the form fuse_pair takes."""
-    return TextCache.stack([cap.index], cap.e1[None], cap.e2, cap.e3, cap.m2)
 
 
 def _lower_index_top_k(scores, k):
@@ -340,23 +335,24 @@ def _lower_index_top_k(scores, k):
 @pytest.mark.parametrize("lambda_frame", [1, 2, 3])
 def test_fuse_pair_breaks_exact_ties_as_score_video(lambda_frame, lambda_patch, literal):
     """Exact integer ties: fuse selects the lower index, as score_videos does."""
-    vid, caps, stack = tie_fixture()
+    vid, stack = tie_fixture()
     cfg = RunConfig(d=4, max_frames=3, lambda_frame=lambda_frame,
                     lambda_patch=lambda_patch, literal_patch_norm=literal)
     col = score_videos(stack, [vid], cfg)[0]
-    for i, cap in enumerate(caps):
-        fp = fuse_pair(_one_caption_stack(cap), vid, cfg)
+    for i in range(len(stack.indexes)):
+        one = stack.single(i)
+        fp = fuse_pair(one, vid, cfg)
         rows2 = np.flatnonzero(stack.owner2 == i)
         assert fp.frames.tolist() == [col.frames[r].tolist() for r in rows2] == \
-            [_lower_index_top_k(cap.e2[a] @ vid.g.T, lambda_frame) for a in range(len(rows2))]
+            [_lower_index_top_k(one.e2[a] @ vid.g.T, lambda_frame) for a in range(len(rows2))]
         rows3 = np.flatnonzero(stack.owner3 == i)
         for e, r in enumerate(rows3):
             picked = col.frames[stack.parent3[r]]
             kernel = col.patches[r].tolist()
-            oracle = [_lower_index_top_k(vid.patches[j] @ cap.e3[e], lambda_patch)
+            oracle = [_lower_index_top_k(vid.patches[j] @ one.e3[e], lambda_patch)
                       for j in picked]
             assert fp.patches[e].tolist() == kernel == oracle
-        pf = pair_forward(cap, vid, cfg)
+        pf = pair_forward(one, vid, cfg)
         for got, want in [(fp.ev1, pf.ev1), (fp.ev2, pf.ev2), (fp.ev3, pf.ev3)]:
             assert np.array_equal(got, want)
 
@@ -391,7 +387,7 @@ def test_top_equals_the_sort_oracle():
 
 
 def test_top_on_the_tie_fixture():
-    vid, _, stack = tie_fixture()
+    vid, stack = tie_fixture()
     frame_scores = stack.e2 @ vid.g.T
     patch_scores = np.stack([stack.e3 @ p.T for p in vid.patches], axis=1)  # (M, N_v, N_p)
     for k in range(1, 5):
