@@ -201,8 +201,7 @@ class TransformerCache:
     attn: list[np.ndarray]  # per video: (heads, N_v, N_v)
     heads_out: np.ndarray   # (R, d), concatenated head outputs
     ln_attn_cache: LayerNormCache
-    x1: np.ndarray
-    ffn_cache: MlpCache
+    ffn_cache: MlpCache     # its x is x1, the FFN's input
     ln_ffn_cache: LayerNormCache
 
 
@@ -253,7 +252,7 @@ def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.nd
 
     cache = TransformerCache(
         lengths=lengths, positions=positions, x0=x0, q=q, k=k, v=v, attn=attn,
-        heads_out=heads_out, ln_attn_cache=ln_attn_cache, x1=x1, ffn_cache=ffn_cache,
+        heads_out=heads_out, ln_attn_cache=ln_attn_cache, ffn_cache=ffn_cache,
         ln_ffn_cache=ln_ffn_cache,
     )
     return x2, cache

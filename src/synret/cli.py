@@ -193,6 +193,8 @@ def _cmd_fuse(args) -> int:
             }
             files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
             with _writing(out):
+                if not index:  # before the first write: the old index lists the old tensors
+                    (out / "index.json").unlink(missing_ok=True)
                 for name, value in tensors.items():
                     write_tensor(value, out / files[name])
             index[b.pair_id] = {
@@ -233,9 +235,11 @@ def _cmd_score(args) -> int:
         "tau_dsl": cfg.tau_dsl if args.dsl else None,
         "literal_patch_norm": cfg.literal_patch_norm,
     }
+    sidecar_path = Path(f"{args.out}.json")
     with _writing(args.out):
-        write_tensor(s, args.out)
-        write_file(str(args.out) + ".json", _json(sidecar))
+        write_tensor(s, args.out)  # whole or not at all: until it lands, the old sidecar holds
+        sidecar_path.unlink(missing_ok=True)
+        write_file(sidecar_path, _json(sidecar))
     print(f"wrote {s.shape[0]}x{s.shape[1]} score matrix to {args.out}")
     return 0
 
@@ -253,7 +257,8 @@ def _cmd_train(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         tempfile.TemporaryFile(dir=out).close()
     curve = train(bundles, params, cfg)
-    with _writing(out):
+    with _writing(out):  # loss.csv goes first and comes back last, as meta.json does
+        (out / "loss.csv").unlink(missing_ok=True)
         save_checkpoint(params, out, seed=cfg.seed)
         write_loss_log(curve, out / "loss.csv")
     if curve:

@@ -4,12 +4,15 @@ Layer 1 is a single whole-sentence node. Layer 2 holds the verbs (or a
 synthetic EXIST node when there are none), layer 3 the entity mentions
 (NOUN/PROPN/PRON), layer 4 the adjectives that modify a layer-3 entity.
 Every child has exactly one parent, so the structure is a tree.
+
+Each fact is held once: a node stores its parent, and its layer, its
+children and the EXIST flag are derived from the layer lists.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conllu import ADJ_TAG, NOUN_TAGS, VERB_TAG, ParsedToken
 from .errors import DataError
@@ -18,16 +21,26 @@ from .errors import DataError
 @dataclass
 class Node:
     node_id: int
-    layer: int
     token_position: int | None  # None for the whole node and the EXIST node
     parent_id: int | None       # None for the whole node
-    children: list[int] = field(default_factory=list)
 
 
 @dataclass
 class SyntaxHierarchy:
+    """A node's layer is the place of its list in `layers`."""
+
     layers: list[list[Node]]  # exactly 4 lists
-    exist_node_used: bool
+
+    @property
+    def exist_node_used(self) -> bool:
+        """Layer 2 holds the EXIST node, its one node without a token."""
+        return any(n.token_position is None for n in self.layers[1])
+
+    def children(self, i: int) -> list[list[int]]:
+        """The child ids of each node in `layers[i]`: the nodes of the next
+        layer that name it as parent, in list order. Layer 4 has none."""
+        below = self.layers[i + 1] if i + 1 < len(self.layers) else []
+        return [[c.node_id for c in below if c.parent_id == n.node_id] for n in self.layers[i]]
 
 
 def _walk_heads(start: ParsedToken, by_index: dict[int, ParsedToken]):
@@ -51,18 +64,15 @@ def build_hierarchy(tokens: list[ParsedToken]) -> SyntaxHierarchy:
     verbs = [t for t in tokens if t.upos == VERB_TAG]
     nouns = [t for t in tokens if t.upos in NOUN_TAGS]
 
-    # noun -> governing verb: nearest verb on the head chain toward the root
+    # noun -> governing verb: nearest verb on the head chain toward the root,
+    # or None, and then the noun hangs off the EXIST node
     noun_parent_verb: dict[int, int | None] = {}
-    need_exist = not verbs
     for noun in nouns:
-        parent = None
+        noun_parent_verb[noun.index] = None
         for anc in _walk_heads(noun, by_index):
             if anc.upos == VERB_TAG:
-                parent = anc.index
+                noun_parent_verb[noun.index] = anc.index
                 break
-        noun_parent_verb[noun.index] = parent
-        if parent is None:
-            need_exist = True
 
     # adjective -> modified noun: a layer-3 entity must appear on the head
     # chain before any verb; otherwise the adjective is dropped
@@ -78,52 +88,23 @@ def build_hierarchy(tokens: list[ParsedToken]) -> SyntaxHierarchy:
             if anc.upos == VERB_TAG:
                 break
 
-    whole = Node(node_id=0, layer=1, token_position=None, parent_id=None)
-    next_id = 1
-
-    layer2: list[Node] = []
-    verb_node_by_pos: dict[int, Node] = {}
-    for v in verbs:
-        node = Node(node_id=next_id, layer=2, token_position=v.index, parent_id=0)
-        next_id += 1
-        layer2.append(node)
-        verb_node_by_pos[v.index] = node
-    exist_node: Node | None = None
-    if need_exist:
-        exist_node = Node(node_id=next_id, layer=2, token_position=None, parent_id=0)
-        next_id += 1
-        layer2.append(exist_node)
-    whole.children = [n.node_id for n in layer2]
-
-    layer3: list[Node] = []
-    noun_node_by_pos: dict[int, Node] = {}
-    for t in nouns:
-        verb_pos = noun_parent_verb[t.index]
-        parent = verb_node_by_pos[verb_pos] if verb_pos is not None else exist_node
-        node = Node(node_id=next_id, layer=3, token_position=t.index, parent_id=parent.node_id)
-        next_id += 1
-        parent.children.append(node.node_id)
-        layer3.append(node)
-        noun_node_by_pos[t.index] = node
-
-    layer4: list[Node] = []
-    for t in tokens:
-        if t.upos != ADJ_TAG or t.index not in adj_parent_noun:
-            continue
-        parent = noun_node_by_pos[adj_parent_noun[t.index]]
-        node = Node(node_id=next_id, layer=4, token_position=t.index, parent_id=parent.node_id)
-        next_id += 1
-        parent.children.append(node.node_id)
-        layer4.append(node)
-
-    return SyntaxHierarchy(
-        layers=[[whole], layer2, layer3, layer4],
-        exist_node_used=exist_node is not None,
-    )
+    whole = Node(node_id=0, token_position=None, parent_id=None)
+    layer2 = [Node(node_id=i, token_position=v.index, parent_id=0) for i, v in enumerate(verbs, 1)]
+    if not verbs or None in noun_parent_verb.values():
+        layer2.append(Node(node_id=len(layer2) + 1, token_position=None, parent_id=0))
+    # parent ids by token position; the EXIST node's position is None
+    action_id = {n.token_position: n.node_id for n in layer2}
+    layer3 = [Node(node_id=i, token_position=t.index, parent_id=action_id[noun_parent_verb[t.index]])
+              for i, t in enumerate(nouns, 1 + len(layer2))]
+    entity_id = {n.token_position: n.node_id for n in layer3}
+    layer4 = [Node(node_id=i, token_position=adj, parent_id=entity_id[noun])
+              for i, (adj, noun) in enumerate(adj_parent_noun.items(), 1 + len(layer2) + len(layer3))]
+    return SyntaxHierarchy(layers=[[whole], layer2, layer3, layer4])
 
 
 def validate_hierarchy(h: SyntaxHierarchy) -> None:
-    """Raise DataError if any structural invariant is violated."""
+    """Raise DataError if any structural invariant is violated. Layers,
+    children and the EXIST flag are derived, so they need no check here."""
     if len(h.layers) != 4:
         raise DataError("hierarchy must have exactly 4 layers")
     if len(h.layers[0]) != 1:
@@ -131,14 +112,12 @@ def validate_hierarchy(h: SyntaxHierarchy) -> None:
     if not h.layers[1]:
         raise DataError("layer 2 must contain at least one node")
 
-    nodes = {}
-    for depth, layer in enumerate(h.layers, start=1):
+    ids = set()
+    for layer in h.layers:
         for node in layer:
-            if node.layer != depth:
-                raise DataError(f"node {node.node_id} tagged layer {node.layer} but stored in layer {depth}")
-            if node.node_id in nodes:
+            if node.node_id in ids:
                 raise DataError(f"duplicate node id {node.node_id}")
-            nodes[node.node_id] = node
+            ids.add(node.node_id)
 
     whole = h.layers[0][0]
     if whole.parent_id is not None or whole.token_position is not None:
@@ -163,20 +142,6 @@ def validate_hierarchy(h: SyntaxHierarchy) -> None:
         raise DataError("token positions of hierarchy nodes must be distinct")
     if exist_count > 1:
         raise DataError("at most one EXIST node is allowed")
-    if h.exist_node_used != (exist_count == 1):
-        raise DataError("exist_node_used flag inconsistent with layer 2 contents")
-
-    for depth in (1, 2, 3):
-        next_layer = h.layers[depth]
-        for node in h.layers[depth - 1]:
-            expected = [c.node_id for c in next_layer if c.parent_id == node.node_id]
-            if node.children != expected:
-                raise DataError(
-                    f"node {node.node_id} children {node.children} != inverse parent links {expected}"
-                )
-    for node in h.layers[3]:
-        if node.children:
-            raise DataError(f"layer-4 node {node.node_id} cannot have children")
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +150,31 @@ def validate_hierarchy(h: SyntaxHierarchy) -> None:
 
 
 def hierarchy_to_json(h: SyntaxHierarchy) -> str:
+    """`layer`, `children` and `exist_node_used` are written from the
+    derived values."""
     doc = {
         "exist_node_used": h.exist_node_used,
         "layers": [
             [
                 {
                     "node_id": n.node_id,
-                    "layer": n.layer,
+                    "layer": depth,
                     "token_position": n.token_position,
                     "parent_id": n.parent_id,
-                    "children": n.children,
+                    "children": children,
                 }
-                for n in layer
+                for n, children in zip(layer, h.children(depth - 1))
             ]
-            for layer in h.layers
+            for depth, layer in enumerate(h.layers, start=1)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def hierarchy_from_json(text: str | bytes) -> SyntaxHierarchy:
+    """A tree from outside the program: besides the structural checks, the
+    document's `layer`, `children` and `exist_node_used` must equal the
+    values derived from its nodes."""
     try:  # ValueError covers bytes that are not UTF-8 as well as bad JSON
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except ValueError as e:
@@ -214,19 +184,28 @@ def hierarchy_from_json(text: str | bytes) -> SyntaxHierarchy:
             [
                 Node(
                     node_id=int(n["node_id"]),
-                    layer=int(n["layer"]),
                     token_position=None if n["token_position"] is None else int(n["token_position"]),
                     parent_id=None if n["parent_id"] is None else int(n["parent_id"]),
-                    children=[int(c) for c in n["children"]],
                 )
                 for n in layer
             ]
             for layer in doc["layers"]
         ]
-        h = SyntaxHierarchy(layers=layers, exist_node_used=bool(doc["exist_node_used"]))
+        stated = [[(int(n["layer"]), [int(c) for c in n["children"]]) for n in layer]
+                  for layer in doc["layers"]]
+        exist_node_used = bool(doc["exist_node_used"])
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"hierarchy json: schema violation ({e})") from None
+    h = SyntaxHierarchy(layers=layers)
     validate_hierarchy(h)
+    for depth, (layer, tags) in enumerate(zip(layers, stated), start=1):
+        for node, (tag, children), derived in zip(layer, tags, h.children(depth - 1)):
+            if tag != depth:
+                raise DataError(f"node {node.node_id} tagged layer {tag} but stored in layer {depth}")
+            if children != derived:
+                raise DataError(f"node {node.node_id} children {children} != inverse parent links {derived}")
+    if exist_node_used != h.exist_node_used:
+        raise DataError("exist_node_used flag inconsistent with layer 2 contents")
     return h
 
 

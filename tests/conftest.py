@@ -51,15 +51,22 @@ class _HalfWriter:
 
 @pytest.fixture()
 def fail_writes(monkeypatch):
-    """Once called, every file that synret.tensor_store opens for writing
-    fails part-way."""
+    """Once called as `fail_writes(after=n)`, every file that
+    synret.tensor_store opens for writing after the next n fails part-way."""
     import synret.tensor_store
 
-    def half_open(file, mode="r", *args, **kwargs):
-        f = open(file, mode, *args, **kwargs)
-        return _HalfWriter(f) if "w" in mode else f
+    def start(after=0):
+        def half_open(file, mode="r", *args, **kwargs):
+            nonlocal after
+            f = open(file, mode, *args, **kwargs)
+            if "w" not in mode:
+                return f
+            after -= 1
+            return f if after >= 0 else _HalfWriter(f)
 
-    return lambda: monkeypatch.setattr(synret.tensor_store, "open", half_open, raising=False)
+        monkeypatch.setattr(synret.tensor_store, "open", half_open, raising=False)
+
+    return start
 
 
 @pytest.fixture(scope="session")

@@ -609,6 +609,54 @@ def test_output_failing_part_way_leaves_old_file(fixture_dir, checkpoint, config
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
+def _one_line_write_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"synret: usage error: cannot write {path}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("after", [0, 5])
+def test_fuse_failing_part_way_leaves_no_index(fixture_dir, checkpoint, config_path, tmp_path,
+                                               capsys, fail_writes, after):
+    out = tmp_path / "fused"
+    argv = ["fuse", "--manifest", str(fixture_dir / "manifest.json"), "--params",
+            str(checkpoint), "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == 0
+    fail_writes(after=after)
+    capsys.readouterr()
+    assert main(argv) == 1
+    _one_line_write_error(capsys, out)
+    assert not (out / "index.json").exists()
+
+
+def test_score_whose_sidecar_fails_leaves_no_sidecar(fixture_dir, checkpoint, config_path,
+                                                     tmp_path, capsys, fail_writes):
+    target = tmp_path / "s.shet"
+    argv = ["score", "--manifest", str(fixture_dir / "manifest.json"), "--params",
+            str(checkpoint), "--config", str(config_path), "--out", str(target)]
+    assert main(argv + ["--dsl"]) == 0
+    fail_writes(after=1)  # the plain matrix lands, its sidecar does not
+    capsys.readouterr()
+    assert main(argv) == 1
+    _one_line_write_error(capsys, f"{target}.json")
+    assert target.exists() and not (tmp_path / "s.shet.json").exists()
+
+
+@pytest.mark.parametrize("checkpoint_lands", [False, True])
+def test_train_failing_part_way_leaves_no_loss_log(fixture_dir, config_path, tmp_path, capsys,
+                                                   fail_writes, checkpoint_lands):
+    out = tmp_path / "ckpt"
+    argv = ["train", "--manifest", str(fixture_dir / "manifest.json"),
+            "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == 0
+    n_checkpoint_files = sum(1 for f in out.iterdir() if f.name != "loss.csv")
+    fail_writes(after=n_checkpoint_files if checkpoint_lands else 0)
+    capsys.readouterr()
+    assert main(argv) == 1
+    _one_line_write_error(capsys, out)
+    assert (out / "meta.json").exists() == checkpoint_lands
+    assert not (out / "loss.csv").exists()
+
+
 def test_train_checks_out_before_the_first_step(fixture_dir, config_path, tmp_path, capsys,
                                                 monkeypatch):
     train_module = importlib.import_module("synret.train")

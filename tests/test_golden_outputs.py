@@ -1,10 +1,11 @@
-"""Output bytes pinned: SHA-256 digests of every file two CLI runs write.
+"""Output bytes pinned: SHA-256 digests of every file three CLI runs write.
 
 The runs are the README walkthrough at desk scale (fixture seed 1: train,
-eval, score --dsl, fuse) and a small run at reference frame and patch counts
-(d=64, 12 frames, 49 patches: train for 3 steps, eval, fuse), plus the
-`--dump-config` output. The digests depend on the numpy and BLAS builds,
-which `tests/golden/outputs.json` records.
+eval, score --dsl, fuse) and two small runs at reference frame and patch
+counts (d=64, 12 frames, 49 patches): 8 pairs (train for 3 steps, eval,
+fuse) and 20 pairs, more than one `ENCODE_CHUNK` (train for 1 step, eval,
+score, fuse), plus the `--dump-config` output. The digests depend on the
+numpy and BLAS builds, which `tests/golden/outputs.json` records.
 
 A change that moves output bytes on purpose regenerates the file, with a
 CHANGES.md line saying why:
@@ -26,15 +27,23 @@ from synret.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 
+# name: (gen-fixtures flags, train config, score flags or None for no score)
 RUNS = {
     "desk": (["--seed", "1", "--pairs", "8", "--tokens", "6", "--frames", "4",
               "--patches", "9", "--dim", "16"],
              {"d": 16, "max_frames": 4, "seed": 1, "batch_size": 8,
-              "steps": 500, "lr": 1e-3, "stop_loss": 0.01}),
+              "steps": 500, "lr": 1e-3, "stop_loss": 0.01},
+             ["--dsl"]),
     "ref64": (["--seed", "1", "--pairs", "8", "--tokens", "12", "--frames", "12",
                "--patches", "49", "--dim", "64"],
               {"d": 64, "max_frames": 12, "seed": 1, "batch_size": 8,
-               "steps": 3, "lr": 1e-3}),
+               "steps": 3, "lr": 1e-3},
+              None),
+    "ref64-chunks": (["--seed", "1", "--pairs", "20", "--tokens", "12", "--frames", "12",
+                      "--patches", "49", "--dim", "64"],
+                     {"d": 64, "max_frames": 12, "seed": 1, "batch_size": 8,
+                      "steps": 1, "lr": 1e-3},
+                     []),
 }
 
 
@@ -47,7 +56,7 @@ def build_info() -> dict:
     return {"numpy": np.__version__, "blas": blas_name}
 
 
-def _run(root: Path, name: str, fixture_args: list, cfg: dict) -> None:
+def _run(root: Path, name: str, fixture_args: list, cfg: dict, score_args) -> None:
     run = root / name
     fx, ckpt, cfg_path = run / "fx", run / "ckpt", run / "train.json"
     common = ["--manifest", str(fx / "manifest.json"), "--config", str(cfg_path)]
@@ -57,8 +66,8 @@ def _run(root: Path, name: str, fixture_args: list, cfg: dict) -> None:
         ["eval", *common, "--params", str(ckpt), "--report", str(run / "report.json")],
         ["fuse", *common, "--params", str(ckpt), "--out", str(run / "feats")],
     ]
-    if name == "desk":
-        steps.append(["score", *common, "--params", str(ckpt), "--dsl",
+    if score_args is not None:
+        steps.append(["score", *common, "--params", str(ckpt), *score_args,
                       "--out", str(run / "scores.shet")])
     run.mkdir()
     cfg_path.write_text(json.dumps(cfg))
@@ -69,8 +78,8 @@ def _run(root: Path, name: str, fixture_args: list, cfg: dict) -> None:
 def output_digests(root: Path) -> dict:
     """{relative path: sha256} of every output the runs write under `root`."""
     with redirect_stdout(io.StringIO()):
-        for name, (fixture_args, cfg) in RUNS.items():
-            _run(root, name, fixture_args, cfg)
+        for name, run in RUNS.items():
+            _run(root, name, *run)
     with redirect_stdout(io.StringIO()) as out:
         assert main(["--dump-config"]) == 0
     digests = {"dump-config": hashlib.sha256(out.getvalue().encode()).hexdigest()}

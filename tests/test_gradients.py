@@ -22,7 +22,7 @@ from synret.blocks import (
 )
 from synret.config import RunConfig
 from synret.conllu import parse_conllu
-from synret.dataset import FeatureBundle, synthetic_bundles
+from synret.dataset import FeatureBundle
 from synret.gradcheck import grad_check, max_relative_error
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import LayerNormParams, MlpParams, init_params, zeros_like
@@ -169,24 +169,6 @@ class TestGradCheckHarness:
 
         report = grad_check(loss, zeros_like(params), params, h=1e-4)
         assert max_relative_error(report) == 0.0
-
-
-@pytest.mark.slow
-def test_full_pipeline_gradients_small():
-    """End-to-end check on a reduced fixture; the acceptance suite runs the
-    full-size one."""
-    cfg = RunConfig(d=8, max_frames=3, seed=0)
-    bundles, params = None, None
-    for seed in range(10):
-        cand = synthetic_bundles(seed, 2, 5, 3, 4, 8)
-        cand_params = init_params(seed + 50, 8, max_frames=3)
-        if selection_margins(cand, cand_params, cfg) > 5e-3:
-            bundles, params = cand, cand_params
-            break
-    assert bundles is not None, "no tie-free fixture in seed range"
-    _, grads, _ = batch_loss_and_grads(bundles, params, cfg)
-    report = grad_check(lambda: batch_loss(bundles, params, cfg), grads, params)
-    assert max_relative_error(report) < 1e-4
 
 
 def test_text_backward_through_adjective_attention():

@@ -1,5 +1,7 @@
 """Hierarchy construction rules, serialization, and structural invariants."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,37 @@ class TestSerialization:
     def test_bytes_not_utf8_rejected_on_load(self):
         with pytest.raises(DataError, match="hierarchy json: .*utf-8"):
             hierarchy_from_json(b"\xff\xfe{}")
+
+    @staticmethod
+    def _golden_doc(golden_dir, name="orphan_noun"):
+        # orphan_noun: whole 0 -> barks 1 (-> dog 3), EXIST 2 (-> music 4 -> loud 5)
+        return json.loads((golden_dir / f"{name}.hierarchy.json").read_text())
+
+    def test_wrong_layer_tag_rejected_on_load(self, golden_dir):
+        doc = self._golden_doc(golden_dir)
+        doc["layers"][2][0]["layer"] = 2
+        with pytest.raises(DataError, match="tagged layer 2"):
+            hierarchy_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("depth, i, children", [
+        (0, 0, [1]),       # a dropped child
+        (0, 0, [2, 1]),    # children out of layer order
+        (1, 0, [3, 4]),    # an extra child whose parent link names another node
+        (3, 0, [3]),       # a child on a layer-4 node
+    ], ids=["dropped", "reordered", "extra", "layer4"])
+    def test_children_disagreeing_with_parent_links_rejected_on_load(self, golden_dir, depth,
+                                                                      i, children):
+        doc = self._golden_doc(golden_dir)
+        doc["layers"][depth][i]["children"] = children
+        with pytest.raises(DataError, match="children"):
+            hierarchy_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["orphan_noun", "simple"])
+    def test_flipped_exist_flag_rejected_on_load(self, golden_dir, name):
+        doc = self._golden_doc(golden_dir, name)
+        doc["exist_node_used"] = not doc["exist_node_used"]
+        with pytest.raises(DataError, match="exist_node_used"):
+            hierarchy_from_json(json.dumps(doc))
 
 
 class TestIndexView:
