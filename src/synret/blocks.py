@@ -153,39 +153,6 @@ def res_norm_backward(ybar: np.ndarray, cache: ResNormCache, mp: MlpParams,
 
 
 # ---------------------------------------------------------------------------
-# Query-key attention pooling over raw inner products (no projections)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AttendCache:
-    q: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-
-def dot_softmax_attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray):
-    """weights = softmax(keys @ q); pooled = weights @ values."""
-    if keys.shape[0] == 0:
-        raise DataError("dot_softmax_attend: empty key set")
-    weights = softmax(keys @ q)
-    pooled = weights @ values
-    return weights, pooled, AttendCache(q=q, keys=keys, values=values, weights=weights)
-
-
-def dot_softmax_attend_backward(pooled_bar: np.ndarray, cache: AttendCache):
-    """Returns (qbar, keys_bar, values_bar)."""
-    a = cache.weights
-    abar = cache.values @ pooled_bar
-    vbar = np.outer(a, pooled_bar)
-    sbar = softmax_vjp(a, abar)
-    qbar = cache.keys.T @ sbar
-    kbar = np.outer(sbar, cache.q)
-    return qbar, kbar, vbar
-
-
-# ---------------------------------------------------------------------------
 # Single post-norm transformer encoder layer over frame features
 # ---------------------------------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Caption-guided feature pipeline.
 
 Text side: node features are gathered from encoder token rows, entity nodes
-are enhanced by their adjectives, and each layer gets a residual+norm
-projection. Video side: a temporal encoder runs over frame features. Both
-sides take a batch: `text_forward` stacks the nodes of every caption so that
-each projection is one matrix product, and `video_forward` runs the temporal
-layer over the concatenated frame rows of every video, with attention kept
-inside each video. The node weights depend on the caption alone, so the
-caption forward ends with them and `text_backward` starts with their
-backward. Frame and patch selection, which combines the two sides, is
-`scoring.score_videos`'s.
+are enhanced by their adjectives (one segment softmax over every adjective
+row of the batch, as the node weights are computed), and each layer gets a
+residual+norm projection. Video side: a temporal encoder runs over frame
+features. Both sides take a batch: `text_forward` stacks the nodes of every
+caption so that each projection is one matrix product, and `video_forward`
+runs the temporal layer over the concatenated frame rows of every video,
+with attention kept inside each video. The node weights depend on the
+caption alone, so the caption forward ends with them and `text_backward`
+starts with their backward. Frame and patch selection, which combines the
+two sides, is `scoring.score_videos`'s.
 
 Like every block in `blocks`, each forward returns its features and a tape,
 and the matching backward takes the tape back: `text_forward` returns
@@ -26,12 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    AttendCache,
     MlpCache,
     ResNormCache,
     TransformerCache,
-    dot_softmax_attend,
-    dot_softmax_attend_backward,
     mlp,
     mlp_backward,
     res_norm,
@@ -60,43 +58,48 @@ ENCODE_CHUNK = 16
 @dataclass
 class EnhanceCache:
     e3p: ResNormCache
-    rows: np.ndarray            # entities that have adjectives
-    attends: list[AttendCache]  # one per such entity
-    fusion: MlpCache | None     # stacked over those entities
+    rows: np.ndarray     # (R,) entities that have adjectives
+    owner: np.ndarray    # (J,) place in `rows` of each adjective's entity
+    adj: np.ndarray      # (J, d) the adjective rows, grouped by entity
+    weights: np.ndarray  # (J,) softmax of adj . e3p over each entity's adjectives
+    fusion: MlpCache     # over the R entities; its x is [e3p | pooled adjectives]
 
 
 def enhance_entities(f3: np.ndarray, f4: np.ndarray, adj_children: list[list[int]],
                      params: ModelParams):
     """Entity features attend over their adjective children and fuse the
     pooled description back in; entities without adjectives keep their
-    projected feature unchanged. The fusion MLP runs once over every entity
-    that has adjectives."""
+    projected feature unchanged. All adjective rows are scored and pooled at
+    once, as `TextCache.stack` weights nodes, and the fusion MLP runs once
+    over every entity that has adjectives."""
     e3p, e3p_cache = res_norm(f3, params.mlp4, params.ln_enhance)
-    rows = np.array([i for i, kids in enumerate(adj_children) if kids], dtype=np.intp)
-    attends, gammas = [], []
-    for i in rows:
-        adj = f4[adj_children[i]]
-        _, gamma, at_cache = dot_softmax_attend(e3p[i], adj, adj)
-        attends.append(at_cache)
-        gammas.append(gamma)
+    counts = np.array([len(kids) for kids in adj_children], dtype=np.intp)
+    rows = np.flatnonzero(counts)
+    owner = np.repeat(np.arange(rows.size), counts[rows])
+    adj = f4[np.array([j for kids in adj_children for j in kids], dtype=np.intp)]
+    q = e3p[rows]
+    weights = segment_softmax((adj * q[owner]).sum(axis=1), owner, rows.size)
+    pooled = np.zeros_like(q)
+    np.add.at(pooled, owner, weights[:, None] * adj)  # in adjective order
+    fused, fusion = mlp(np.concatenate([q, pooled], axis=1), params.fusion)
     f3p = e3p.copy()
-    fusion = None
-    if gammas:
-        fused, fusion = mlp(np.concatenate([e3p[rows], np.stack(gammas)], axis=1), params.fusion)
-        f3p[rows] += fused
-    return e3p, f3p, EnhanceCache(e3p=e3p_cache, rows=rows, attends=attends, fusion=fusion)
+    f3p[rows] += fused
+    return e3p, f3p, EnhanceCache(e3p=e3p_cache, rows=rows, owner=owner, adj=adj,
+                                  weights=weights, fusion=fusion)
 
 
 def enhance_entities_backward(f3p_bar: np.ndarray, cache: EnhanceCache,
                               params: ModelParams, grads: ModelParams) -> None:
+    """The adjective rows are frozen encoder outputs: only the query e3p
+    takes a gradient through the attention."""
     d = params.d
+    cat_bar = mlp_backward(f3p_bar[cache.rows], cache.fusion, params.fusion, grads.fusion)
+    weights_bar = (cache.adj * cat_bar[cache.owner, d:]).sum(axis=1)
+    scores_bar = segment_softmax_vjp(cache.weights, weights_bar, cache.owner, cache.rows.size)
+    q_bar = cat_bar[:, :d]
+    np.add.at(q_bar, cache.owner, scores_bar[:, None] * cache.adj)
     e3p_bar = f3p_bar.copy()
-    if cache.fusion is not None:
-        cat_bar = mlp_backward(f3p_bar[cache.rows], cache.fusion, params.fusion, grads.fusion)
-        e3p_bar[cache.rows] += cat_bar[:, :d]
-        for i, gamma_bar, at_cache in zip(cache.rows, cat_bar[:, d:], cache.attends):
-            qbar, _, _ = dot_softmax_attend_backward(gamma_bar, at_cache)
-            e3p_bar[i] += qbar
+    e3p_bar[cache.rows] += q_bar
     res_norm_backward(e3p_bar, cache.e3p, params.mlp4, params.ln_enhance,
                       grads.mlp4, grads.ln_enhance)
 
@@ -121,10 +124,8 @@ class TextCache:
     e2: np.ndarray       # (A, d)
     e3: np.ndarray       # (M, d)
     m2: np.ndarray       # (A, d)
-    sim2: np.ndarray     # (A,) m2 . e1 of the owning caption
-    w2: np.ndarray       # (A,) softmax of sim2 over each caption's actions
-    sim3: np.ndarray     # (M,) m2[parent] . e3
-    w3: np.ndarray       # (M,) softmax of sim2[parent] + sim3 over each caption's entities
+    w2: np.ndarray       # (A,) softmax of sim2 = m2 . e1 over each caption's actions
+    w3: np.ndarray       # (M,) softmax of sim2[parent] + m2[parent] . e3 over each caption's entities
 
     @classmethod
     def stack(cls, indexes: list[HierarchyIndex], e1, e2, e3, m2) -> "TextCache":
@@ -143,8 +144,8 @@ class TextCache:
             indexes=indexes, first2=first2, first3=first3,
             owner2=owner2, owner3=owner3, parent3=parent3,
             e1=e1, e2=e2, e3=e3, m2=m2,
-            sim2=sim2, w2=segment_softmax(sim2, owner2, n_t),
-            sim3=sim3, w3=segment_softmax(sim2[parent3] + sim3, owner3, n_t),
+            w2=segment_softmax(sim2, owner2, n_t),
+            w3=segment_softmax(sim2[parent3] + sim3, owner3, n_t),
         )
 
     @classmethod
@@ -277,6 +278,8 @@ def video_forward(bundles: list[FeatureBundle],
     for b in bundles:
         if b.frames.shape[1] != params.d:
             raise DataError(f"{b.pair_id}: dimension mismatch (frames d={b.frames.shape[1]}, model d={params.d})")
+        if b.frames.shape[0] > params.max_frames:
+            raise DataError(f"{b.pair_id}: {b.frames.shape[0]} frames exceed max_frames={params.max_frames}")
     lengths = [b.frames.shape[0] for b in bundles]
     g, tape = transformer_encode(np.concatenate([b.frames for b in bundles]),
                                  params.temporal, params.pos_emb, params.heads, lengths)

@@ -1,9 +1,11 @@
 """The per-pair reference path: the oracle the production kernel is tested against.
 
 One caption against one video, written as directly as the method reads:
-`pair_forward` pools the frames under the caption's attention, lets each
-action node pick its top frames with `top_k_indices` and average them, and
-lets each entity node pick top patches inside its parent action's frames;
+`pair_forward` pools the frames under the caption's attention
+(`fuse_global`, a softmax pooling of its own that shares no block with
+production code), lets each action node pick its top frames with
+`top_k_indices` and average them, and lets each entity node pick top
+patches inside its parent action's frames;
 `score_pair` then weights the node scores per layer with `caption_weights`.
 The caption comes as a one-caption `pipeline.TextCache` (`TextCache.single`),
 of which the oracle reads the node features `e1[0]`, `e2`, `e3`, `m2` and
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import AttendCache, dot_softmax_attend, softmax
+from .blocks import softmax
 from .config import RunConfig
 from .errors import DataError
 from .pipeline import TextCache, Video
@@ -50,7 +52,6 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
 class PairFeatures:
     alpha_cls: np.ndarray       # (N_v,) global attention weights
     ev1: np.ndarray             # (d,)
-    attend_cache: AttendCache
     psi2: list[np.ndarray]      # per action: selected frame indices
     ev2: np.ndarray             # (n2, d)
     psi3: list[list[np.ndarray]]   # per entity: selected patch indices per picked frame
@@ -59,8 +60,9 @@ class PairFeatures:
 
 
 def fuse_global(e1: np.ndarray, frames: np.ndarray):
-    """Caption-conditioned pooling of raw frame features."""
-    return dot_softmax_attend(e1, frames, frames)
+    """Caption-conditioned pooling of raw frame features: (alpha, ev1)."""
+    alpha = softmax(frames @ e1)
+    return alpha, alpha @ frames
 
 
 def fuse_actions(e2: np.ndarray, g: np.ndarray, lambda_frame: int):
@@ -109,14 +111,14 @@ def fuse_entities(e3: np.ndarray, patches: np.ndarray, parent3: list[int],
 def pair_forward(tc: TextCache, vid: Video, cfg: RunConfig) -> PairFeatures:
     """One caption, a stack of one, against one video."""
     (index,) = tc.indexes
-    alpha_cls, ev1, attend_cache = fuse_global(tc.e1[0], vid.frames)
+    alpha_cls, ev1 = fuse_global(tc.e1[0], vid.frames)
     psi2, ev2 = fuse_actions(tc.e2, vid.g, cfg.lambda_frame)
     psi3, ev3_frames, ev3 = fuse_entities(
         tc.e3, vid.patches, index.parent3, psi2, cfg.lambda_patch,
         cfg.literal_patch_norm,
     )
     return PairFeatures(
-        alpha_cls=alpha_cls, ev1=ev1, attend_cache=attend_cache,
+        alpha_cls=alpha_cls, ev1=ev1,
         psi2=psi2, ev2=ev2, psi3=psi3, ev3_frames=ev3_frames, ev3=ev3,
     )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import dot_softmax_attend, transformer_encode
+from .blocks import transformer_encode
 from .config import RunConfig
 from .conllu import parse_conllu
 from .dataset import synthetic_bundles
@@ -21,7 +21,7 @@ from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
 from .params import init_params
 from .rng import SplitMix64
-from .pipeline import ENCODE_CHUNK, text_forward, video_forward
+from .pipeline import ENCODE_CHUNK, enhance_entities, text_forward, video_forward
 from .reference import caption_weights, pair_forward, score_pair
 from .scoring import fuse_pair, score_matrix, top
 from .tensor_store import gen_fixture, read_tensor, write_tensor
@@ -102,18 +102,21 @@ def _check_topk() -> str:
 
 
 def _check_attention() -> str:
+    params = init_params(31, 8, max_frames=3)
     rng = SplitMix64(31)
     for _ in range(50):
-        n = 1 + rng.randint(6)
-        q = rng.uniform_sym(8)
-        keys = rng.uniform_sym((n, 8))
-        w, pooled, _ = dot_softmax_attend(q, keys, keys)
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise SynretError("attention weights do not sum to 1")
-        lo, hi = keys.min(axis=0), keys.max(axis=0)
-        if not ((pooled >= lo - 1e-12) & (pooled <= hi + 1e-12)).all():
-            raise SynretError("pooled vector left the convex hull")
-    return "weight normalization + convex hull, 50 cases"
+        counts = [rng.randint(7) for _ in range(1 + rng.randint(3))]  # 0-6 adjectives each
+        starts = np.cumsum([0] + counts)
+        adj_children = [list(range(lo, hi)) for lo, hi in zip(starts[:-1], starts[1:])]
+        f4 = rng.uniform_sym((int(starts[-1]), 8))
+        _, _, cache = enhance_entities(rng.uniform_sym((len(counts), 8)), f4, adj_children, params)
+        if np.abs(np.bincount(cache.owner, cache.weights) - 1.0).max(initial=0.0) > 1e-12:
+            raise SynretError("adjective weights do not sum to 1")
+        for pooled, i in zip(cache.fusion.x[:, 8:], cache.rows):
+            adj = f4[adj_children[i]]
+            if not ((pooled >= adj.min(axis=0) - 1e-12) & (pooled <= adj.max(axis=0) + 1e-12)).all():
+                raise SynretError("pooled adjective row left the convex hull")
+    return "adjective weight normalization + convex hull, 50 cases"
 
 
 def _check_transformer_equivariance() -> str:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from synret.blocks import (
     LN_EPS,
     _gelu_with_cdf,
-    dot_softmax_attend,
     layer_norm,
     layer_norm_backward,
     mlp,
@@ -123,41 +122,6 @@ class TestMlp:
     def test_gelu_matches_erf_oracle(self):
         z = np.linspace(-5, 5, 41)
         assert np.abs(_gelu_with_cdf(z)[0] - oracle_gelu(z)).max() < 1e-14
-
-
-class TestAttend:
-    def test_single_key(self):
-        rng = SplitMix64(12)
-        q, k = rng.uniform_sym(5), rng.uniform_sym((1, 5))
-        w, pooled, _ = dot_softmax_attend(q, k, k)
-        assert np.array_equal(w, [1.0])
-        assert np.array_equal(pooled, k[0])
-
-    def test_identical_keys_split_evenly(self):
-        rng = SplitMix64(13)
-        q = rng.uniform_sym(5)
-        k = np.tile(rng.uniform_sym(5), (2, 1))
-        w, pooled, _ = dot_softmax_attend(q, k, k)
-        assert np.allclose(w, [0.5, 0.5], atol=1e-15)
-        assert np.allclose(pooled, k[0], atol=1e-15)
-
-    def test_matches_formula_oracle(self):
-        rng = SplitMix64(14)
-        q = rng.uniform_sym(6)
-        keys = rng.uniform_sym((5, 6))
-        values = rng.uniform_sym((5, 6))
-        w, pooled, _ = dot_softmax_attend(q, keys, values)
-        exps = [math.exp(float(keys[j] @ q)) for j in range(5)]
-        tot = sum(exps)
-        want_w = np.array([e / tot for e in exps])
-        want_p = sum(want_w[j] * values[j] for j in range(5))
-        assert abs(w.sum() - 1.0) < 1e-12
-        assert np.abs(w - want_w).max() < 1e-12
-        assert np.abs(pooled - want_p).max() < 1e-12
-
-    def test_empty_keys_rejected(self):
-        with pytest.raises(DataError):
-            dot_softmax_attend(np.ones(3), np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def oracle_transformer(x, tp, pos, heads):

@@ -123,6 +123,24 @@ def test_score_with_mismatched_checkpoint_exit_2(fixture_dir, config_path, tmp_p
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+def test_video_longer_than_max_frames_names_its_pair(fixture_dir, tmp_path, capsys):
+    long = tmp_path / "fx6"
+    assert main(["gen-fixtures", "--seed", "3", "--pairs", "2", "--tokens", "5",
+                 "--frames", "6", "--patches", "4", "--dim", "8", "--out", str(long)]) == 0
+    cfg = tmp_path / "t4.json"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 4, "steps": 0}))
+    ckpt = tmp_path / "ckpt4"
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    rc = main(["eval", "--manifest", str(long / "manifest.json"), "--params", str(ckpt),
+               "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err == "synret: data error: pair0000: 6 frames exceed max_frames=4\n"
+    assert not report.exists()
+
+
 def test_numerical_error_exit_3(fixture_dir, checkpoint, config_path, tmp_path, capsys):
     # corrupt one feature payload with NaN: loading must fail with exit 3
     import struct

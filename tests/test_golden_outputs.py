@@ -4,8 +4,10 @@ The runs are the README walkthrough at desk scale (fixture seed 1: train,
 eval, score --dsl, fuse) and two small runs at reference frame and patch
 counts (d=64, 12 frames, 49 patches): 8 pairs (train for 3 steps, eval,
 fuse) and 20 pairs, more than one `ENCODE_CHUNK` (train for 1 step, eval,
-score, fuse), plus the `--dump-config` output. The digests depend on the
-numpy and BLAS builds, which `tests/golden/outputs.json` records.
+score, fuse), plus the `--dump-config` output. The 20-pair run also pins the
+float64 bytes of `score_matrix` under its checkpoint, which `score` (float32)
+and `eval` (ranks) can hide. The digests depend on the numpy and BLAS builds,
+which `tests/golden/outputs.json` records.
 
 A change that moves output bytes on purpose regenerates the file, with a
 CHANGES.md line saying why:
@@ -24,6 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from synret.cli import main
+from synret.config import load_config
+from synret.dataset import load_bundles
+from synret.params import load_checkpoint
+from synret.scoring import score_matrix
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 
@@ -83,6 +89,11 @@ def output_digests(root: Path) -> dict:
     with redirect_stdout(io.StringIO()) as out:
         assert main(["--dump-config"]) == 0
     digests = {"dump-config": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    run = root / "ref64-chunks"
+    bundles = load_bundles(run / "fx" / "manifest.json")
+    s = score_matrix(bundles, bundles, load_checkpoint(run / "ckpt"),
+                     load_config(run / "train.json"))
+    digests["ref64-chunks/score_matrix.float64"] = hashlib.sha256(s.tobytes()).hexdigest()
     for p in sorted(root.rglob("*")):
         if p.is_file() and p.name != "train.json":
             digests[p.relative_to(root).as_posix()] = hashlib.sha256(p.read_bytes()).hexdigest()

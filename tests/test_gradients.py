@@ -10,8 +10,6 @@ import pytest
 from types import SimpleNamespace
 
 from synret.blocks import (
-    dot_softmax_attend,
-    dot_softmax_attend_backward,
     layer_norm,
     layer_norm_backward,
     mlp,
@@ -94,23 +92,6 @@ class TestBlockGradients:
         assert np.abs(xbar - fd(loss, x)).max() < 1e-8
         assert np.abs(g.gain - fd(loss, ln.gain)).max() < 1e-8
         assert np.abs(g.bias - fd(loss, ln.bias)).max() < 1e-8
-
-    def test_attention_pooling_inputs(self):
-        rng = SplitMix64(83)
-        q = rng.uniform_sym(5)
-        keys = rng.uniform_sym((4, 5))
-        values = rng.uniform_sym((4, 5))
-        r = rng.uniform_sym(5)
-
-        def loss():
-            _, pooled, _ = dot_softmax_attend(q, keys, values)
-            return float(pooled @ r)
-
-        _, _, cache = dot_softmax_attend(q, keys, values)
-        qbar, kbar, vbar = dot_softmax_attend_backward(r, cache)
-        assert np.abs(qbar - fd(loss, q)).max() < 1e-8
-        assert np.abs(kbar - fd(loss, keys)).max() < 1e-8
-        assert np.abs(vbar - fd(loss, values)).max() < 1e-8
 
     def test_transformer_params_and_input(self):
         params = init_params(84, 8, max_frames=5)
@@ -208,15 +189,15 @@ def test_text_backward_through_adjective_attention():
 # ---------------------------------------------------------------------------
 
 
-def pair_backward_reference(lbar, tc, wc, pf, bd, bar, g_bar):
+def pair_backward_reference(lbar, tc, wc, pf, bd, frames, bar, g_bar):
     """Backward of lbar * (s1 + s2 + s3) for one (caption, video) cell into
     the caption's node gradients `bar` (e1, e2, e3, m2) and the video's
     g_bar, from the per-pair path's pooled features and selections; `tc` is
-    the caption as a stack of one."""
+    the caption as a stack of one and `frames` the video's raw frames."""
     e1 = tc.e1[0]
-    # layer 1: e1 . ev1, where ev1 pools the frames by e1-attention
-    qbar, _, _ = dot_softmax_attend_backward(lbar * e1, pf.attend_cache)
-    bar.e1 += lbar * pf.ev1 + qbar
+    # layer 1: e1 . ev1 with ev1 = alpha @ frames and alpha = softmax(frames @ e1)
+    alpha_bar = frames @ (lbar * e1)
+    bar.e1 += lbar * pf.ev1 + frames.T @ softmax_vjp(pf.alpha_cls, alpha_bar)
     # layer 2: w2 . (e2 . ev2), where ev2 is the mean of the picked g rows
     bar.e2 += (lbar * wc.w2)[:, None] * pf.ev2
     for i, sel in enumerate(pf.psi2):
@@ -251,7 +232,7 @@ def per_pair_loss_and_grads(bundles, params, cfg):
         tg = TextGrad.zeros(tc)
         for j, g_bar in enumerate(g_bars):
             pair_backward_reference(ds[i, j] / 3.0, tc, wc, pfs[i][j], bds[i][j],
-                                    tg, g_bar)
+                                    vcs[j][0].frames, tg, g_bar)
         text_backward(tg, tc, tape, params, grads)
     for tape, g_bar in zip(video_tapes, g_bars):
         video_backward(g_bar, tape, params, grads)
@@ -366,8 +347,8 @@ def test_training_selections_equal_score_video_on_exact_ties(lambda_frame, lambd
         assert [sel.tolist() for sel in pf.psi2] == col.frames[rows2:rows2 + n2].tolist()
         bar = SimpleNamespace(e1=np.zeros(4), e2=np.zeros((n2, 4)), e3=np.zeros((n3, 4)),
                               m2=np.zeros((n2, 4)))
-        pair_backward_reference(s_bar[i] / 3.0, one, cw, pf, score_pair(one, cw, pf), bar,
-                                ref_g_bar)
+        pair_backward_reference(s_bar[i] / 3.0, one, cw, pf, score_pair(one, cw, pf),
+                                vid.frames, bar, ref_g_bar)
         assert np.abs(tg.e1[i] - bar.e1).max() <= 1e-12
         for name, rows, n in (("e2", rows2, n2), ("m2", rows2, n2), ("e3", rows3, n3)):
             assert np.abs(getattr(tg, name)[rows:rows + n] - getattr(bar, name)).max(initial=0) <= 1e-12

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from synret.blocks import layer_norm, mlp
 from synret.dataset import init_node_features
@@ -17,6 +19,8 @@ from synret.pipeline import (
 )
 from synret.reference import fuse_actions, fuse_entities, fuse_global, pair_forward
 from synret.rng import SplitMix64
+
+from test_fuzz import FUZZ
 
 
 def make_index(mu2, mu3=(), mu4=(), parent3=(), adj_children=None):
@@ -78,7 +82,7 @@ class TestEnhanceEntities:
         f3 = self.rng.uniform_sym((1, 8))
         f4 = self.rng.uniform_sym((1, 8))
         e3p, f3p, cache = enhance_entities(f3, f4, [[0]], self.params)
-        assert np.array_equal(cache.attends[0].weights, [1.0])
+        assert np.array_equal(cache.weights, [1.0])
         fused, _ = mlp(np.concatenate([e3p[0], f4[0]]), self.params.fusion)
         assert np.abs(f3p[0] - (e3p[0] + fused)).max() < 1e-14
 
@@ -99,6 +103,53 @@ class TestEnhanceEntities:
         assert np.abs(f3p[0] - (want_e + fused)).max() < 1e-10
 
 
+@FUZZ
+@given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), duplicated=st.booleans())
+@example(counts=[1], seed=0, duplicated=False)
+@example(counts=[3, 0, 2], seed=1, duplicated=True)
+def test_enhancement_matches_per_entity_oracle(counts, seed, duplicated):
+    """The stacked adjective attention against a straight-line loop over the
+    entities, with each entity's adjective rows scattered through f4. A single
+    adjective takes weight 1.0 and is copied bit for bit; duplicated rows
+    split the weight evenly."""
+    d = 8
+    params = init_params(13, d, max_frames=1)
+    rng = np.random.default_rng(seed)
+    f3 = rng.standard_normal((len(counts), d))
+    f4 = rng.standard_normal((sum(counts), d))
+    order = rng.permutation(sum(counts)).tolist()
+    adj_children = [order[sum(counts[:i]):sum(counts[:i + 1])] for i in range(len(counts))]
+    if duplicated:
+        for kids in adj_children:
+            f4[kids] = f4[kids[:1]]
+    e3p, f3p, cache = enhance_entities(f3, f4, adj_children, params)
+    assert cache.rows.tolist() == [i for i, n in enumerate(counts) if n]
+    for i, kids in enumerate(adj_children):
+        u = params.mlp4.w2 @ _gelu(params.mlp4.w1 @ f3[i] + params.mlp4.b1) + params.mlp4.b2
+        want_e = _ln(f3[i] + u, params.ln_enhance)
+        assert np.abs(e3p[i] - want_e).max() < 1e-12
+        if not kids:
+            assert np.array_equal(f3p[i], e3p[i])
+            continue
+        logits = [float(want_e @ f4[j]) for j in kids]
+        exps = [math.exp(v - max(logits)) for v in logits]
+        alpha = [x / sum(exps) for x in exps]
+        gamma = sum(a * f4[j] for a, j in zip(alpha, kids))
+        cat = np.concatenate([want_e, gamma])
+        fused = params.fusion.w2 @ _gelu(params.fusion.w1 @ cat + params.fusion.b1) + params.fusion.b2
+        r = cache.rows.tolist().index(i)
+        weights, pooled = cache.weights[cache.owner == r], cache.fusion.x[r, d:]
+        assert np.abs(weights - alpha).max() < 1e-12
+        assert np.abs(pooled - gamma).max() < 1e-12
+        assert np.abs(f3p[i] - (want_e + fused)).max() < 1e-12
+        if len(kids) == 1:
+            assert weights.tolist() == [1.0] and np.array_equal(pooled, f4[kids[0]])
+        if duplicated:
+            assert np.abs(weights - 1.0 / len(kids)).max() <= 1e-15
+            assert np.abs(pooled - f4[kids[0]]).max() <= 1e-14
+
+
 def _gelu(z):
     return z * 0.5 * (1.0 + np.vectorize(math.erf)(z / math.sqrt(2)))
 
@@ -113,7 +164,7 @@ class TestFuseGlobal:
     def test_single_frame(self):
         rng = SplitMix64(21)
         e1, frame = rng.uniform_sym(8), rng.uniform_sym((1, 8))
-        w, ev1, _ = fuse_global(e1, frame)
+        w, ev1 = fuse_global(e1, frame)
         assert np.array_equal(w, [1.0])
         assert np.array_equal(ev1, frame[0])
 
@@ -121,14 +172,14 @@ class TestFuseGlobal:
         rng = SplitMix64(22)
         e1 = rng.uniform_sym(8)
         frames = np.tile(rng.uniform_sym(8), (4, 1))
-        _, ev1, _ = fuse_global(e1, frames)
+        _, ev1 = fuse_global(e1, frames)
         assert np.allclose(ev1, frames[0], atol=1e-14)
 
     def test_matches_oracle_and_hull(self):
         rng = SplitMix64(23)
         e1 = rng.uniform_sym(8)
         frames = rng.uniform_sym((4, 8))
-        w, ev1, _ = fuse_global(e1, frames)
+        w, ev1 = fuse_global(e1, frames)
         logits = frames @ e1
         exps = np.exp(logits - logits.max())
         want_w = exps / exps.sum()

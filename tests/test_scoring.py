@@ -294,7 +294,7 @@ def test_text_weights_match_per_caption_weights(golden_dir):
     assert any(None in c.index.mu2 for c in captions)
     params = init_params(142, d, max_frames=4)
     tc = text_forward(captions, params)[0]
-    names = ("sim2", "w2", "sim3", "w3")
+    names = ("w2", "w3")
     chunks = [text_forward(captions[lo:lo + 3], params)[0] for lo in range(0, len(captions), 3)]
     joined = TextCache.concat(chunks)
     for name in names:
@@ -304,11 +304,10 @@ def test_text_weights_match_per_caption_weights(golden_dir):
         want = caption_weights(tc.single(i))
         s2 = slice(tc.first2[i], tc.first2[i + 1])
         s3 = slice(tc.first3[i], tc.first3[i + 1])
-        for got, ref in [(tc.sim2[s2], want.sim2), (tc.w2[s2], want.w2),
-                         (tc.sim3[s3], want.sim3), (tc.w3[s3], want.w3)]:
+        for got, ref in [(tc.w2[s2], want.w2), (tc.w3[s3], want.w3)]:
             assert got.shape == ref.shape and np.abs(got - ref).max(initial=0.0) <= 1e-12, i
         one = tc.single(i)
-        for name, rows in zip(names, (s2, s2, s3, s3)):
+        for name, rows in zip(names, (s2, s3)):
             assert np.array_equal(getattr(one, name), getattr(tc, name)[rows]), (i, name)
 
 
