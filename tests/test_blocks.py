@@ -20,6 +20,7 @@ from synret.blocks import (
 from synret.errors import DataError
 from synret.reference import top_k_indices
 from synret.params import LayerNormParams, MlpParams, init_params, zeros_like
+from synret.pipeline import enhance_entities
 from synret.rng import SplitMix64
 
 
@@ -122,6 +123,45 @@ class TestMlp:
     def test_gelu_matches_erf_oracle(self):
         z = np.linspace(-5, 5, 41)
         assert np.abs(_gelu_with_cdf(z)[0] - oracle_gelu(z)).max() < 1e-14
+
+
+def attend(f3_row, keys, seed):
+    """One entity's adjective attention in `enhance_entities`: its query,
+    softmax weights over the adjective rows, and pooled row."""
+    d = keys.shape[1]
+    params = init_params(seed, d, heads=1, max_frames=1)
+    e3p, _, cache = enhance_entities(f3_row[None], keys, [list(range(len(keys)))], params)
+    return e3p[0], cache.weights, cache.fusion.x[0, d:]
+
+
+class TestAttend:
+    def test_single_key(self):
+        rng = SplitMix64(12)
+        f3, k = rng.uniform_sym(5), rng.uniform_sym((1, 5))
+        _, w, pooled = attend(f3, k, 12)
+        assert np.array_equal(w, [1.0])
+        assert np.array_equal(pooled, k[0])
+
+    def test_identical_keys_split_evenly(self):
+        rng = SplitMix64(13)
+        f3 = rng.uniform_sym(5)
+        k = np.tile(rng.uniform_sym(5), (2, 1))
+        _, w, pooled = attend(f3, k, 13)
+        assert np.allclose(w, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(pooled, k[0], atol=1e-15)
+
+    def test_matches_formula_oracle(self):
+        rng = SplitMix64(14)
+        f3 = rng.uniform_sym(6)
+        keys = rng.uniform_sym((5, 6))
+        q, w, pooled = attend(f3, keys, 14)
+        exps = [math.exp(float(keys[j] @ q)) for j in range(5)]
+        tot = sum(exps)
+        want_w = np.array([e / tot for e in exps])
+        want_p = sum(want_w[j] * keys[j] for j in range(5))
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.abs(w - want_w).max() < 1e-12
+        assert np.abs(pooled - want_p).max() < 1e-12
 
 
 def oracle_transformer(x, tp, pos, heads):
