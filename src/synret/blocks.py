@@ -168,8 +168,7 @@ class TransformerCache:
     attn: list[np.ndarray]  # per video: (heads, N_v, N_v)
     heads_out: np.ndarray   # (R, d), concatenated head outputs
     ln_attn_cache: LayerNormCache
-    ffn_cache: MlpCache     # its x is x1, the FFN's input
-    ln_ffn_cache: LayerNormCache
+    ffn: ResNormCache       # x2 = LN(x1 + FFN(x1)); its MLP's x is x1
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -214,13 +213,11 @@ def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.nd
 
     x1, ln_attn_cache = layer_norm(x0 + attn_out, tp.ln_attn)
     ffn_mp = MlpParams(w1=tp.ffn_w1, b1=tp.ffn_b1, w2=tp.ffn_w2, b2=tp.ffn_b2)
-    ffn_out, ffn_cache = mlp(x1, ffn_mp)
-    x2, ln_ffn_cache = layer_norm(x1 + ffn_out, tp.ln_ffn)
+    x2, ffn = res_norm(x1, ffn_mp, tp.ln_ffn)
 
     cache = TransformerCache(
         lengths=lengths, positions=positions, x0=x0, q=q, k=k, v=v, attn=attn,
-        heads_out=heads_out, ln_attn_cache=ln_attn_cache, ffn_cache=ffn_cache,
-        ln_ffn_cache=ln_ffn_cache,
+        heads_out=heads_out, ln_attn_cache=ln_attn_cache, ffn=ffn,
     )
     return x2, cache
 
@@ -232,11 +229,10 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
     rows, d = ybar.shape
     scale = 1.0 / np.sqrt(d // heads)
 
-    ubar = layer_norm_backward(ybar, cache.ln_ffn_cache, tp.ln_ffn, tp_grad.ln_ffn)
     ffn_mp = MlpParams(w1=tp.ffn_w1, b1=tp.ffn_b1, w2=tp.ffn_w2, b2=tp.ffn_b2)
     ffn_mp_grad = MlpParams(w1=tp_grad.ffn_w1, b1=tp_grad.ffn_b1,
                             w2=tp_grad.ffn_w2, b2=tp_grad.ffn_b2)
-    x1bar = ubar + mlp_backward(ubar, cache.ffn_cache, ffn_mp, ffn_mp_grad)
+    x1bar = res_norm_backward(ybar, cache.ffn, ffn_mp, tp.ln_ffn, ffn_mp_grad, tp_grad.ln_ffn)
 
     wbar = layer_norm_backward(x1bar, cache.ln_attn_cache, tp.ln_attn, tp_grad.ln_attn)
     x0bar = wbar.copy()

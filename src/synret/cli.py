@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, dump_config, load_config
 from .conllu import parse_conllu
-from .dataset import load_bundles
+from .dataset import check_fits, load_bundles
 from .errors import DataError, DataWarning, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
@@ -173,9 +173,8 @@ def _cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
+    check_fits(bundles, params.d, params.max_frames)
     out = Path(args.out)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
     index = {}
     for lo in range(0, len(bundles), ENCODE_CHUNK):
         chunk = bundles[lo:lo + ENCODE_CHUNK]
@@ -194,6 +193,7 @@ def _cmd_fuse(args) -> int:
             files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
             with _writing(out):
                 if not index:  # before the first write: the old index lists the old tensors
+                    out.mkdir(parents=True, exist_ok=True)
                     (out / "index.json").unlink(missing_ok=True)
                 for name, value in tensors.items():
                     write_tensor(value, out / files[name])
@@ -214,6 +214,7 @@ def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...]):
     non-finite result is one line of numerical error, with no numpy warning."""
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
+    check_fits(bundles, params.d, params.max_frames)
     matrices = [score_matrix(bundles, bundles, params, cfg)]
     if args.dsl:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -247,15 +248,16 @@ def _cmd_score(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     bundles = load_bundles(args.manifest)
-    d = bundles[0].d
-    if cfg.d != d:
-        raise DataError(f"dimension mismatch: config d={cfg.d}, manifest features d={d}")
+    check_fits(bundles, cfg.d, cfg.max_frames)
     params = init_params(cfg.seed, cfg.d, heads=cfg.heads,
                          max_frames=cfg.max_frames, tau=cfg.tau)
     out = Path(args.out)
     with _writing(out):  # before step 1: an unusable --out must not cost a training run
+        made = [p for p in (out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
         tempfile.TemporaryFile(dir=out).close()
+        for p in made:  # empty; save_checkpoint makes them again, so a failed run leaves none
+            p.rmdir()
     curve = train(bundles, params, cfg)
     with _writing(out):  # loss.csv goes first and comes back last, as meta.json does
         (out / "loss.csv").unlink(missing_ok=True)

@@ -128,6 +128,16 @@ def load_bundles(manifest_path) -> list[FeatureBundle]:
             for r, lo, hi in zip(records, first[:-1], first[1:])]
 
 
+def check_fits(bundles: list[FeatureBundle], d: int, max_frames: int) -> None:
+    """A DataError names the first pair whose features are not `d` wide or
+    whose video has more than `max_frames` frames; the encoders assume both."""
+    for b in bundles:
+        if b.d != d:
+            raise DataError(f"{b.pair_id}: dimension mismatch (features d={b.d}, model d={d})")
+        if b.frames.shape[0] > max_frames:
+            raise DataError(f"{b.pair_id}: {b.frames.shape[0]} frames exceed max_frames={max_frames}")
+
+
 def synthetic_bundles(seed: int, n_pairs: int, n_tokens: int, n_frames: int,
                       n_patches: int, d: int) -> list[FeatureBundle]:
     """The bundles `load_bundles` reads from `gen_fixture`'s files, through a

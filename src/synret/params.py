@@ -81,16 +81,6 @@ class ModelParams:
         _emit_tensors("", self, out)
         return out
 
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        obj = self
-        parts = name.split(".")
-        for part in parts[:-1]:
-            obj = getattr(obj, part)
-        current = getattr(obj, parts[-1])
-        if current.shape != value.shape:
-            raise DataError(f"tensor {name}: shape {value.shape} != expected {current.shape}")
-        current[...] = value  # written through the view, so `flat` sees it
-
     def copy(self) -> "ModelParams":
         fresh = zeros_like(self)
         fresh.flat[...] = self.flat
@@ -250,11 +240,14 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
             raise DataError(f"{meta_path}: d={cfg.d}, max_frames={cfg.max_frames} "
                             f"do not match {name}.shet")
     p = zeros_like(d=cfg.d, heads=cfg.heads, max_frames=cfg.max_frames, tau=float(cfg.tau))
-    expected = [name for name, _ in p.named_tensors()]
-    if meta.get("tensors") != expected:
+    tensors = p.named_tensors()
+    if meta.get("tensors") != [name for name, _ in tensors]:
         raise DataError(f"{meta_path}: tensor list does not match this model layout")
-    for name in expected:
-        p.set_tensor(name, read_tensor(ckpt / f"{name}.shet"))  # widened by the copy
+    for name, view in tensors:
+        value = read_tensor(ckpt / f"{name}.shet")
+        if value.shape != view.shape:
+            raise DataError(f"tensor {name}: shape {value.shape} != expected {view.shape}")
+        view[...] = value  # widened through the view into `flat`
     return p
 
 

@@ -40,7 +40,6 @@ from .blocks import (
     transformer_encode,
 )
 from .dataset import FeatureBundle
-from .errors import DataError
 from .hierarchy import HierarchyIndex
 from .params import ModelParams
 
@@ -208,14 +207,10 @@ def _offsets(counts: list[int]) -> np.ndarray:
 
 
 def text_forward(bundles: list[FeatureBundle], params: ModelParams) -> tuple[TextCache, TextTape]:
-    feats = []
-    for b in bundles:
-        if b.d != params.d:
-            raise DataError(f"{b.pair_id}: dimension mismatch (features d={b.d}, model d={params.d})")
-        feats.append(b.node_features)
+    """Every caption's features must be `params.d` wide (`dataset.check_fits`)."""
     indexes = [b.index for b in bundles]
     first4 = _offsets([len(idx.mu4) for idx in indexes])
-    f1s, f2s, f3s, f4s = zip(*feats)
+    f1s, f2s, f3s, f4s = zip(*[b.node_features for b in bundles])
     f1, f2, f3, f4 = np.stack(f1s), np.concatenate(f2s), np.concatenate(f3s), np.concatenate(f4s)
 
     e1, e1_tape = res_norm(f1, params.mlp1, params.ln_global)
@@ -275,11 +270,8 @@ class Video:
 
 def video_forward(bundles: list[FeatureBundle],
                   params: ModelParams) -> tuple[list[Video], TransformerCache]:
-    for b in bundles:
-        if b.frames.shape[1] != params.d:
-            raise DataError(f"{b.pair_id}: dimension mismatch (frames d={b.frames.shape[1]}, model d={params.d})")
-        if b.frames.shape[0] > params.max_frames:
-            raise DataError(f"{b.pair_id}: {b.frames.shape[0]} frames exceed max_frames={params.max_frames}")
+    """Every video must be `params.d` wide and have at most
+    `params.max_frames` frames (`dataset.check_fits`)."""
     lengths = [b.frames.shape[0] for b in bundles]
     g, tape = transformer_encode(np.concatenate([b.frames for b in bundles]),
                                  params.temporal, params.pos_emb, params.heads, lengths)

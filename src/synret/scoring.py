@@ -283,11 +283,12 @@ class FusedPair:
 
 def fuse_pair(tc: TextCache, vid: Video, cfg: RunConfig) -> FusedPair:
     """The fused features of the one caption stacked in `tc` against `vid`,
-    pooled from `score_videos`'s logits and picks, so they select exactly as
-    scoring and training do."""
-    col = score_videos(tc, [vid], cfg)[0]
+    pooled by `score_videos`'s frame attention and picks, so they select
+    exactly as scoring and training do."""
+    cols = score_videos(tc, [vid], cfg)
+    col = cols[0]
     ev2, ev3 = pool(col, tc, vid, cfg)
-    return FusedPair(ev1=softmax(col.logits[0]) @ vid.frames, ev2=ev2, ev3=ev3,
+    return FusedPair(ev1=cols.attn[0, 0] @ vid.frames, ev2=ev2, ev3=ev3,
                      frames=col.frames, patches=col.patches)
 
 

@@ -693,6 +693,98 @@ def test_train_checks_out_before_the_first_step(fixture_dir, config_path, tmp_pa
     assert afile.read_text() == "keep\n"
 
 
+def _manifest_with_last_pair(tmp_path, **last):
+    """20 pairs: 19 of a d=8, 3-frame fixture, then one generated with the
+    `gen-fixtures` flags in `last` (say frames="6") and renamed pair0019, so
+    that `fuse` encodes a whole chunk before it reaches the last."""
+    def gen(name, pairs, frames="3", dim="8"):
+        fx = tmp_path / name
+        assert main(["gen-fixtures", "--seed", "3", "--pairs", str(pairs), "--tokens", "5",
+                     "--frames", frames, "--patches", "4", "--dim", dim, "--out", str(fx)]) == 0
+        return [{key: value if key == "pair_id" else f"{name}/{value}"
+                 for key, value in record.items()}
+                for record in json.loads((fx / "manifest.json").read_text())]
+
+    records = gen("fx19", 19) + gen("last", 1, **last)
+    records[-1]["pair_id"] = "pair0019"
+    manifest = tmp_path / "misfit.json"
+    manifest.write_text(json.dumps(records))
+    return str(manifest)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_fuse_on_a_manifest_that_does_not_fit_writes_nothing(fixture_dir, tmp_path, capsys,
+                                                             existing):
+    """The fit check runs before the first chunk is encoded: a new --out is
+    not made, and an old one keeps its index and tensors byte for byte."""
+    cfg, ckpt, out = tmp_path / "t4.json", tmp_path / "ckpt4", tmp_path / "feats"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 4, "steps": 0}))
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(ckpt)]) == 0
+    if existing:
+        assert main(["fuse", "--manifest", str(fixture_dir / "manifest.json"),
+                     "--params", str(ckpt), "--out", str(out)]) == 0
+        before = _snapshot(out)
+    manifest = _manifest_with_last_pair(tmp_path, frames="6")
+    capsys.readouterr()
+    assert main(["fuse", "--manifest", manifest, "--params", str(ckpt), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "synret: data error: pair0019: 6 frames exceed max_frames=4\n"
+    if existing:
+        assert _snapshot(out) == before
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("last,message", [
+    ({"frames": "6"}, "pair0019: 6 frames exceed max_frames=4"),
+    ({"dim": "16"}, "pair0019: dimension mismatch (features d=16, model d=8)"),
+])
+def test_train_on_a_manifest_that_does_not_fit_stops_before_step_1(tmp_path, capsys,
+                                                                   monkeypatch, last, message):
+    train_module = importlib.import_module("synret.train")
+    steps = []
+    step = train_module.batch_loss_and_grads
+    monkeypatch.setattr(train_module, "batch_loss_and_grads",
+                        lambda *args: steps.append(1) or step(*args))
+    manifest = _manifest_with_last_pair(tmp_path, **last)
+    cfg, out = tmp_path / "c.json", tmp_path / "ckpt"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 4, "seed": 3, "batch_size": 2,
+                               "steps": 5}))
+    capsys.readouterr()
+    assert main(["train", "--manifest", manifest, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"synret: data error: {message}\n"
+    assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("overrides,code", [({"batch_size": 9}, 2), ({"steps": 2, "lr": 1e38}, 3)])
+def test_train_failing_after_the_out_check_leaves_out_as_it_was(desk_manifest, tmp_path, capsys,
+                                                                existing, overrides, code):
+    """More pairs per batch than the manifest has, or a step that diverges:
+    the directories made to check --out are gone again, and an old
+    checkpoint is untouched."""
+    out = tmp_path / "new" / "ckpt"
+    if existing:
+        assert _desk_train(desk_manifest, tmp_path, out) == 0
+        before = _snapshot(out)
+    assert _desk_train(desk_manifest, tmp_path, out, **overrides) == code
+    if existing:
+        assert _snapshot(out) == before
+    else:
+        assert not (tmp_path / "new").exists()
+
+
+def test_fuse_failing_before_its_first_write_makes_no_out(desk_manifest, tmp_path, capsys):
+    ckpt, out = tmp_path / "ckpt", tmp_path / "feats"
+    assert _desk_train(desk_manifest, tmp_path, ckpt, lr=1e38) == 0
+    capsys.readouterr()
+    assert main(["fuse", "--manifest", desk_manifest, "--params", str(ckpt),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("synret: numerical error: fuse: floating-point error: overflow")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
     from synret.config import RunConfig
     from synret.dataset import load_bundles

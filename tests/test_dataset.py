@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from synret.dataset import load_bundle, load_bundles
+from synret.dataset import check_fits, load_bundle, load_bundles
 from synret.errors import DataError
 from synret.tensor_store import PairRecord, gen_fixture, read_manifest, write_tensor
 
@@ -30,6 +30,20 @@ def test_mismatched_feature_width_rejected(fixture, tmp_path):
     write_tensor(np.ones((3, 6), dtype=np.float32), tmp_path / records[0].frame_cls_path)
     with pytest.raises(DataError, match="dimension mismatch"):
         load_bundle(records[0], manifest)
+
+
+def test_check_fits_names_the_first_pair_that_does_not_fit(fixture):
+    """Pairs in manifest order, and for each pair its width before its frames."""
+    manifest, _ = fixture
+    bundles = load_bundles(manifest)
+    bundles[1].frames = bundles[1].frames[:2]
+    check_fits(bundles, 8, 3)
+    with pytest.raises(DataError, match=r"^pair0000: 3 frames exceed max_frames=1$"):
+        check_fits(bundles, 8, 1)
+    with pytest.raises(DataError, match=r"^pair0001: 2 frames exceed max_frames=1$"):
+        check_fits(bundles[::-1], 8, 1)
+    with pytest.raises(DataError, match=r"^pair0000: dimension mismatch \(features d=8, model d=16\)$"):
+        check_fits(bundles, 16, 1)
 
 
 def test_patch_frame_count_mismatch_rejected(fixture, tmp_path):

@@ -169,21 +169,22 @@ class TestParamBuffer:
         _assert_tensors_tile_flat(back)
         assert np.array_equal(back.flat, p.flat.astype(np.float32))
 
-    def test_set_tensor_writes_float32_through_the_view(self):
-        p = zeros_like(d=8, max_frames=3)
-        view = p.temporal.ln_ffn.gain
+    def test_load_checkpoint_widens_float32_through_the_view(self, tmp_path):
+        save_checkpoint(zeros_like(d=8, max_frames=3), tmp_path, seed=0)
         value = np.arange(8, dtype=np.float32) / 3
-        p.set_tensor("temporal.ln_ffn.gain", value)
-        assert p.temporal.ln_ffn.gain is view
-        assert view.dtype == np.float64 and np.array_equal(view, value)
-        _assert_tensors_tile_flat(p)
+        write_tensor(value, tmp_path / "temporal.ln_ffn.gain.shet")
+        back = load_checkpoint(tmp_path)
+        gain = back.temporal.ln_ffn.gain
+        assert gain.dtype == np.float64 and np.array_equal(gain, value)
+        _assert_tensors_tile_flat(back)
+        assert np.count_nonzero(back.flat) == np.count_nonzero(value)
 
-    def test_set_tensor_rejects_a_wrong_shape(self):
-        p = zeros_like(d=8, max_frames=3)
-        message = r"^tensor mlp1\.w1: shape \(8, 7\) != expected \(8, 8\)$"
+    def test_load_checkpoint_rejects_a_wrong_shaped_tensor(self, tmp_path):
+        save_checkpoint(zeros_like(d=8, max_frames=3), tmp_path, seed=0)
+        write_tensor(np.zeros((8, 15), dtype=np.float32), tmp_path / "fusion.w1.shet")
+        message = r"^tensor fusion\.w1: shape \(8, 15\) != expected \(8, 16\)$"
         with pytest.raises(DataError, match=message):
-            p.set_tensor("mlp1.w1", np.zeros((8, 7)))
-        assert not p.flat.any()
+            load_checkpoint(tmp_path)
 
 
 class TestTraining:
