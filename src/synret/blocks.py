@@ -159,26 +159,31 @@ def res_norm_backward(ybar: np.ndarray, cache: ResNormCache, mp: MlpParams,
 
 @dataclass
 class TransformerCache:
-    lengths: list[int]     # frame count of each stacked video
-    positions: np.ndarray  # (R,) position of each row inside its video
+    positions: np.ndarray         # (R,) position of each row inside its video
     x0: np.ndarray
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    attn: list[np.ndarray]  # per video: (heads, N_v, N_v)
-    heads_out: np.ndarray   # (R, d), concatenated head outputs
+    group_rows: list[np.ndarray]  # per group of equal-length videos: (B_g, n) row indices
+    attn: list[np.ndarray]        # per group: (B_g, heads, n, n)
+    heads_out: np.ndarray         # (R, d), concatenated head outputs
     ln_attn_cache: LayerNormCache
-    ffn: ResNormCache       # x2 = LN(x1 + FFN(x1)); its MLP's x is x1
+    ffn: ResNormCache             # x2 = LN(x1 + FFN(x1)); its MLP's x is x1
+
+
+def groups(keys: list) -> list[list[int]]:
+    """The positions of each distinct key, keys in order of first appearance."""
+    return [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)  # (heads, N, dh)
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, heads, d // heads).swapaxes(-2, -3)  # (..., heads, N, dh)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    heads, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+    *lead, heads, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, heads * dh)
 
 
 def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.ndarray,
@@ -186,29 +191,27 @@ def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.nd
                        ) -> tuple[np.ndarray, TransformerCache]:
     """One post-norm encoder layer over the stacked frame rows of one or more
     videos; `lengths` gives each video's frame count (default: one video).
-    Attention stays inside each video; the projections, LayerNorms and FFN
-    run once over all rows."""
+    Attention stays inside each video and runs once per group of
+    equal-length videos; the projections, LayerNorms and FFN run once over
+    all rows."""
     rows, d = frames.shape
     lengths = [rows] if lengths is None else list(lengths)
     if max(lengths) > pos_emb.shape[0]:
         raise DataError(f"{max(lengths)} frames exceed positional table of {pos_emb.shape[0]}")
     scale = 1.0 / np.sqrt(d // heads)
-    positions = np.concatenate([np.arange(n) for n in lengths])
+    first = np.cumsum(lengths) - lengths
+    positions = np.arange(rows) - np.repeat(first, lengths)
     x0 = frames + pos_emb[positions]
 
     q = x0 @ tp.wq.T
     k = x0 @ tp.wk.T
     v = x0 @ tp.wv.T
-    attn = []
+    group_rows = [first[at, None] + np.arange(lengths[at[0]]) for at in groups(lengths)]
+    attn = [softmax(np.einsum("bhid,bhjd->bhij", _split_heads(q[r], heads),
+                              _split_heads(k[r], heads)) * scale) for r in group_rows]
     heads_out = np.empty((rows, d))
-    start = 0
-    for n in lengths:
-        sl = slice(start, start + n)
-        start += n
-        a = softmax(np.einsum("hid,hjd->hij", _split_heads(q[sl], heads),
-                              _split_heads(k[sl], heads)) * scale, axis=-1)
-        heads_out[sl] = _merge_heads(np.einsum("hij,hjd->hid", a, _split_heads(v[sl], heads)))
-        attn.append(a)
+    for r, a in zip(group_rows, attn):
+        heads_out[r] = _merge_heads(np.einsum("bhij,bhjd->bhid", a, _split_heads(v[r], heads)))
     attn_out = heads_out @ tp.wo.T
 
     x1, ln_attn_cache = layer_norm(x0 + attn_out, tp.ln_attn)
@@ -216,8 +219,8 @@ def transformer_encode(frames: np.ndarray, tp: TransformerParams, pos_emb: np.nd
     x2, ffn = res_norm(x1, ffn_mp, tp.ln_ffn)
 
     cache = TransformerCache(
-        lengths=lengths, positions=positions, x0=x0, q=q, k=k, v=v, attn=attn,
-        heads_out=heads_out, ln_attn_cache=ln_attn_cache, ffn=ffn,
+        positions=positions, x0=x0, q=q, k=k, v=v, group_rows=group_rows,
+        attn=attn, heads_out=heads_out, ln_attn_cache=ln_attn_cache, ffn=ffn,
     )
     return x2, cache
 
@@ -242,17 +245,14 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
     heads_out_bar = attn_out_bar @ tp.wo
 
     qbar, kbar, vbar = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
-    start = 0
-    for n, a in zip(cache.lengths, cache.attn):
-        sl = slice(start, start + n)
-        start += n
-        ho_bar = _split_heads(heads_out_bar[sl], heads)
-        qh, kh = _split_heads(cache.q[sl], heads), _split_heads(cache.k[sl], heads)
-        attn_bar = np.einsum("hid,hjd->hij", ho_bar, _split_heads(cache.v[sl], heads))
-        vbar[sl] = _merge_heads(np.einsum("hij,hid->hjd", a, ho_bar))
-        sbar = softmax_vjp(a, attn_bar, axis=-1) * scale
-        qbar[sl] = _merge_heads(np.einsum("hij,hjd->hid", sbar, kh))
-        kbar[sl] = _merge_heads(np.einsum("hij,hid->hjd", sbar, qh))
+    for r, a in zip(cache.group_rows, cache.attn):
+        ho_bar = _split_heads(heads_out_bar[r], heads)
+        qh, kh = _split_heads(cache.q[r], heads), _split_heads(cache.k[r], heads)
+        attn_bar = np.einsum("bhid,bhjd->bhij", ho_bar, _split_heads(cache.v[r], heads))
+        vbar[r] = _merge_heads(np.einsum("bhij,bhid->bhjd", a, ho_bar))
+        sbar = softmax_vjp(a, attn_bar) * scale
+        qbar[r] = _merge_heads(np.einsum("bhij,bhjd->bhid", sbar, kh))
+        kbar[r] = _merge_heads(np.einsum("bhij,bhid->bhjd", sbar, qh))
 
     tp_grad.wq += qbar.T @ cache.x0
     tp_grad.wk += kbar.T @ cache.x0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import softmax
+from .blocks import groups, softmax
 from .config import RunConfig
 from .dataset import FeatureBundle
 from .errors import DataError
@@ -137,16 +137,9 @@ def score_videos(tc: TextCache, videos: list[Video], cfg: RunConfig) -> VideoCol
         patches=np.zeros((n_m, n_b, k_frame, k_patch), dtype=np.intp),
         score3=np.empty((n_m, n_b)), margin=np.empty(n_b),
         sizes=[(v, min(cfg.lambda_frame, v), min(cfg.lambda_patch, p)) for v, p in shapes])
-    for at in _groups(videos):
+    for at in groups(shapes):
         _score_group(tc, [videos[b] for b in at], cfg, cols, np.array(at))
     return cols
-
-
-def _groups(videos: list[Video]) -> list[list[int]]:
-    """The positions of the videos of each (N_v, N_p) shape, shapes in order
-    of first appearance."""
-    shapes = [vid.patches.shape[:2] for vid in videos]
-    return [[b for b, s in enumerate(shapes) if s == shape] for shape in dict.fromkeys(shapes)]
 
 
 def _score_group(tc: TextCache, videos: list[Video], cfg: RunConfig, cols: VideoColumns,
@@ -253,7 +246,7 @@ def score_videos_backward(s_bar: np.ndarray, tc: TextCache, videos: list[Video],
     n_v = [vid.g.shape[0] for vid in videos]
     first = np.cumsum(n_v) - n_v
     g_bar = np.zeros((sum(n_v), d))
-    for at in _groups(videos):
+    for at in groups([vid.patches.shape[:2] for vid in videos]):
         k_frame = cols.sizes[at[0]][1]
         rows = cols.frames[:, at, :k_frame] + first[at, None]
         add = (c2[:, at] / k_frame)[:, :, None, None] * tc.e2[:, None, None, :]

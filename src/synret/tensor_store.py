@@ -308,7 +308,8 @@ def gen_fixture(
 ) -> Path:
     """Write n_pairs synthetic pair records under out_dir; returns manifest path.
 
-    Deterministic: identical arguments give byte-identical output.
+    Deterministic: identical arguments give byte-identical output. An old
+    manifest goes first, so a failed run leaves none over new pair files.
     """
     for name, v in [("n_pairs", n_pairs), ("n_tokens", n_tokens),
                     ("n_frames", n_frames), ("n_patches", n_patches), ("d", d)]:
@@ -316,6 +317,8 @@ def gen_fixture(
             raise DataError(f"gen_fixture: {name} must be >= 1, got {v}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.json"
+    manifest.unlink(missing_ok=True)
     rng = SplitMix64(seed)
     records = []
     for i in range(n_pairs):
@@ -333,6 +336,5 @@ def gen_fixture(
                 patch_features_path=f"{pid}.patches.shet",
             )
         )
-    manifest = out / "manifest.json"
     write_manifest(records, manifest)
     return manifest

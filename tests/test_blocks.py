@@ -208,16 +208,34 @@ class TestTransformer:
         params = init_params(4, 8, max_frames=3)
         x = SplitMix64(8).uniform_sym((1, 8))
         _, cache = transformer_encode(x, params.temporal, params.pos_emb, params.heads)
-        assert np.array_equal(cache.attn[0], np.ones((8, 1, 1)))
+        assert np.array_equal(cache.attn[0], np.ones((1, 8, 1, 1)))
 
     def test_stacked_videos_match_one_at_a_time(self):
-        # attention stays inside each video; every row-wise part runs once
-        params = init_params(6, 8, max_frames=4)
+        # attention stays inside each video and runs once per length, bit for
+        # bit as one video at a time; every row-wise part runs once
+        params = init_params(6, 16, heads=2, max_frames=4)
         rng = SplitMix64(6)
-        videos = [rng.uniform_sym((n, 8)) for n in (3, 1, 4, 2)]
+        lengths = [3, 1, 4, 3, 2, 4]
+        videos = [rng.uniform_sym((n, 16)) for n in lengths]
         ybars = [rng.uniform_sym(v.shape) for v in videos]
         got, cache = transformer_encode(np.concatenate(videos), params.temporal,
-                                        params.pos_emb, params.heads, [3, 1, 4, 2])
+                                        params.pos_emb, params.heads, lengths)
+        assert [r.shape for r in cache.group_rows] == [(2, 3), (1, 1), (2, 4), (1, 2)]
+
+        def split(rows):  # (N, 16) -> (heads, N, 8)
+            return rows.reshape(len(rows), 2, 8).transpose(1, 0, 2)
+
+        attn, heads_out, lo = {}, [], 0
+        for n in lengths:
+            q, k, v = (split(m[lo:lo + n]) for m in (cache.q, cache.k, cache.v))
+            a = softmax(np.einsum("hid,hjd->hij", q, k) * (1.0 / np.sqrt(8)), axis=-1)
+            heads_out.append(np.einsum("hij,hjd->hid", a, v).transpose(1, 0, 2).reshape(n, 16))
+            attn[lo], lo = a, lo + n
+        assert np.array_equal(cache.heads_out, np.concatenate(heads_out))
+        for rows, group in zip(cache.group_rows, cache.attn):
+            for r, a in zip(rows, group):
+                assert np.array_equal(a, attn[r[0]])
+
         g_stacked = zeros_like(params)
         xbar = transformer_backward(np.concatenate(ybars), cache, params.temporal,
                                     g_stacked.temporal, g_stacked.pos_emb, params.heads)

@@ -285,6 +285,23 @@ def test_gen_fixtures_idempotent(tmp_path):
         assert f.read_bytes() == (b / f.name).read_bytes()
 
 
+def test_gen_fixtures_failing_part_way_leaves_no_manifest(tmp_path, capsys):
+    # an old manifest over a mix of old and new pair files would load as data
+    out = tmp_path / "fx"
+    args = ["gen-fixtures", "--pairs", "2", "--tokens", "4", "--frames", "3",
+            "--patches", "4", "--dim", "8", "--out", str(out)]
+    assert main(args + ["--seed", "1"]) == 0
+    blocked = out / "pair0001.frames.shet"
+    blocked.unlink()
+    blocked.mkdir()
+    capsys.readouterr()
+    assert main(args + ["--seed", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"synret: usage error: cannot write {blocked}")
+    assert len(err.splitlines()) == 1
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("flag", ["--pairs", "--tokens", "--frames", "--patches", "--dim"])
 def test_gen_fixtures_count_below_one_is_usage_error(tmp_path, capsys, flag, value):

@@ -1,10 +1,12 @@
-"""Output bytes pinned: SHA-256 digests of every file three CLI runs write.
+"""Output bytes pinned: SHA-256 digests of every file four CLI runs write.
 
 The runs are the README walkthrough at desk scale (fixture seed 1: train,
-eval, score --dsl, fuse) and two small runs at reference frame and patch
-counts (d=64, 12 frames, 49 patches): 8 pairs (train for 3 steps, eval,
-fuse) and 20 pairs, more than one `ENCODE_CHUNK` (train for 1 step, eval,
-score, fuse), plus the `--dump-config` output. The 20-pair run also pins the
+eval, score --dsl, fuse) and three small runs at reference frame and patch
+counts (d=64, 49 patches): 8 pairs of 12 frames (train for 3 steps, eval,
+fuse), 20 pairs of 12 frames, more than one `ENCODE_CHUNK` (train for 1
+step, eval, score, fuse), and 12 pairs of mixed lengths, 4 each at 12, 9 and
+5 frames from three fixtures joined in one manifest (train for 2 steps,
+eval, fuse), plus the `--dump-config` output. The 20-pair run also pins the
 float64 bytes of `score_matrix` under its checkpoint, which `score` (float32)
 and `eval` (ranks) can hide. The digests depend on the numpy and BLAS builds,
 which `tests/golden/outputs.json` records.
@@ -21,6 +23,7 @@ import json
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +33,12 @@ from synret.config import load_config
 from synret.dataset import load_bundles
 from synret.params import load_checkpoint
 from synret.scoring import score_matrix
+from synret.tensor_store import PairRecord, read_manifest, write_manifest
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
 
-# name: (gen-fixtures flags, train config, score flags or None for no score)
+# name: (gen-fixtures flags, or {subdir: flags} for one manifest over several
+# fixtures; train config; score flags or None for no score)
 RUNS = {
     "desk": (["--seed", "1", "--pairs", "8", "--tokens", "6", "--frames", "4",
               "--patches", "9", "--dim", "16"],
@@ -50,6 +55,12 @@ RUNS = {
                      {"d": 64, "max_frames": 12, "seed": 1, "batch_size": 8,
                       "steps": 1, "lr": 1e-3},
                      []),
+    "ref64-mixed": ({f"f{n}": ["--seed", str(seed), "--pairs", "4", "--tokens", "12",
+                               "--frames", str(n), "--patches", "49", "--dim", "64"]
+                     for seed, n in ((1, 12), (2, 9), (3, 5))},
+                    {"d": 64, "max_frames": 12, "seed": 1, "batch_size": 8,
+                     "steps": 2, "lr": 1e-3},
+                    None),
 }
 
 
@@ -62,12 +73,25 @@ def build_info() -> dict:
     return {"numpy": np.__version__, "blas": blas_name}
 
 
-def _run(root: Path, name: str, fixture_args: list, cfg: dict, score_args) -> None:
+def _gen_fixtures(fx: Path, fixture_args) -> None:
+    """One fixture in `fx`, or one per subdir of `fx` joined in
+    `fx/manifest.json`, each pair id and path prefixed by its subdir."""
+    if isinstance(fixture_args, list):
+        assert main(["gen-fixtures", *fixture_args, "--out", str(fx)]) == 0
+        return
+    records = []
+    for sub, args in fixture_args.items():
+        assert main(["gen-fixtures", *args, "--out", str(fx / sub)]) == 0
+        records += [PairRecord(f"{sub}-{r.pair_id}", *(f"{sub}/{path}" for path in astuple(r)[1:]))
+                    for r in read_manifest(fx / sub / "manifest.json")]
+    write_manifest(records, fx / "manifest.json")
+
+
+def _run(root: Path, name: str, fixture_args, cfg: dict, score_args) -> None:
     run = root / name
     fx, ckpt, cfg_path = run / "fx", run / "ckpt", run / "train.json"
     common = ["--manifest", str(fx / "manifest.json"), "--config", str(cfg_path)]
     steps = [
-        ["gen-fixtures", *fixture_args, "--out", str(fx)],
         ["train", *common, "--out", str(ckpt)],
         ["eval", *common, "--params", str(ckpt), "--report", str(run / "report.json")],
         ["fuse", *common, "--params", str(ckpt), "--out", str(run / "feats")],
@@ -77,6 +101,7 @@ def _run(root: Path, name: str, fixture_args: list, cfg: dict, score_args) -> No
                       "--out", str(run / "scores.shet")])
     run.mkdir()
     cfg_path.write_text(json.dumps(cfg))
+    _gen_fixtures(fx, fixture_args)
     for argv in steps:
         assert main(argv) == 0, argv
 
