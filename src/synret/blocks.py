@@ -3,9 +3,10 @@
 Everything here is float64 and shape-light: vectors are (d,), stacked node
 features are (n, d), and row-wise blocks take any number of stacked rows
 (their backwards take them as (n, d)). Each forward returns its output and a
-cache consumed by the matching backward; backwards accumulate parameter
-gradients into a ModelParams-shaped container and return the gradient w.r.t.
-their input.
+cache consumed by the matching backward. A backward returns the gradient
+w.r.t. its input and adds each parameter gradient, with exactly one `+=` per
+leaf, into any parameter-shaped tree whose leaves take `+=` once per
+backward: a zero gradient set (`params.zeros_like`) or `Adam.grads`.
 """
 
 from __future__ import annotations
@@ -259,5 +260,7 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
     tp_grad.wv += vbar.T @ cache.x0
     x0bar += qbar @ tp.wq + kbar @ tp.wk + vbar @ tp.wv
 
-    np.add.at(pos_grad, cache.positions, x0bar)
+    pos_bar = np.zeros(pos_grad.shape)
+    np.add.at(pos_bar, cache.positions, x0bar)
+    pos_grad += pos_bar
     return x0bar

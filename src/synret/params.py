@@ -7,6 +7,7 @@ widened on load. Linear weights use the (out, in) layout so y = W @ x.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -55,7 +56,8 @@ class TransformerParams:
 class ModelParams:
     """Every tensor is a view of one float64 buffer, `flat`, laid out in
     `named_tensors()` order; `zeros_like` sets it (it is not a field), and
-    tensors are written in place, never rebound."""
+    tensors are written in place, never rebound. `Adam.grads` is the same
+    tree with other leaves and no `flat`."""
 
     d: int
     heads: int
@@ -93,7 +95,7 @@ def _emit_tensors(prefix: str, obj, out: list) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
         name = f"{prefix}.{f.name}" if prefix else f.name
-        if isinstance(value, np.ndarray):
+        if isinstance(value, (np.ndarray, _Moments)):
             out.append((name, value))
         elif isinstance(value, (MlpParams, LayerNormParams, TransformerParams)):
             _emit_tensors(name, value, out)
@@ -101,34 +103,37 @@ def _emit_tensors(prefix: str, obj, out: list) -> None:
 
 def zeros_like(p: "ModelParams | None" = None, *, d: int | None = None,
                heads: int = 8, max_frames: int = 12, tau: float = 4.0) -> ModelParams:
-    """All-zero parameter set; doubles as the gradient accumulator layout."""
+    """All-zero parameter set; doubles as a whole gradient set."""
     if p is not None:
         d, heads, max_frames, tau = p.d, p.heads, p.max_frames, p.tau
     assert d is not None
     # 5 d->d MLPs, the 2d->d fusion MLP, 7 LayerNorms, the temporal layer, pos_emb
     flat = np.zeros(25 * d * d + (31 + max_frames) * d)
+    out = _tree(lambda lo, hi, shape: flat[lo:hi].reshape(shape), d, heads, max_frames, tau)
+    out.flat = flat
+    return out
+
+
+def _tree(leaf, d: int, heads: int, max_frames: int, tau: float) -> ModelParams:
+    """The model's tree with each tensor made by `leaf(lo, hi, shape)` from its
+    place [lo, hi) in the `flat` layout."""
     at = 0
 
-    # views are taken in call order, which is field order and so named_tensors()
-    # order; the leaf classes take their fields by position, as keyword calls
-    # added about 3 of 30 us to a d=16 call, made once per training step
-    def vec(n: int) -> np.ndarray:
+    # tensors are made in call order, which is field order and so
+    # named_tensors() order; the leaf classes take their fields by position,
+    # as keyword calls added about 3 of 30 us to a d=16 call
+    def t(*shape: int):
         nonlocal at
-        at += n
-        return flat[at - n:at]
-
-    def mat(rows: int, cols: int) -> np.ndarray:
-        nonlocal at
-        at += rows * cols
-        return flat[at - rows * cols:at].reshape(rows, cols)
+        lo, at = at, at + math.prod(shape)
+        return leaf(lo, at, shape)
 
     def mlp(d_out: int, d_hidden: int, d_in: int) -> MlpParams:
-        return MlpParams(mat(d_hidden, d_in), vec(d_hidden), mat(d_out, d_hidden), vec(d_out))
+        return MlpParams(t(d_hidden, d_in), t(d_hidden), t(d_out, d_hidden), t(d_out))
 
     def ln(n: int) -> LayerNormParams:
-        return LayerNormParams(vec(n), vec(n))
+        return LayerNormParams(t(n), t(n))
 
-    out = ModelParams(
+    return ModelParams(
         d=d,
         heads=heads,
         max_frames=max_frames,
@@ -145,20 +150,17 @@ def zeros_like(p: "ModelParams | None" = None, *, d: int | None = None,
         ln_enhance=ln(d),
         ln_weight=ln(d),
         temporal=TransformerParams(
-            wq=mat(d, d),
-            wk=mat(d, d),
-            wv=mat(d, d),
-            wo=mat(d, d),
-            ffn_w1=mat(4 * d, d), ffn_b1=vec(4 * d),
-            ffn_w2=mat(d, 4 * d), ffn_b2=vec(d),
+            wq=t(d, d),
+            wk=t(d, d),
+            wv=t(d, d),
+            wo=t(d, d),
+            ffn_w1=t(4 * d, d), ffn_b1=t(4 * d),
+            ffn_w2=t(d, 4 * d), ffn_b2=t(d),
             ln_attn=ln(d),
             ln_ffn=ln(d),
         ),
-        pos_emb=mat(max_frames, d),
+        pos_emb=t(max_frames, d),
     )
-    assert at == flat.size
-    out.flat = flat
-    return out
 
 
 def init_params(seed: int, d: int, *, heads: int = 8, max_frames: int = 12,
@@ -256,13 +258,49 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-ADAM_BLOCK = 16384  # elements per slice of the update: 128 KB of f64 per array, inside L2
+ADAM_BLOCK = 16384  # elements per slice of Adam's passes: 128 KB of f64 per array, inside L2
+
+
+class _Moments:
+    """One tensor's slices of Adam's `m` and `v`, which the last update left
+    multiplied by beta1 and beta2: `+=` adds in that tensor's gradient for
+    the step, `ADAM_BLOCK` elements (as set when it is made) at a time. It
+    holds no reference to its `Adam`, so the moments are freed as soon as the
+    optimizer is dropped."""
+
+    __slots__ = ("blocks", "shape", "rate1", "rate2", "fed")
+
+    def __init__(self, m: np.ndarray, v: np.ndarray, shape: tuple, beta1: float, beta2: float):
+        # the slices are taken once: taken per call, they were a fifth of a d=16 intake
+        self.blocks = [(m[lo:lo + ADAM_BLOCK], v[lo:lo + ADAM_BLOCK], slice(lo, lo + ADAM_BLOCK))
+                       for lo in range(0, m.size, ADAM_BLOCK)]
+        self.shape, self.rate1, self.rate2 = shape, 1.0 - beta1, 1.0 - beta2
+        self.fed = False
+
+    def __iadd__(self, g: np.ndarray) -> "_Moments":
+        if self.fed:
+            raise RuntimeError("a tensor took a second gradient before Adam's update")
+        if g.shape != self.shape:
+            raise ValueError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
+        g = g.reshape(-1)
+        for m, v, block in self.blocks:
+            gb = g[block]
+            m += self.rate1 * gb
+            v += self.rate2 * gb * gb
+        self.fed = True
+        return self
 
 
 class Adam:
-    """Adam over the `flat` buffers, `ADAM_BLOCK` elements at a time, so the
-    four arrays stay in cache between the update's passes; every element
-    sees the same operations as in a whole-array update."""
+    """Adam over the `flat` buffers, holding no gradient set. `grads` is the
+    model's tree with a `_Moments` at each leaf: a backward adds each
+    tensor's gradient into it once per step, straight into that tensor's
+    slices of `m` and `v`. `update` moves the parameters, then multiplies the
+    moments by beta1 and beta2 for the next step, so that an intake is two
+    adds (a d=16 step makes 47). Each element of `m` still sees `m *= beta1;
+    m += (1 - beta1) * g` in that order, as in a whole-array update, and `v`
+    likewise. Both passes run `ADAM_BLOCK` elements at a time, so the arrays
+    stay in cache between their operations."""
 
     def __init__(self, params: ModelParams, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -271,19 +309,33 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = np.zeros_like(params.flat)
-        self._v = np.zeros_like(params.flat)
+        m = self._m = np.zeros_like(params.flat)
+        v = self._v = np.zeros_like(params.flat)
+        self.grads = _tree(lambda lo, hi, shape: _Moments(m[lo:hi], v[lo:hi], shape, beta1, beta2),
+                           params.d, params.heads, params.max_frames, params.tau)
+        self._leaves = [leaf for _, leaf in self.grads.named_tensors()]
 
-    def step(self, params: ModelParams, grads: ModelParams) -> None:
+    def update(self, params: ModelParams) -> None:
+        """One step from the gradients taken since the last update. Every
+        tensor must have taken one; if not, this raises and leaves `params`
+        and the moments as they were."""
+        if not all(leaf.fed for leaf in self._leaves):
+            unfed = [name for name, leaf in self.grads.named_tensors() if not leaf.fed]
+            raise RuntimeError(f"no gradient since the last update for {', '.join(unfed)}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for lo in range(0, self._m.size, ADAM_BLOCK):
             block = slice(lo, lo + ADAM_BLOCK)
-            p, g = params.flat[block], grads.flat[block]
-            m, v = self._m[block], self._v[block]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            p, m, v = params.flat[block], self._m[block], self._v[block]
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.beta1
+            v *= self.beta2
+        for leaf in self._leaves:
+            leaf.fed = False
+
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
+        """One step from a whole gradient set."""
+        for leaf, (_, g) in zip(self._leaves, grads.named_tensors()):
+            leaf += g
+        self.update(params)

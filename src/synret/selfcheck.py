@@ -19,13 +19,13 @@ from .errors import DataError, SynretError
 from .gradcheck import grad_check, max_relative_error
 from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
-from .params import init_params
+from .params import Adam, init_params
 from .rng import SplitMix64
 from .pipeline import ENCODE_CHUNK, enhance_entities, text_forward, video_forward
 from .reference import caption_weights, pair_forward, score_pair
 from .scoring import fuse_pair, score_matrix, top
 from .tensor_store import gen_fixture, read_tensor, write_tensor
-from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss
+from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss, train
 
 _SAMPLE_CONLLU = """\
 1\ta\ta\tDET\t_\t_\t2\tdet\t_\t_
@@ -232,6 +232,23 @@ def _check_determinism() -> str:
     return "bit-identical repeated evaluation"
 
 
+def _check_adam_intake() -> str:
+    bundles = synthetic_bundles(43, 4, 5, 3, 4, 8)
+    cfg = RunConfig(d=8, max_frames=3, seed=43, batch_size=4, steps=2, lr=1e-2)
+    trained = init_params(43, 8, max_frames=3)
+    train(bundles, trained, cfg)
+    params = init_params(43, 8, max_frames=3)
+    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    rng = SplitMix64(cfg.seed)
+    for _ in range(cfg.steps):
+        order = list(range(len(bundles)))
+        rng.shuffle(order)  # train's draw: one batch of all pairs per epoch
+        opt.step(params, batch_loss_and_grads([bundles[k] for k in order], params, cfg)[1])
+    if not np.array_equal(trained.flat, params.flat):
+        raise SynretError("train differs from whole gradient sets through Adam.step")
+    return "2 train steps == batch_loss_and_grads + Adam.step, bit for bit"
+
+
 CHECKS = [
     ("tensor-store", _check_tensor_roundtrip),
     ("fixture-determinism", _check_fixture_determinism),
@@ -245,6 +262,7 @@ CHECKS = [
     ("score-kernel", _check_score_kernel),
     ("gradients", _check_gradients),
     ("determinism", _check_determinism),
+    ("adam-intake", _check_adam_intake),
 ]
 
 

@@ -60,25 +60,34 @@ def batch_loss(bundles: list[FeatureBundle], params: ModelParams,
     return loss
 
 
-def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
-                         cfg: RunConfig):
-    """Forward, loss, and full analytic backward pass.
+def loss_and_backward(bundles: list[FeatureBundle], params: ModelParams,
+                      cfg: RunConfig, grads: ModelParams):
+    """Forward, loss, and full analytic backward pass, whose parameter
+    gradients go into `grads`: a zero gradient set, or `Adam.grads`.
 
     One kernel backward takes dloss/ds to the stacked caption gradients
     (node weights included) and to each video's rows of the
     temporal-encoding gradient. The caption side, weights first, and the
     temporal layer then run their backward once each over the whole batch.
     Every sum runs in a fixed order, so gradients are bit-reproducible.
+    Returns the loss and the batch's score matrix.
     """
     tc, text_tape, videos, video_tape, cols = _batch_forward(bundles, params, cfg)
     loss, ds = symmetric_ce_loss(cols.scores, cfg.tau)
-
-    grads = zeros_like(params)
     tg = TextGrad.zeros(tc)
     g_bar = score_videos_backward(ds, tc, videos, cols, cfg, tg)
     text_backward(tg, tc, text_tape, params, grads)
     video_backward(g_bar, video_tape, params, grads)
-    return loss, grads, cols.scores
+    return loss, cols.scores
+
+
+def batch_loss_and_grads(bundles: list[FeatureBundle], params: ModelParams,
+                         cfg: RunConfig):
+    """Loss, a new whole gradient set and the scores, for checks; `train`
+    keeps no gradient set."""
+    grads = zeros_like(params)
+    loss, scores = loss_and_backward(bundles, params, cfg, grads)
+    return loss, grads, scores
 
 
 def selection_margins(bundles: list[FeatureBundle], params: ModelParams,
@@ -120,11 +129,10 @@ def train(bundles: list[FeatureBundle], params: ModelParams,
         batch = [bundles[k] for k in queue[:b]]
         queue = queue[b:]
         try:
-            loss, grads, _ = batch_loss_and_grads(batch, params, cfg)
+            loss, _ = loss_and_backward(batch, params, cfg, adam.grads)
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at step {step}")
-            adam.step(params, grads)
-            del grads  # else it is alive while the next step allocates its own
+            adam.update(params)
         except FloatingPointError as e:  # raised only where numpy is set to raise
             raise FloatingPointError(f"{e} at step {step}") from None
         curve.append((step, loss))

@@ -696,8 +696,8 @@ def test_train_checks_out_before_the_first_step(fixture_dir, config_path, tmp_pa
                                                 monkeypatch):
     train_module = importlib.import_module("synret.train")
     steps = []
-    step = train_module.batch_loss_and_grads
-    monkeypatch.setattr(train_module, "batch_loss_and_grads",
+    step = train_module.loss_and_backward
+    monkeypatch.setattr(train_module, "loss_and_backward",
                         lambda *args: steps.append(1) or step(*args))
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
@@ -760,8 +760,8 @@ def test_train_on_a_manifest_that_does_not_fit_stops_before_step_1(tmp_path, cap
                                                                    monkeypatch, last, message):
     train_module = importlib.import_module("synret.train")
     steps = []
-    step = train_module.batch_loss_and_grads
-    monkeypatch.setattr(train_module, "batch_loss_and_grads",
+    step = train_module.loss_and_backward
+    monkeypatch.setattr(train_module, "loss_and_backward",
                         lambda *args: steps.append(1) or step(*args))
     manifest = _manifest_with_last_pair(tmp_path, **last)
     cfg, out = tmp_path / "c.json", tmp_path / "ckpt"

@@ -1,6 +1,7 @@
 """Contrastive loss identities, optimizer behavior, and training determinism."""
 
 import errno
+import gc
 import weakref
 
 import numpy as np
@@ -130,6 +131,35 @@ class TestAdam:
         for name, t in params.named_tensors():
             assert np.array_equal(t, want[name]), name
 
+    def test_a_tensor_fed_twice_in_one_step_raises(self):
+        params = init_params(3, 8, max_frames=3)
+        before = params.flat.copy()
+        opt = Adam(params, lr=1e-2)
+        opt.grads.mlp1.w1 += np.ones((8, 8))
+        with pytest.raises(RuntimeError, match="second gradient"):
+            opt.grads.mlp1.w1 += np.ones((8, 8))
+        with pytest.raises(RuntimeError, match="no gradient .* for mlp1.b1, "):
+            opt.update(params)
+        assert np.array_equal(params.flat, before) and opt.t == 0
+
+    def test_an_update_with_a_tensor_left_unfed_raises(self):
+        params = init_params(3, 8, max_frames=3)
+        before = params.flat.copy()
+        opt = Adam(params, lr=1e-2)
+        for name, leaf in opt.grads.named_tensors():
+            if name != "temporal.ln_ffn.bias":
+                leaf += np.ones(leaf.shape)
+        with pytest.raises(RuntimeError, match="for temporal.ln_ffn.bias$"):
+            opt.update(params)
+        assert np.array_equal(params.flat, before) and opt.t == 0
+
+    def test_a_gradient_of_another_shape_is_refused(self):
+        """Even one of the same size, which the flat moments could take."""
+        opt = Adam(init_params(3, 8, max_frames=3), lr=1e-2)
+        with pytest.raises(ValueError, match=r"shape \(16, 8\) for a tensor of shape \(8, 16\)"):
+            opt.grads.fusion.w1 += np.ones((16, 8))
+        opt.grads.fusion.w1 += np.ones((8, 16))
+
 
 def _assert_tensors_tile_flat(p):
     """Every named tensor is a view of `p.flat`, and the views lie end to end
@@ -232,24 +262,70 @@ class TestTraining:
         with pytest.raises(DataError):
             train(bundles, params, cfg)
 
-    def test_a_run_holds_one_step_of_gradients_at_a_time(self, monkeypatch):
-        """Step t's gradient set is gone before step t+1 allocates its own,
-        so a run holds four parameter-sized buffers, not five."""
-        issued = []
+    def test_a_run_allocates_no_gradient_set(self, monkeypatch):
+        """The backward adds into `Adam.grads`, so a run holds three
+        parameter-sized buffers: the parameters and Adam's two moments."""
+        calls = []
 
         def tracked_zeros_like(*args, **kwargs):
-            alive = sum(ref() is not None for ref in issued)
-            assert alive == 0, f"{alive} earlier gradient set(s) alive"
-            grads = zeros_like(*args, **kwargs)
-            issued.append(weakref.ref(grads))
-            return grads
+            calls.append(1)
+            return zeros_like(*args, **kwargs)
 
-        monkeypatch.setattr(synret.train, "zeros_like", tracked_zeros_like)
         bundles = synthetic_bundles(15, 4, 5, 3, 4, 8)
         params = init_params(15, 8, max_frames=3)
         cfg = RunConfig(d=8, max_frames=3, seed=15, batch_size=2, steps=3, lr=1e-3)
+        monkeypatch.setattr(synret.train, "zeros_like", tracked_zeros_like)
+        monkeypatch.setattr(synret.params, "zeros_like", tracked_zeros_like)
         assert len(train(bundles, params, cfg)) == 3
-        assert len(issued) == 3
+        assert calls == []
+
+    def test_the_moments_are_freed_when_train_returns(self, monkeypatch):
+        """No reference cycle holds the optimizer: its moments go when
+        `train` returns, with the cyclic collector off."""
+        moments = []
+
+        def tracked_adam(*args, **kwargs):
+            opt = Adam(*args, **kwargs)
+            moments.append(weakref.ref(opt._m))
+            return opt
+
+        monkeypatch.setattr(synret.train, "Adam", tracked_adam)
+        bundles = synthetic_bundles(15, 4, 5, 3, 4, 8)
+        params = init_params(15, 8, max_frames=3)
+        cfg = RunConfig(d=8, max_frames=3, seed=15, batch_size=2, steps=2, lr=1e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            train(bundles, params, cfg)
+            assert len(moments) == 1 and moments[0]() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("block", [7, synret.params.ADAM_BLOCK])
+    def test_train_equals_whole_gradient_sets_and_the_adam_formula(self, monkeypatch, block):
+        """Three steps of `train` over videos of 3, 2 and 1 frames leave the
+        parameters bit for bit where a loop over `batch_loss_and_grads` and
+        the whole-tensor Adam formula does."""
+        monkeypatch.setattr(synret.params, "ADAM_BLOCK", block)
+        bundles = [b for frames in (3, 2, 1) for b in synthetic_bundles(40 + frames, 2, 5,
+                                                                         frames, 4, 8)]
+        cfg = RunConfig(d=8, max_frames=3, seed=17, batch_size=4, steps=3, lr=1e-2)
+        got = init_params(18, 8, max_frames=3)
+        train(bundles, got, cfg)
+
+        params = init_params(18, 8, max_frames=3)
+        m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        rng = SplitMix64(cfg.seed)
+        for t in range(1, cfg.steps + 1):
+            order = list(range(len(bundles)))
+            rng.shuffle(order)  # 6 pairs fill one batch of 4 per epoch
+            _, grads, _ = batch_loss_and_grads([bundles[k] for k in order[:4]], params, cfg)
+            g = grads.flat
+            m = m * cfg.beta1 + (1.0 - cfg.beta1) * g
+            v = v * cfg.beta2 + (1.0 - cfg.beta2) * g * g
+            bc1, bc2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            params.flat[...] = params.flat - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        assert np.array_equal(got.flat, params.flat)
 
     def test_each_gradient_evaluation_is_a_new_buffer(self):
         """Two evaluations never share a buffer, so comparing them (as
