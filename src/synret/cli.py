@@ -9,7 +9,6 @@ and writes only under paths named in its arguments.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 import tempfile
@@ -27,21 +26,13 @@ from .dataset import check_fits, load_bundles
 from .errors import DataError, DataWarning, NumericalError, SynretError, UsageError
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
+from .parallel import malloc_trim as _malloc_trim
 from .params import init_params, load_checkpoint, save_checkpoint
 from .pipeline import ENCODE_CHUNK, text_forward, video_forward
 from .scoring import dsl_postprocess, fuse_pair, score_matrix
 from .selfcheck import run_selfcheck
 from .tensor_store import gen_fixture, write_file, write_tensor
 from .train import train, write_loss_log
-
-
-# glibc keeps freed arrays resident unless they sit at the heap's top, so a
-# process running several commands would carry them into the next one's peak.
-try:  # glibc only; elsewhere freed memory is left to the allocator
-    _malloc_trim = ctypes.CDLL("libc.so.6").malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-except (OSError, AttributeError):
-    _malloc_trim = None
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -174,6 +165,8 @@ def _cmd_fuse(args) -> int:
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
     check_fits(bundles, params.d, params.max_frames)
+    for b in bundles:  # read once now, so that a bad payload fails before the first write
+        b.read_patches()
     out = Path(args.out)
     index = {}
     for lo in range(0, len(bundles), ENCODE_CHUNK):
@@ -326,6 +319,9 @@ def main(argv=None) -> int:
             traceback.print_exc()
         return e.exit_code
     finally:
+        # glibc keeps freed arrays resident unless they sit at the heap's
+        # top, so a process running several commands would carry them into
+        # the next one's peak
         if _malloc_trim is not None:
             _malloc_trim(0)
 

@@ -19,6 +19,23 @@ from .tensor_store import (
 )
 
 
+@dataclass(frozen=True)
+class PatchFile:
+    """A patch payload left in its file: the path, and the dims its header
+    gave when the bundle was loaded."""
+    path: Path
+    shape: tuple[int, ...]
+
+    def read(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The float32 payload through `read_tensor` (into `out` if given),
+        with its size and finiteness checks; a file whose dims are no longer
+        those of its header at load is a DataError."""
+        patches = read_tensor(self.path, out)
+        if patches.shape != self.shape:
+            raise DataError(f"{self.path}: file changed while being read")
+        return patches
+
+
 @dataclass
 class FeatureBundle:
     """Everything needed to evaluate one caption against one video."""
@@ -27,12 +44,19 @@ class FeatureBundle:
     index: HierarchyIndex
     text: np.ndarray     # (N_t+1, d) float64, row 0 = caption CLS
     frames: np.ndarray   # (N_v, d) float64
-    patches: np.ndarray  # (N_v, N_p, d) float32 as stored; readers widen what
-                         # they read (a frame, the picked rows) to float64
+    # (N_v, N_p, d) float32 as stored, or the file to read it from (see
+    # `read_patches`); readers widen what they read (a frame, the picked
+    # rows) to float64
+    patches: np.ndarray | PatchFile
 
     @property
     def d(self) -> int:
         return self.text.shape[1]
+
+    def read_patches(self) -> np.ndarray:
+        """The float32 patch array: the one held, or the payload of its file,
+        read now and not kept."""
+        return self.patches.read() if isinstance(self.patches, PatchFile) else self.patches
 
     @cached_property
     def node_features(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -59,10 +83,9 @@ def init_node_features(index: HierarchyIndex, text: np.ndarray):
     return f1, f2, f3, f4
 
 
-def load_bundle(record: PairRecord, manifest_path,
-                patches_out: np.ndarray | None = None) -> FeatureBundle:
-    """One pair's bundle; `patches_out`, if given, receives the patch
-    payload (see `read_tensor`)."""
+def load_bundle(record: PairRecord, manifest_path) -> FeatureBundle:
+    """One pair's bundle, every input checked but the patch payload, which
+    stays in its file (a `PatchFile`) with its header checked."""
     conllu_path = resolve(manifest_path, record.text_conllu_path)
     try:
         raw = Path(conllu_path).read_bytes()
@@ -79,23 +102,24 @@ def load_bundle(record: PairRecord, manifest_path,
 
     text = read_tensor(resolve(manifest_path, record.text_features_path)).astype(np.float64)
     frames = read_tensor(resolve(manifest_path, record.frame_cls_path)).astype(np.float64)
-    patches = read_tensor(resolve(manifest_path, record.patch_features_path), patches_out)
+    patch_path = resolve(manifest_path, record.patch_features_path)
+    patch_dims = read_tensor_shape(patch_path)
 
-    if text.ndim != 2 or frames.ndim != 2 or patches.ndim != 3:
+    if text.ndim != 2 or frames.ndim != 2 or len(patch_dims) != 3:
         raise DataError(f"{record.pair_id}: tensor ranks must be text=2 frames=2 patches=3")
     d = text.shape[1]
-    if frames.shape[1] != d or patches.shape[2] != d:
+    if frames.shape[1] != d or patch_dims[2] != d:
         raise DataError(
             f"{record.pair_id}: dimension mismatch across tensors "
-            f"(text d={d}, frames d={frames.shape[1]}, patches d={patches.shape[2]})"
+            f"(text d={d}, frames d={frames.shape[1]}, patches d={patch_dims[2]})"
         )
     if text.shape[0] < 2:
         raise DataError(f"{record.pair_id}: text features need a CLS row plus >= 1 token row")
-    if frames.shape[0] < 1 or patches.shape[1] < 1:
+    if frames.shape[0] < 1 or patch_dims[1] < 1:
         raise DataError(f"{record.pair_id}: need at least one frame and one patch")
-    if patches.shape[0] != frames.shape[0]:
+    if patch_dims[0] != frames.shape[0]:
         raise DataError(
-            f"{record.pair_id}: patch tensor covers {patches.shape[0]} frames, "
+            f"{record.pair_id}: patch tensor covers {patch_dims[0]} frames, "
             f"frame tensor has {frames.shape[0]}"
         )
     if len(tokens) != text.shape[0] - 1:
@@ -108,24 +132,32 @@ def load_bundle(record: PairRecord, manifest_path,
         index=index_hierarchy(build_hierarchy(tokens)),
         text=text,
         frames=frames,
-        patches=patches,
+        patches=PatchFile(patch_path, patch_dims),
     )
 
 
 def load_bundles(manifest_path) -> list[FeatureBundle]:
-    """Every pair of a manifest. All patch payloads, nearly all of the bytes,
-    share one allocation, large enough for transparent huge pages: with one
-    array per video, each load page-faulted its memory in 4 KB pages (about
-    26,000 faults for 100 reference-shape pairs)."""
+    """Every pair of a manifest, checked as `load_bundle` checks one. The
+    patch payloads, nearly all of the bytes, stay in their files: a gallery
+    path reads one chunk's at a time (`FeatureBundle.read_patches`), and a
+    caller that revisits every pair reads them all once (`hold_patches`)."""
     records = read_manifest(manifest_path)
     if not records:
         raise DataError(f"{manifest_path}: empty manifest")
-    sizes = [math.prod(read_tensor_shape(resolve(manifest_path, r.patch_features_path)))
-             for r in records]
+    return [load_bundle(r, manifest_path) for r in records]
+
+
+def hold_patches(bundles: list[FeatureBundle]) -> None:
+    """Reads every patch payload still in its file into memory, in place.
+    They share one allocation, large enough for transparent huge pages: with
+    one array per video, each read page-faulted its memory in 4 KB pages
+    (about 26,000 faults for 100 reference-shape pairs)."""
+    files = [b for b in bundles if isinstance(b.patches, PatchFile)]
+    sizes = [math.prod(b.patches.shape) for b in files]
     arena = np.empty(sum(sizes), dtype=np.float32)
     first = np.cumsum([0] + sizes)
-    return [load_bundle(r, manifest_path, arena[lo:hi])
-            for r, lo, hi in zip(records, first[:-1], first[1:])]
+    for b, lo, hi in zip(files, first[:-1], first[1:]):
+        b.patches = b.patches.read(arena[lo:hi])
 
 
 def check_fits(bundles: list[FeatureBundle], d: int, max_frames: int) -> None:
@@ -143,4 +175,6 @@ def synthetic_bundles(seed: int, n_pairs: int, n_tokens: int, n_frames: int,
     """The bundles `load_bundles` reads from `gen_fixture`'s files, through a
     temporary directory; the payloads are in memory before it goes."""
     with tempfile.TemporaryDirectory() as tmp:
-        return load_bundles(gen_fixture(seed, n_pairs, n_tokens, n_frames, n_patches, d, tmp))
+        bundles = load_bundles(gen_fixture(seed, n_pairs, n_tokens, n_frames, n_patches, d, tmp))
+        hold_patches(bundles)
+    return bundles

@@ -264,20 +264,22 @@ def text_backward(tg: TextGrad, tc: TextCache, tape: TextTape, params: ModelPara
 @dataclass
 class Video:
     frames: np.ndarray   # raw frame features (N_v, d)
-    patches: np.ndarray  # (N_v, N_p, d), the bundle's float32 array
+    patches: np.ndarray  # (N_v, N_p, d) float32, `FeatureBundle.read_patches`
     g: np.ndarray        # temporal-encoded frames (N_v, d), a view into the batch's rows
 
 
 def video_forward(bundles: list[FeatureBundle],
                   params: ModelParams) -> tuple[list[Video], TransformerCache]:
     """Every video must be `params.d` wide and have at most
-    `params.max_frames` frames (`dataset.check_fits`)."""
+    `params.max_frames` frames (`dataset.check_fits`). A patch payload still
+    in its file is read first, for the returned videos only."""
+    patches = [b.read_patches() for b in bundles]
     lengths = [b.frames.shape[0] for b in bundles]
     g, tape = transformer_encode(np.concatenate([b.frames for b in bundles]),
                                  params.temporal, params.pos_emb, params.heads, lengths)
     first = _offsets(lengths)
-    videos = [Video(frames=b.frames, patches=b.patches, g=g[lo:hi])
-              for b, lo, hi in zip(bundles, first[:-1], first[1:])]
+    videos = [Video(frames=b.frames, patches=p, g=g[lo:hi])
+              for b, p, lo, hi in zip(bundles, patches, first[:-1], first[1:])]
     return videos, tape
 
 

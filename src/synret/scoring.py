@@ -25,6 +25,7 @@ from .blocks import groups, softmax
 from .config import RunConfig
 from .dataset import FeatureBundle
 from .errors import DataError
+from .parallel import blas_threads, in_order, usable_cpus
 from .params import ModelParams
 from .pipeline import (
     ENCODE_CHUNK,
@@ -149,7 +150,9 @@ def _score_group(tc: TextCache, videos: list[Video], cfg: RunConfig, cols: Video
     videos' rows into one GEMM rounds differently. Patches are scored only
     inside the frames each entity's parent action picked, with one GEMM per
     frame over the entities that picked it, on a float64 copy of that
-    frame's patches. Everything else runs once over the group."""
+    frame's patches, at one BLAS thread: at d=512 these GEMMs round
+    differently at one and two threads, which could flip a pick between
+    near-tied patches. Everything else runs once over the group."""
     n_t, n_a, n_m = tc.e1.shape[0], tc.e2.shape[0], tc.e3.shape[0]
     n_b = len(videos)
     n_v, n_p, _ = videos[0].patches.shape
@@ -176,14 +179,15 @@ def _score_group(tc: TextCache, videos: list[Video], cfg: RunConfig, cols: Video
     ent = order // (n_b * k_frame)
     scores3 = np.empty((order.size, n_p))
     lo = 0
-    for b, vid in enumerate(videos):
-        for j in range(n_v):
-            hi = ends[b * n_v + j]
-            if hi > lo:
-                # widened first: a float32 operand in `@` rounds differently
-                np.matmul(tc.e3[ent[lo:hi]], vid.patches[j].astype(np.float64).T,
-                          out=scores3[lo:hi])
-            lo = hi
+    with blas_threads(1):
+        for b, vid in enumerate(videos):
+            for j in range(n_v):
+                hi = ends[b * n_v + j]
+                if hi > lo:
+                    # widened first: a float32 operand in `@` rounds differently
+                    np.matmul(tc.e3[ent[lo:hi]], vid.patches[j].astype(np.float64).T,
+                              out=scores3[lo:hi])
+                lo = hi
     sorted3 = top(scores3, cfg.lambda_patch + 1)
     order3, ranked3 = (np.empty_like(x) for x in sorted3)
     order3[order], ranked3[order] = sorted3
@@ -285,25 +289,41 @@ def fuse_pair(tc: TextCache, vid: Video, cfg: RunConfig) -> FusedPair:
                      frames=col.frames, patches=col.patches)
 
 
+# Below this width two chunk workers mostly take turns holding the
+# interpreter lock. A 100-pair `eval` (12 frames of 49 patches) on two
+# workers against one: 1.04x the time at d=32, 1.01x at 64, 0.99-1.12x at
+# 96, 0.94x at 112, 0.76-0.81x at 128 and 0.74x at 256 (2 vCPUs).
+POOL_MIN_D = 128
+# The pool's width was measured at two workers only. Each worker holds one
+# chunk's payloads and scoring transients, so a wider pool has a higher peak.
+POOL_WIDTH = 2
+
+
 def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
                  params: ModelParams, cfg: RunConfig) -> np.ndarray:
     """Rows are captions, columns are videos. Fusion is caption-guided, so
     the matrix is not symmetric even on the diagonal manifest.
 
     Captions and videos are encoded in chunks of ENCODE_CHUNK, and each
-    chunk of videos is scored against all captions by one `score_videos`
-    call. The tapes are dropped as each chunk is encoded: nothing here runs
-    backward.
+    chunk of videos, its patch payloads read as it starts, is scored against
+    all captions by one `score_videos` call. The tapes are dropped as each
+    chunk is encoded: nothing here runs backward. From `POOL_MIN_D` up, the
+    chunks run on up to `POOL_WIDTH` threads, no more than the usable CPUs
+    (`parallel.in_order`, which holds BLAS to one thread meanwhile). Each
+    chunk computes alone, and its results and errors are taken in chunk
+    order, so the bytes and the error raised do not depend on the worker
+    count.
     """
-    out = np.zeros((len(bundles_t), len(bundles_v)))
     if not bundles_t:
-        return out
-    tc = TextCache.concat([text_forward(bundles_t[lo:lo + ENCODE_CHUNK], params)[0]
-                           for lo in range(0, len(bundles_t), ENCODE_CHUNK)])
-    for lo in range(0, len(bundles_v), ENCODE_CHUNK):
-        videos = video_forward(bundles_v[lo:lo + ENCODE_CHUNK], params)[0]
-        out[:, lo:lo + len(videos)] = score_videos(tc, videos, cfg).scores
-    return out
+        return np.zeros((0, len(bundles_v)))
+    caps = [bundles_t[lo:lo + ENCODE_CHUNK] for lo in range(0, len(bundles_t), ENCODE_CHUNK)]
+    vids = [bundles_v[lo:lo + ENCODE_CHUNK] for lo in range(0, len(bundles_v), ENCODE_CHUNK)]
+    workers = min(usable_cpus(), POOL_WIDTH) if params.d >= POOL_MIN_D else 1
+    tc = TextCache.concat(in_order(lambda chunk: text_forward(chunk, params)[0],
+                                   caps, workers))
+    scores = in_order(lambda chunk: score_videos(tc, video_forward(chunk, params)[0],
+                                                 cfg).scores, vids, workers)
+    return np.concatenate([np.zeros((len(bundles_t), 0)), *scores], axis=1)
 
 
 def dsl_postprocess(s: np.ndarray, tau_dsl: float, direction: str = "t2v") -> np.ndarray:

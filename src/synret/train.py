@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .dataset import FeatureBundle
+from .dataset import FeatureBundle, hold_patches
 from .errors import DataError, NumericalError
 from .params import Adam, ModelParams, zeros_like
 from .pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
@@ -112,11 +112,13 @@ def train(bundles: list[FeatureBundle], params: ModelParams,
     Batches are drawn without replacement from a seeded shuffle each epoch;
     leftover pairs that cannot fill a batch are skipped that epoch. Stops
     after `steps` steps, or earlier once a step's loss falls below
-    `stop_loss`.
+    `stop_loss`. Every step revisits the pairs, so their patch payloads are
+    read into memory first (`hold_patches`).
     """
     b = cfg.batch_size
     if len(bundles) < b:
         raise DataError(f"need at least batch_size={b} pairs, got {len(bundles)}")
+    hold_patches(bundles)
     rng = SplitMix64(cfg.seed)
     adam = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     curve: list[tuple[int, float]] = []

@@ -156,6 +156,40 @@ def test_numerical_error_exit_3(fixture_dir, checkpoint, config_path, tmp_path, 
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "score", "fuse"])
+def test_non_finite_payload_in_the_last_pair_leaves_the_output_as_it_was(tmp_path, capsys,
+                                                                         command):
+    """Patch payloads are read chunk by chunk, after every header is checked:
+    a bad one in the last pair, past the first encode chunk, still fails
+    before any output is touched."""
+    import struct
+
+    from synret.pipeline import ENCODE_CHUNK
+
+    fx, ckpt, out = tmp_path / "fx", tmp_path / "ckpt", tmp_path / "old"
+    n = ENCODE_CHUNK + 1
+    assert main(["gen-fixtures", "--seed", "3", "--pairs", str(n), "--tokens", "5",
+                 "--frames", "3", "--patches", "4", "--dim", "8", "--out", str(fx)]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 3, "steps": 0}))
+    argv = ["--manifest", str(fx / "manifest.json"), "--config", str(cfg)]
+    assert main(["train", *argv, "--out", str(ckpt)]) == 0
+    flag, target = {"eval": ("--report", out / "report.json"),
+                    "score": ("--out", out / "s.shet"), "fuse": ("--out", out / "fused")}[command]
+    argv = [command, *argv, "--params", str(ckpt), flag, str(target)]
+    out.mkdir()
+    assert main(argv) == 0
+    before = {f: f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+    victim = fx / f"pair{n - 1:04d}.patches.shet"
+    raw = bytearray(victim.read_bytes())
+    raw[-4:] = struct.pack("<f", float("inf"))
+    victim.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"synret: numerical error: {victim}: non-finite values in payload\n"
+    assert {f: f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()} == before
+
+
 @pytest.mark.filterwarnings("error")
 def test_parameters_beyond_float32_are_one_line_exit_3(tmp_path, capsys):
     """One step at lr 1e39 leaves finite float64 parameters that overflow

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from synret.dataset import check_fits, load_bundle, load_bundles
+from synret.dataset import check_fits, hold_patches, load_bundle, load_bundles
 from synret.errors import DataError
 from synret.tensor_store import PairRecord, gen_fixture, read_manifest, write_tensor
 
@@ -23,6 +23,22 @@ def test_load_bundles_shapes(fixture):
     assert b.frames.shape == (3, 8)
     assert b.patches.shape == (3, 4, 8)
     assert b.text.dtype == np.float64
+
+
+@pytest.mark.parametrize("dims", [(3, 8, 4), (3, 5, 8)])
+def test_patch_payload_whose_dims_changed_since_loading_is_data_error(fixture, tmp_path, dims):
+    """Loading checks the header and leaves the payload in its file; a file
+    rewritten with other dims, of the same size or not, is not read as the
+    shape that was checked."""
+    manifest, records = fixture
+    bundles = load_bundles(manifest)
+    assert bundles[0].patches.shape == (3, 4, 8)
+    path = tmp_path / records[0].patch_features_path
+    write_tensor(np.ones(dims, dtype=np.float32), path)
+    with pytest.raises(DataError, match=f"^{path}: file changed while being read$"):
+        bundles[0].read_patches()
+    with pytest.raises(DataError, match="file changed while being read"):
+        hold_patches(bundles)
 
 
 def test_mismatched_feature_width_rejected(fixture, tmp_path):

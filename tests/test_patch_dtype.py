@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 
 from synret.config import RunConfig
-from synret.dataset import load_bundles
+from synret.dataset import hold_patches, load_bundles
 from synret.params import init_params
 from synret.pipeline import text_forward, video_forward
 from synret.reference import pair_forward
@@ -22,7 +22,8 @@ D = 32
 def _stored_and_widened(tmp_path):
     manifest = gen_fixture(41, 5, 7, 4, 9, D, tmp_path)
     stored = load_bundles(manifest)
-    widened = [dataclasses.replace(b, patches=b.patches.astype(np.float64)) for b in stored]
+    widened = [dataclasses.replace(b, patches=b.read_patches().astype(np.float64))
+               for b in stored]
     return stored, widened
 
 
@@ -33,8 +34,11 @@ def _selections(psi3):
 def test_load_bundles_keeps_patches_float32(tmp_path):
     stored, _ = _stored_and_widened(tmp_path)
     for b in stored:
-        assert b.patches.dtype == np.float32
+        assert b.read_patches().dtype == np.float32
         assert b.text.dtype == np.float64 and b.frames.dtype == np.float64
+    hold_patches(stored)
+    for b in stored:
+        assert b.patches.dtype == np.float32 and b.read_patches() is b.patches
 
 
 def test_float32_patches_score_and_train_bit_identically(tmp_path):
