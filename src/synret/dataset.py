@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -26,11 +25,11 @@ class PatchFile:
     path: Path
     shape: tuple[int, ...]
 
-    def read(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The float32 payload through `read_tensor` (into `out` if given),
-        with its size and finiteness checks; a file whose dims are no longer
-        those of its header at load is a DataError."""
-        patches = read_tensor(self.path, out)
+    def read(self) -> np.ndarray:
+        """The float32 payload through `read_tensor`, with its size and
+        finiteness checks; a file whose dims are no longer those of its
+        header at load is a DataError."""
+        patches = read_tensor(self.path)
         if patches.shape != self.shape:
             raise DataError(f"{self.path}: file changed while being read")
         return patches
@@ -148,16 +147,10 @@ def load_bundles(manifest_path) -> list[FeatureBundle]:
 
 
 def hold_patches(bundles: list[FeatureBundle]) -> None:
-    """Reads every patch payload still in its file into memory, in place.
-    They share one allocation, large enough for transparent huge pages: with
-    one array per video, each read page-faulted its memory in 4 KB pages
-    (about 26,000 faults for 100 reference-shape pairs)."""
-    files = [b for b in bundles if isinstance(b.patches, PatchFile)]
-    sizes = [math.prod(b.patches.shape) for b in files]
-    arena = np.empty(sum(sizes), dtype=np.float32)
-    first = np.cumsum([0] + sizes)
-    for b, lo, hi in zip(files, first[:-1], first[1:]):
-        b.patches = b.patches.read(arena[lo:hi])
+    """Reads every patch payload still in its file into an array of its own,
+    in place, with `read_patches`' checks."""
+    for b in bundles:
+        b.patches = b.read_patches()
 
 
 def check_fits(bundles: list[FeatureBundle], d: int, max_frames: int) -> None:

@@ -67,12 +67,13 @@ def usable_cpus() -> int:
 
 
 def in_order(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] on up to `workers` threads. The results
-    come back in item order, and the error raised is that of the first item
-    that failed, in item order, so neither depends on `workers`; items not
-    yet started when it is raised are cancelled. Each call runs in a copy of
-    the caller's context, where numpy keeps its error state (`np.errstate`):
-    a new thread would otherwise start from the defaults.
+    """[fn(item) for item in items] on up to `workers` threads, through
+    `ThreadPoolExecutor.map`: the results come back in item order, and the
+    error raised is that of the first item that failed, in item order, so
+    neither depends on `workers`; items not yet started when it is raised
+    are cancelled. Each call runs in its own copy of the caller's context,
+    taken on the caller's thread, where numpy keeps its error state
+    (`np.errstate`): a new thread would otherwise start from the defaults.
 
     While the threads run, BLAS is held to one thread, so that the workers
     do not oversubscribe the cores; where it cannot be held, the calls run
@@ -85,10 +86,6 @@ def in_order(fn, items: list, workers: int) -> list:
         return [fn(item) for item in items]
     if _mallopt is not None:
         _mallopt(_M_ARENA_MAX, 1)
+    contexts = [contextvars.copy_context() for _ in items]
     with blas_threads(1), ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            for f in futures:
-                f.cancel()
+        return list(pool.map(lambda context, item: context.run(fn, item), contexts, items))

@@ -75,18 +75,17 @@ def write_tensor(t: np.ndarray, path) -> None:
     write_file(path, header + dims + np.ascontiguousarray(arr).tobytes())
 
 
-def read_tensor(path, out: np.ndarray | None = None) -> np.ndarray:
+def read_tensor(path) -> np.ndarray:
     """Inverse of write_tensor: the float32 payload, read straight from the
-    file into a new array, or into `out`, a contiguous 1-d float32 array of
-    exactly the payload's length, which is returned reshaped. Loaded text
-    and frame features are widened to float64 once; patch features stay
-    float32 in memory and are widened one frame at a time where they are
-    read."""
+    file into a new array. It is the one way a payload enters memory.
+    Loaded text and frame features are widened to float64 once; patch
+    features stay float32 in memory and are widened one frame at a time
+    where they are read."""
     try:
         with open(path, "rb") as f:
             dims = _read_header(f, path)
-            arr = np.empty(math.prod(dims), dtype="<f4") if out is None else out
-            if arr.size != math.prod(dims) or f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            arr = np.empty(math.prod(dims), dtype="<f4")
+            if f.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise DataError(f"{path}: file changed while being read")
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror or e}") from None

@@ -110,6 +110,27 @@ def test_in_order_keeps_item_order_for_results_and_errors():
 
 
 @pytest.mark.skipif(not BLAS_PINNABLE, reason="numpy's BLAS exposes no thread control")
+def test_in_order_failure_cancels_items_not_started_and_restores_blas():
+    """Item 0 fails at once while item 1 holds the other worker: its error
+    is raised, items not yet started never run (item 2 may have started
+    before the cancel), and BLAS is back at the count it had."""
+    before = parallel._blas_get()
+    ran, never_set = [], threading.Event()
+
+    def fn(i):
+        ran.append(i)
+        if i == 0:
+            raise ValueError("0")
+        never_set.wait(timeout=0.5)
+        return i
+
+    with pytest.raises(ValueError, match="^0$"):
+        in_order(fn, list(range(6)), 2)
+    assert {0, 1} <= set(ran) <= {0, 1, 2}
+    assert parallel._blas_get() == before
+
+
+@pytest.mark.skipif(not BLAS_PINNABLE, reason="numpy's BLAS exposes no thread control")
 def test_blas_threads_restores_the_count():
     before = parallel._blas_get()
     with blas_threads(1):

@@ -445,7 +445,7 @@ def test_batch_columns_equal_one_video_calls_bit_for_bit(golden_dir, lambda_fram
     bundles = mixed_batch(golden_dir, d, shapes=[(4, 9), (3, 5), (4, 9), (1, 1), (4, 9),
                                                  (3, 5), (4, 9), (2, 3), (4, 9)])
     for b in bundles:
-        b.patches = b.patches.astype(np.float32)  # as `load_bundles` holds them
+        b.patches = b.patches.astype(np.float32)  # as `hold_patches` holds them
     params = init_params(408, d, max_frames=4)
     cfg = RunConfig(d=d, max_frames=4, lambda_frame=lambda_frame, lambda_patch=lambda_patch,
                     literal_patch_norm=literal)
