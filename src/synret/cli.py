@@ -28,8 +28,8 @@ from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
 from .parallel import malloc_trim as _malloc_trim
 from .params import init_params, load_checkpoint, save_checkpoint
-from .pipeline import ENCODE_CHUNK, text_forward, video_forward
-from .scoring import dsl_postprocess, fuse_pair, score_matrix
+from .pipeline import text_forward, video_forward
+from .scoring import dsl_postprocess, fuse_pair, gallery_chunks, score_matrix
 from .selfcheck import run_selfcheck
 from .tensor_store import gen_fixture, write_file, write_tensor
 from .train import train, write_loss_log
@@ -160,42 +160,38 @@ def _cmd_build_hierarchy(args) -> int:
     return 0
 
 
+def _fuse_chunk(chunk, params, cfg) -> list[tuple[dict, dict]]:
+    """Per pair of the chunk, its 9 tensors by name and its selections."""
+    tc, tape = text_forward(chunk, params)
+    e3p, f3p = tape.e3p, tape.f3p
+    del tape  # its backward caches would stay alive while the chunk is fused
+    fused = []
+    for i, vid in enumerate(video_forward(chunk, params)[0]):
+        one, s3 = tc.single(i), slice(tc.first3[i], tc.first3[i + 1])
+        fp = fuse_pair(one, vid, cfg)
+        fused.append(({"e1": one.e1[0], "e2": one.e2, "e3": one.e3, "e3p": e3p[s3],
+                       "f3p": f3p[s3], "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3},
+                      {"frame_selection": fp.frames.tolist(),
+                       "patch_selection": fp.patches.tolist()}))
+    return fused
+
+
 def _cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
     check_fits(bundles, params.d, params.max_frames)
-    for b in bundles:  # read once now, so that a bad payload fails before the first write
-        b.read_patches()
+    chunks = gallery_chunks(lambda chunk: _fuse_chunk(chunk, params, cfg), bundles, params)
     out = Path(args.out)
     index = {}
-    for lo in range(0, len(bundles), ENCODE_CHUNK):
-        chunk = bundles[lo:lo + ENCODE_CHUNK]
-        tc, tape = text_forward(chunk, params)
-        e3p, f3p = tape.e3p, tape.f3p
-        del tape  # its backward caches would stay alive while the chunk is fused
-        videos = video_forward(chunk, params)[0]
-        for i, b in enumerate(chunk):
-            one, vid = tc.single(i), videos[i]
-            s3 = slice(tc.first3[i], tc.first3[i + 1])
-            fp = fuse_pair(one, vid, cfg)
-            tensors = {
-                "e1": one.e1[0], "e2": one.e2, "e3": one.e3, "e3p": e3p[s3], "f3p": f3p[s3],
-                "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3,
-            }
+    with _writing(out):  # after every pair is fused, so a failed pair leaves --out as it was
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "index.json").unlink(missing_ok=True)  # it lists the old tensors
+        for b, (tensors, picks) in zip(bundles, [pair for chunk in chunks for pair in chunk]):
             files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
-            with _writing(out):
-                if not index:  # before the first write: the old index lists the old tensors
-                    out.mkdir(parents=True, exist_ok=True)
-                    (out / "index.json").unlink(missing_ok=True)
-                for name, value in tensors.items():
-                    write_tensor(value, out / files[name])
-            index[b.pair_id] = {
-                "tensors": files,
-                "frame_selection": fp.frames.tolist(),
-                "patch_selection": fp.patches.tolist(),
-            }
-    with _writing(out):
+            for name, value in tensors.items():
+                write_tensor(value, out / files[name])
+            index[b.pair_id] = {"tensors": files, **picks}
         write_file(out / "index.json", _json(index))
     print(f"wrote features for {len(bundles)} pairs to {out}")
     return 0

@@ -43,11 +43,6 @@ from .dataset import FeatureBundle
 from .hierarchy import HierarchyIndex
 from .params import ModelParams
 
-# Gallery paths (`score_matrix` and the `fuse` CLI) encode this many items per
-# `text_forward`/`video_forward` call: enough rows to pay for one pass over the
-# weights, few enough to keep one chunk's activations small.
-ENCODE_CHUNK = 16
-
 
 # ---------------------------------------------------------------------------
 # Adjective enhancement of entity nodes

@@ -28,7 +28,6 @@ from .errors import DataError
 from .parallel import blas_threads, in_order, usable_cpus
 from .params import ModelParams
 from .pipeline import (
-    ENCODE_CHUNK,
     TextCache,
     TextGrad,
     Video,
@@ -289,6 +288,10 @@ def fuse_pair(tc: TextCache, vid: Video, cfg: RunConfig) -> FusedPair:
                      frames=col.frames, patches=col.patches)
 
 
+# A gallery is encoded this many items per `text_forward`/`video_forward`
+# call: enough rows to pay for one pass over the weights, few enough to keep
+# one chunk's activations small.
+ENCODE_CHUNK = 16
 # Below this width two chunk workers mostly take turns holding the
 # interpreter lock. A 100-pair `eval` (12 frames of 49 patches) on two
 # workers against one: 1.04x the time at d=32, 1.01x at 64, 0.99-1.12x at
@@ -299,30 +302,35 @@ POOL_MIN_D = 128
 POOL_WIDTH = 2
 
 
+def gallery_chunks(fn, bundles: list[FeatureBundle], params: ModelParams) -> list:
+    """[fn(chunk) for each chunk of ENCODE_CHUNK bundles], in gallery order:
+    the one place where a gallery path (`score_matrix`, the `fuse` command)
+    is cut into chunks. From `POOL_MIN_D` up, the chunks run on up to
+    `POOL_WIDTH` threads, no more than the usable CPUs (`parallel.in_order`,
+    which holds BLAS to one thread meanwhile). Each chunk computes alone,
+    and its results and errors are taken in chunk order, so the bytes and
+    the error raised do not depend on the worker count."""
+    chunks = [bundles[lo:lo + ENCODE_CHUNK] for lo in range(0, len(bundles), ENCODE_CHUNK)]
+    workers = min(usable_cpus(), POOL_WIDTH) if params.d >= POOL_MIN_D else 1
+    return in_order(fn, chunks, workers)
+
+
 def score_matrix(bundles_t: list[FeatureBundle], bundles_v: list[FeatureBundle],
                  params: ModelParams, cfg: RunConfig) -> np.ndarray:
     """Rows are captions, columns are videos. Fusion is caption-guided, so
     the matrix is not symmetric even on the diagonal manifest.
 
-    Captions and videos are encoded in chunks of ENCODE_CHUNK, and each
-    chunk of videos, its patch payloads read as it starts, is scored against
-    all captions by one `score_videos` call. The tapes are dropped as each
-    chunk is encoded: nothing here runs backward. From `POOL_MIN_D` up, the
-    chunks run on up to `POOL_WIDTH` threads, no more than the usable CPUs
-    (`parallel.in_order`, which holds BLAS to one thread meanwhile). Each
-    chunk computes alone, and its results and errors are taken in chunk
-    order, so the bytes and the error raised do not depend on the worker
-    count.
+    Captions and videos are encoded in `gallery_chunks`, and each chunk of
+    videos, its patch payloads read as it starts, is scored against all
+    captions by one `score_videos` call. The tapes are dropped as each chunk
+    is encoded: nothing here runs backward.
     """
     if not bundles_t:
         return np.zeros((0, len(bundles_v)))
-    caps = [bundles_t[lo:lo + ENCODE_CHUNK] for lo in range(0, len(bundles_t), ENCODE_CHUNK)]
-    vids = [bundles_v[lo:lo + ENCODE_CHUNK] for lo in range(0, len(bundles_v), ENCODE_CHUNK)]
-    workers = min(usable_cpus(), POOL_WIDTH) if params.d >= POOL_MIN_D else 1
-    tc = TextCache.concat(in_order(lambda chunk: text_forward(chunk, params)[0],
-                                   caps, workers))
-    scores = in_order(lambda chunk: score_videos(tc, video_forward(chunk, params)[0],
-                                                 cfg).scores, vids, workers)
+    tc = TextCache.concat(gallery_chunks(lambda chunk: text_forward(chunk, params)[0],
+                                         bundles_t, params))
+    scores = gallery_chunks(lambda chunk: score_videos(tc, video_forward(chunk, params)[0],
+                                                       cfg).scores, bundles_v, params)
     return np.concatenate([np.zeros((len(bundles_t), 0)), *scores], axis=1)
 
 

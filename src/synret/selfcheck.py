@@ -21,9 +21,9 @@ from .hierarchy import build_hierarchy, validate_hierarchy
 from .metrics import compute_metrics
 from .params import Adam, init_params
 from .rng import SplitMix64
-from .pipeline import ENCODE_CHUNK, enhance_entities, text_forward, video_forward
+from .pipeline import enhance_entities, text_forward, video_forward
 from .reference import caption_weights, pair_forward, score_pair
-from .scoring import fuse_pair, score_matrix, top
+from .scoring import ENCODE_CHUNK, fuse_pair, score_matrix, top
 from .tensor_store import gen_fixture, read_tensor, write_tensor
 from .train import batch_loss, batch_loss_and_grads, selection_margins, symmetric_ce_loss, train
 

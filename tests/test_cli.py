@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_non_finite_payload_in_the_last_pair_leaves_the_output_as_it_was(tmp_pat
     before any output is touched."""
     import struct
 
-    from synret.pipeline import ENCODE_CHUNK
+    from synret.scoring import ENCODE_CHUNK
 
     fx, ckpt, out = tmp_path / "fx", tmp_path / "ckpt", tmp_path / "old"
     n = ENCODE_CHUNK + 1
@@ -188,6 +189,32 @@ def test_non_finite_payload_in_the_last_pair_leaves_the_output_as_it_was(tmp_pat
     assert main(argv) == 3
     assert capsys.readouterr().err == f"synret: numerical error: {victim}: non-finite values in payload\n"
     assert {f: f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()} == before
+    if command == "fuse":  # nor is a new --out made
+        argv[-1] = str(tmp_path / "new")
+        assert main(argv) == 3
+        assert not (tmp_path / "new").exists()
+
+
+def test_fuse_reads_each_patch_payload_once(tmp_path, monkeypatch):
+    """Past one encode chunk, each pair's patch payload is read once, by the
+    chunk that fuses the pair."""
+    import synret.dataset
+    from synret.scoring import ENCODE_CHUNK
+
+    fx, ckpt = tmp_path / "fx", tmp_path / "ckpt"
+    assert main(["gen-fixtures", "--seed", "3", "--pairs", str(ENCODE_CHUNK + 3), "--tokens",
+                 "5", "--frames", "3", "--patches", "4", "--dim", "8", "--out", str(fx)]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 8, "max_frames": 3, "steps": 0}))
+    argv = ["--manifest", str(fx / "manifest.json"), "--config", str(cfg)]
+    assert main(["train", *argv, "--out", str(ckpt)]) == 0
+    read, reads = synret.dataset.read_tensor, []
+    monkeypatch.setattr(synret.dataset, "read_tensor",
+                        lambda path: reads.append(Path(path).resolve()) or read(path))
+    assert main(["fuse", *argv, "--params", str(ckpt), "--out", str(tmp_path / "fused")]) == 0
+    payloads = sorted(p.resolve() for p in fx.glob("*.patches.shet"))
+    assert len(payloads) == ENCODE_CHUNK + 3
+    assert sorted(p for p in reads if p.name.endswith(".patches.shet")) == payloads
 
 
 @pytest.mark.filterwarnings("error")
@@ -840,8 +867,9 @@ def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):
     from synret.config import RunConfig
     from synret.dataset import load_bundles
     from synret.params import load_checkpoint
-    from synret.pipeline import ENCODE_CHUNK, text_forward, video_forward
+    from synret.pipeline import text_forward, video_forward
     from synret.reference import pair_forward
+    from synret.scoring import ENCODE_CHUNK
 
     fx, ckpt, out = tmp_path / "fx", tmp_path / "ckpt", tmp_path / "fused"
     assert main(["gen-fixtures", "--seed", "5", "--pairs", str(ENCODE_CHUNK + 5),

@@ -1,5 +1,5 @@
-"""The chunk pool behind `score_matrix`, and BLAS held to one thread where
-output bytes must not depend on the machine."""
+"""The chunk pool behind `score_matrix` and `fuse`, and BLAS held to one
+thread where output bytes must not depend on the machine."""
 
 import hashlib
 import json
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synret
-from synret import parallel, scoring
+from synret import cli, parallel, scoring
 from synret.cli import main
 from synret.config import RunConfig
 from synret.dataset import load_bundles
@@ -47,46 +47,57 @@ def _workers(monkeypatch, n):
     monkeypatch.setattr(scoring, "POOL_WIDTH", n)
 
 
-def test_score_matrix_bytes_do_not_depend_on_the_worker_count(mixed, monkeypatch):
+def test_score_matrix_bytes_do_not_depend_on_the_worker_count(mixed, tmp_path, monkeypatch):
+    """Nor do those of every file `fuse` writes, its index included."""
     bundles = load_bundles(mixed)
     params = init_params(3, POOL_MIN_D, max_frames=5)
+    save_checkpoint(params, tmp_path / "ckpt", seed=3)
     cfg = RunConfig(d=POOL_MIN_D, max_frames=5)
     forward = scoring.video_forward
-    digests, on_main = {}, {}
+    digests, fused, on_main = {}, {}, {}
 
     def spy(chunk, p):
         on_main[workers].append(threading.current_thread() is threading.main_thread())
         return forward(chunk, p)
 
     monkeypatch.setattr(scoring, "video_forward", spy)
+    monkeypatch.setattr(cli, "video_forward", spy)
     for workers in (1, 2, 3):
         _workers(monkeypatch, workers)
         on_main[workers] = []
         digests[workers] = hashlib.sha256(score_matrix(bundles, bundles, params, cfg)
                                           .tobytes()).hexdigest()
+        out = tmp_path / f"fused{workers}"
+        assert main(["fuse", "--manifest", str(mixed), "--params", str(tmp_path / "ckpt"),
+                     "--out", str(out)]) == 0
+        fused[workers] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     assert digests[1] == digests[2] == digests[3]
-    assert on_main == {w: [w == 1 or not BLAS_PINNABLE] * 3 for w in (1, 2, 3)}
+    assert fused[1] == fused[2] == fused[3] and len(fused[1]) == 9 * 40 + 1
+    assert on_main == {w: [w == 1 or not BLAS_PINNABLE] * 6 for w in (1, 2, 3)}
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "fuse"])
 def test_floating_point_fault_in_a_worker_is_one_line_exit_3(mixed, tmp_path, capsys,
-                                                             monkeypatch):
+                                                             monkeypatch, command):
     """One step at lr 1e38 leaves parameters that overflow in the next
     forward pass, which the workers run: numpy's error state must reach
     them, or the overflow is a warning (an error here) instead of exit 3."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"d": POOL_MIN_D, "max_frames": 5, "seed": 1, "batch_size": 8,
                                "steps": 1, "lr": 1e38}))
-    ckpt, report = tmp_path / "ckpt", tmp_path / "report.json"
+    ckpt = tmp_path / "ckpt"
     assert main(["train", "--manifest", str(mixed), "--config", str(cfg),
                  "--out", str(ckpt)]) == 0
+    flag, target = {"eval": ("--report", tmp_path / "report.json"),
+                    "fuse": ("--out", tmp_path / "fused")}[command]
     _workers(monkeypatch, 2)
     capsys.readouterr()
-    assert main(["eval", "--manifest", str(mixed), "--params", str(ckpt),
-                 "--report", str(report)]) == 3
+    assert main([command, "--manifest", str(mixed), "--params", str(ckpt),
+                 flag, str(target)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("synret: numerical error: eval: floating-point error: overflow")
-    assert len(err.splitlines()) == 1 and not report.exists()
+    assert err.startswith(f"synret: numerical error: {command}: floating-point error: overflow")
+    assert len(err.splitlines()) == 1 and not target.exists()
 
 
 def test_in_order_keeps_item_order_for_results_and_errors():

@@ -16,7 +16,7 @@ from synret.dataset import FeatureBundle
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
-from synret.pipeline import ENCODE_CHUNK, TextCache, TextGrad, text_forward, video_forward
+from synret.pipeline import TextCache, TextGrad, text_forward, video_forward
 from synret.reference import (
     WeightCache,
     caption_weights,
@@ -29,6 +29,7 @@ from synret.reference import (
 )
 from synret.rng import SplitMix64
 from synret.scoring import (
+    ENCODE_CHUNK,
     dsl_postprocess,
     fuse_pair,
     score_matrix,
