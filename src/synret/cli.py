@@ -31,8 +31,8 @@ from .params import init_params, load_checkpoint, save_checkpoint
 from .pipeline import text_forward, video_forward
 from .scoring import dsl_postprocess, fuse_pair, gallery_chunks, score_matrix
 from .selfcheck import run_selfcheck
-from .tensor_store import gen_fixture, write_file, write_tensor
-from .train import train, write_loss_log
+from .tensor_store import gen_fixture, write_file, write_set, write_tensor
+from .train import loss_log, train
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -182,18 +182,14 @@ def _cmd_fuse(args) -> int:
     bundles = load_bundles(args.manifest)
     check_fits(bundles, params.d, params.max_frames)
     chunks = gallery_chunks(lambda chunk: _fuse_chunk(chunk, params, cfg), bundles, params)
-    out = Path(args.out)
-    index = {}
-    with _writing(out):  # after every pair is fused, so a failed pair leaves --out as it was
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "index.json").unlink(missing_ok=True)  # it lists the old tensors
-        for b, (tensors, picks) in zip(bundles, [pair for chunk in chunks for pair in chunk]):
-            files = {name: f"{b.pair_id}.{name}.shet" for name in tensors}
-            for name, value in tensors.items():
-                write_tensor(value, out / files[name])
-            index[b.pair_id] = {"tensors": files, **picks}
-        write_file(out / "index.json", _json(index))
-    print(f"wrote features for {len(bundles)} pairs to {out}")
+    tensors, index = {}, {}
+    for b, (fused, picks) in zip(bundles, [pair for chunk in chunks for pair in chunk]):
+        files = {name: f"{b.pair_id}.{name}.shet" for name in fused}
+        tensors.update((files[name], value) for name, value in fused.items())
+        index[b.pair_id] = {"tensors": files, **picks}
+    with _writing(args.out):  # after every pair is fused, so a failed pair leaves --out as it was
+        write_set(args.out, tensors, {"index.json": _json(index)})
+    print(f"wrote features for {len(bundles)} pairs to {args.out}")
     return 0
 
 
@@ -248,10 +244,8 @@ def _cmd_train(args) -> int:
         for p in made:  # empty; save_checkpoint makes them again, so a failed run leaves none
             p.rmdir()
     curve = train(bundles, params, cfg)
-    with _writing(out):  # loss.csv goes first and comes back last, as meta.json does
-        (out / "loss.csv").unlink(missing_ok=True)
-        save_checkpoint(params, out, seed=cfg.seed)
-        write_loss_log(curve, out / "loss.csv")
+    with _writing(out):
+        save_checkpoint(params, out, seed=cfg.seed, texts={"loss.csv": loss_log(curve)})
     if curve:
         print(f"trained {len(curve)} steps, final loss {curve[-1][1]!r}; checkpoint in {out}")
     else:

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import config_from_dict
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, UsageError
 from .rng import SplitMix64
-from .tensor_store import read_tensor, read_tensor_shape, write_file, write_tensor
+from .tensor_store import read_tensor, read_tensor_shape, write_set
 
 CHECKPOINT_VERSION = 1
 
@@ -189,23 +188,12 @@ def init_params(seed: int, d: int, *, heads: int = 8, max_frames: int = 12,
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(p: ModelParams, out_dir, *, seed: int) -> None:
-    """Every tensor is checked before the directory is touched, so a
-    non-finite one leaves an old checkpoint as it was. `meta.json` goes
-    first and comes back last: a save that fails part-way leaves a
-    directory that `load_checkpoint` refuses, not a mix of two checkpoints."""
-    out = Path(out_dir)
+def save_checkpoint(p: ModelParams, out_dir, *, seed: int,
+                    texts: dict[str, str] | None = None) -> None:
+    """The tensors, `meta.json`, then `texts` (say `train`'s loss log), as one
+    `write_set`: a non-finite tensor leaves an old checkpoint as it was, and a
+    save failing part-way leaves one that `load_checkpoint` refuses."""
     tensors = p.named_tensors()
-    for name, tensor in tensors:
-        with np.errstate(over="ignore"):  # an overflow to inf is reported below
-            finite = np.isfinite(tensor.astype(np.float32)).all()
-        if not finite:
-            raise NumericalError(f"refusing to write non-finite tensor to {out / name}.shet")
-    out.mkdir(parents=True, exist_ok=True)
-    with suppress(FileNotFoundError):
-        (out / "meta.json").unlink()
-    for name, tensor in tensors:
-        write_tensor(tensor, out / f"{name}.shet")
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "d": p.d,
@@ -215,7 +203,8 @@ def save_checkpoint(p: ModelParams, out_dir, *, seed: int) -> None:
         "seed": seed,
         "tensors": [name for name, _ in tensors],
     }
-    write_file(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_set(out_dir, {f"{name}.shet": tensor for name, tensor in tensors},
+              {"meta.json": json.dumps(meta, indent=2, sort_keys=True) + "\n", **(texts or {})})
 
 
 def load_checkpoint(ckpt_dir) -> ModelParams:

@@ -63,16 +63,39 @@ def write_file(path, data: bytes | str) -> None:
         raise
 
 
-def write_tensor(t: np.ndarray, path) -> None:
-    """Write an array as an f32 SHET file, narrowing it here; values must be
-    finite, and so must their float32 form."""
+def _float32(t: np.ndarray, path) -> np.ndarray:
+    """`t` narrowed to float32; it must be finite, and so must its float32 form."""
     with np.errstate(over="ignore"):  # an overflow to inf is reported below
         arr = np.asarray(t, dtype=np.float32)
     if arr.size and not np.isfinite(arr).all():
         raise NumericalError(f"refusing to write non-finite tensor to {path}")
+    return arr
+
+
+def write_tensor(t: np.ndarray, path) -> None:
+    """Write an array as an f32 SHET file, narrowing it here; values must be
+    finite, and so must their float32 form."""
+    arr = _float32(t, path)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
     write_file(path, header + dims + np.ascontiguousarray(arr).tobytes())
+
+
+def write_set(out_dir, tensors: dict[str, np.ndarray], texts: dict[str, str]) -> None:
+    """Writes one output set into `out_dir`, each file by name. Every tensor's
+    float32 form is checked first, so a non-finite one leaves an old set as it
+    was; the `texts`, which describe the tensors, are removed before the first
+    tensor is written and written last, in order."""
+    out = Path(out_dir)
+    for name, t in tensors.items():
+        _float32(t, out / name)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in texts:
+        (out / name).unlink(missing_ok=True)
+    for name, t in tensors.items():
+        write_tensor(t, out / name)
+    for name, text in texts.items():
+        write_file(out / name, text)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -11,7 +11,6 @@ from .params import Adam, ModelParams, zeros_like
 from .pipeline import TextGrad, text_backward, text_forward, video_backward, video_forward
 from .rng import SplitMix64
 from .scoring import score_videos, score_videos_backward
-from .tensor_store import write_file
 
 
 def symmetric_ce_loss(s: np.ndarray, tau: float):
@@ -143,6 +142,6 @@ def train(bundles: list[FeatureBundle], params: ModelParams,
     return curve
 
 
-def write_loss_log(curve: list[tuple[int, float]], path) -> None:
-    lines = ["step,loss"] + [f"{step},{loss!r}" for step, loss in curve]
-    write_file(path, "\n".join(lines) + "\n")
+def loss_log(curve: list[tuple[int, float]]) -> str:
+    """The text of `loss.csv`: a `step,loss` header, then one line per step."""
+    return "step,loss\n" + "".join(f"{step},{loss!r}\n" for step, loss in curve)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from synret.cli import main
-from synret.tensor_store import read_tensor
+from synret.tensor_store import read_tensor, write_tensor
 
 
 @pytest.fixture()
@@ -835,12 +835,14 @@ def test_train_on_a_manifest_that_does_not_fit_stops_before_step_1(tmp_path, cap
 
 
 @pytest.mark.parametrize("existing", [False, True])
-@pytest.mark.parametrize("overrides,code", [({"batch_size": 9}, 2), ({"steps": 2, "lr": 1e38}, 3)])
+@pytest.mark.parametrize("overrides,code", [({"batch_size": 9}, 2), ({"steps": 2, "lr": 1e38}, 3),
+                                            ({"lr": 5e38}, 3)])
 def test_train_failing_after_the_out_check_leaves_out_as_it_was(desk_manifest, tmp_path, capsys,
                                                                 existing, overrides, code):
-    """More pairs per batch than the manifest has, or a step that diverges:
-    the directories made to check --out are gone again, and an old
-    checkpoint is untouched."""
+    """More pairs per batch than the manifest has, a step that diverges, or
+    one whose parameters are finite but not as float32: the directories made
+    to check --out are gone again, and an old checkpoint, loss.csv included,
+    is untouched."""
     out = tmp_path / "new" / "ckpt"
     if existing:
         assert _desk_train(desk_manifest, tmp_path, out) == 0
@@ -852,15 +854,36 @@ def test_train_failing_after_the_out_check_leaves_out_as_it_was(desk_manifest, t
         assert not (tmp_path / "new").exists()
 
 
-def test_fuse_failing_before_its_first_write_makes_no_out(desk_manifest, tmp_path, capsys):
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("fault,message", [
+    ("lr", "numerical error: fuse: floating-point error: overflow"),
+    ("gain", "numerical error: refusing to write non-finite tensor to "),
+], ids=["lr", "gain"])
+def test_fuse_failing_before_its_first_write_makes_no_out(desk_manifest, tmp_path, capsys,
+                                                          existing, fault, message):
+    """A fault while fusing, or a fused tensor whose float32 form is not
+    finite (a gain of 3e38 is finite on disk, but e1 overflows float32):
+    a new --out is not made, and an old one keeps its index and tensors."""
     ckpt, out = tmp_path / "ckpt", tmp_path / "feats"
-    assert _desk_train(desk_manifest, tmp_path, ckpt, lr=1e38) == 0
+    argv = ["fuse", "--manifest", desk_manifest, "--params", str(ckpt), "--out", str(out)]
+    assert _desk_train(desk_manifest, tmp_path, ckpt) == 0
+    if existing:
+        assert main(argv) == 0
+        before = _snapshot(out)
+    if fault == "lr":
+        assert _desk_train(desk_manifest, tmp_path, ckpt, lr=1e38) == 0
+    else:
+        gain = ckpt / "ln_global.gain.shet"
+        write_tensor(np.full_like(read_tensor(gain), 3e38), gain)
     capsys.readouterr()
-    assert main(["fuse", "--manifest", desk_manifest, "--params", str(ckpt),
-                 "--out", str(out)]) == 3
+    assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("synret: numerical error: fuse: floating-point error: overflow")
-    assert len(err.splitlines()) == 1 and not out.exists()
+    assert err.startswith(f"synret: {message}")
+    assert len(err.splitlines()) == 1
+    if existing:
+        assert _snapshot(out) == before
+    else:
+        assert not out.exists()
 
 
 def test_fuse_across_encode_chunks_matches_per_pair_encoding(tmp_path):

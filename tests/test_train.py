@@ -17,10 +17,10 @@ from synret.tensor_store import write_tensor
 import synret.train
 from synret.train import (
     batch_loss_and_grads,
+    loss_log,
     selection_margins,
     symmetric_ce_loss,
     train,
-    write_loss_log,
 )
 
 from conftest import per_pair_selection_margin
@@ -388,7 +388,7 @@ class TestCheckpointRoundtrip:
     @pytest.mark.parametrize("written", [0, 1, 20])
     def test_save_failing_part_way_leaves_a_checkpoint_load_refuses(self, tmp_path, monkeypatch,
                                                                     written):
-        import synret.params
+        import synret.tensor_store
 
         save_checkpoint(init_params(21, 8, max_frames=3), tmp_path, seed=21)
         calls = []
@@ -399,14 +399,12 @@ class TestCheckpointRoundtrip:
             calls.append(path)
             write_tensor(tensor, path)
 
-        monkeypatch.setattr(synret.params, "write_tensor", write_then_fail)
+        monkeypatch.setattr(synret.tensor_store, "write_tensor", write_then_fail)
         with pytest.raises(OSError):
             save_checkpoint(init_params(22, 8, max_frames=3), tmp_path, seed=22)
         with pytest.raises(DataError, match="cannot read checkpoint metadata"):
             load_checkpoint(tmp_path)
 
 
-def test_loss_log_format(tmp_path):
-    p = tmp_path / "loss.csv"
-    write_loss_log([(1, 0.5), (2, 0.25)], p)
-    assert p.read_text() == "step,loss\n1,0.5\n2,0.25\n"
+def test_loss_log_format():
+    assert loss_log([(1, 0.5), (2, 0.25)]) == "step,loss\n1,0.5\n2,0.25\n"
