@@ -1,20 +1,21 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error (a
-non-finite value or a floating-point fault).
-Every subcommand accepts --config (JSON overrides of the printed defaults)
-and writes only under paths named in its arguments.
+Exit codes: 0 success, 1 usage error (among them an output, a file or
+stdout, that cannot be written or is one of the run's inputs, and running
+out of memory), 2 data error, 3 numerical error (a non-finite value or a
+floating-point fault). Every subcommand accepts --config (JSON overrides of
+the printed defaults) and writes only under paths named in its arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import traceback
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -121,16 +122,6 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
-@contextmanager
-def _writing(path):
-    """An output that cannot be written is a usage error: the path came from
-    the command line."""
-    try:
-        yield
-    except OSError as e:
-        raise UsageError(f"cannot write {e.filename or path}: {e.strerror or e}") from None
-
-
 def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -139,9 +130,10 @@ def _cmd_gen_fixtures(args) -> int:
     for flag in ("pairs", "tokens", "frames", "patches", "dim"):
         if getattr(args, flag) < 1:  # a bad flag is a usage error, raised before --out exists
             raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    with _writing(args.out):
-        manifest = gen_fixture(args.seed, args.pairs, args.tokens, args.frames,
-                               args.patches, args.dim, args.out)
+    if 8 * args.dim * max(args.tokens + 1, args.frames * args.patches) > sys.maxsize:
+        raise UsageError("the fixture's arrays would not fit in the address space")
+    manifest = gen_fixture(args.seed, args.pairs, args.tokens, args.frames,
+                           args.patches, args.dim, args.out)
     print(manifest)
     return 0
 
@@ -151,12 +143,13 @@ def _cmd_build_hierarchy(args) -> int:
         raw = Path(args.conllu).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read {args.conllu}: {e}") from None
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.conllu):
+        raise UsageError(f"cannot write {args.out}: it is one of this run's inputs")
     doc = hierarchy_to_json(build_hierarchy(parse_conllu(raw)))
     if args.out:
-        with _writing(args.out):
-            write_file(args.out, doc)
+        write_file(args.out, doc)
     else:
-        sys.stdout.write(doc)
+        print(doc, end="")  # not sys.stdout.write: sys.stdout is None if fd 1 was closed
     return 0
 
 
@@ -187,19 +180,23 @@ def _cmd_fuse(args) -> int:
         files = {name: f"{b.pair_id}.{name}.shet" for name in fused}
         tensors.update((files[name], value) for name, value in fused.items())
         index[b.pair_id] = {"tensors": files, **picks}
-    with _writing(args.out):  # after every pair is fused, so a failed pair leaves --out as it was
-        write_set(args.out, tensors, {"index.json": _json(index)})
+    write_set(args.out, tensors, {"index.json": _json(index)})  # after the last pair is fused
     print(f"wrote features for {len(bundles)} pairs to {args.out}")
     return 0
 
 
-def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...]):
+def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...], outputs: tuple):
     """(bundles, matrices): the manifest's captions scored against its videos,
     under --dsl weighted by the dual-softmax prior once per direction. A
     non-finite result is one line of numerical error, with no numpy warning."""
     params = load_checkpoint(args.params)
     bundles = load_bundles(args.manifest)
     check_fits(bundles, params.d, params.max_frames)
+    ckpt_files = ["meta.json", *(f"{name}.shet" for name, _ in params.named_tensors())]
+    inputs = [args.manifest, args.config, *(Path(args.params, f) for f in ckpt_files)]
+    for out in filter(os.path.exists, outputs):  # before any output is touched
+        if any(src and os.path.samefile(out, src) for src in inputs):
+            raise UsageError(f"cannot write {out}: it is one of this run's inputs")
     matrices = [score_matrix(bundles, bundles, params, cfg)]
     if args.dsl:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -212,7 +209,8 @@ def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...]):
 
 def _cmd_score(args) -> int:
     cfg = _load_cfg(args)
-    bundles, (s,) = _score_manifest(args, cfg, ("t2v",))
+    sidecar_path = Path(f"{args.out}.json")
+    bundles, (s,) = _score_manifest(args, cfg, ("t2v",), (args.out, sidecar_path))
     sidecar = {
         "rows": [b.pair_id for b in bundles],
         "cols": [b.pair_id for b in bundles],
@@ -221,11 +219,9 @@ def _cmd_score(args) -> int:
         "tau_dsl": cfg.tau_dsl if args.dsl else None,
         "literal_patch_norm": cfg.literal_patch_norm,
     }
-    sidecar_path = Path(f"{args.out}.json")
-    with _writing(args.out):
-        write_tensor(s, args.out)  # whole or not at all: until it lands, the old sidecar holds
-        sidecar_path.unlink(missing_ok=True)
-        write_file(sidecar_path, _json(sidecar))
+    write_tensor(s, args.out)  # whole or not at all: until it lands, the old sidecar holds
+    sidecar_path.unlink(missing_ok=True)
+    write_file(sidecar_path, _json(sidecar))
     print(f"wrote {s.shape[0]}x{s.shape[1]} score matrix to {args.out}")
     return 0
 
@@ -237,15 +233,13 @@ def _cmd_train(args) -> int:
     params = init_params(cfg.seed, cfg.d, heads=cfg.heads,
                          max_frames=cfg.max_frames, tau=cfg.tau)
     out = Path(args.out)
-    with _writing(out):  # before step 1: an unusable --out must not cost a training run
-        made = [p for p in (out, *out.parents) if not p.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        tempfile.TemporaryFile(dir=out).close()
-        for p in made:  # empty; save_checkpoint makes them again, so a failed run leaves none
-            p.rmdir()
+    made = [p for p in (out, *out.parents) if not p.exists()]  # --out is checked before step 1
+    out.mkdir(parents=True, exist_ok=True)
+    tempfile.TemporaryFile(dir=out).close()
+    for p in made:  # empty; save_checkpoint makes them again, so a failed run leaves none
+        p.rmdir()
     curve = train(bundles, params, cfg)
-    with _writing(out):
-        save_checkpoint(params, out, seed=cfg.seed, texts={"loss.csv": loss_log(curve)})
+    save_checkpoint(params, out, seed=cfg.seed, texts={"loss.csv": loss_log(curve)})
     if curve:
         print(f"trained {len(curve)} steps, final loss {curve[-1][1]!r}; checkpoint in {out}")
     else:
@@ -255,12 +249,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    bundles, matrices = _score_manifest(args, cfg, ("t2v", "v2t"))
+    bundles, matrices = _score_manifest(args, cfg, ("t2v", "v2t"), (args.report,))
     report = evaluate_matrix(*matrices)
     report["dsl"] = bool(args.dsl)
     report["pairs"] = len(bundles)
-    with _writing(args.report):
-        write_file(args.report, _json(report))
+    write_file(args.report, _json(report))
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -285,14 +278,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     verbose = False
     try:
-        args = parser.parse_args(argv)
-        verbose = args.verbose
-        if args.dump_config:
-            sys.stdout.write(dump_config(RunConfig()))
-            return 0
-        if not args.command:
-            parser.print_help()
-            return 1
         # a floating-point fault is one line of numerical error, not a numpy
         # warning on stderr before an exit 0; underflow to zero stays silent
         with (np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"),
@@ -300,14 +285,30 @@ def main(argv=None) -> int:
             warnings.simplefilter("always", DataWarning)  # every caption's, not the first only
             warnings.showwarning = _show_warning
             try:
+                args = parser.parse_args(argv)
+                verbose = args.verbose
+                if args.dump_config:
+                    print(dump_config(RunConfig()), end="")
+                    return 0
+                if not args.command:
+                    parser.print_help()
+                    return 1
                 return _COMMANDS[args.command](args)
             except FloatingPointError as e:
                 raise NumericalError(f"{args.command}: floating-point error: {e}") from None
-    except SynretError as e:
-        print(f"synret: {e.label}: {e}", file=sys.stderr)
+            finally:  # a closed stdout fails here, not at exit; print skips a None stdout
+                print(end="", flush=True)
+    except (SynretError, OSError, MemoryError) as e:
+        # each read turns its OSError into a DataError: an OSError here is a failed write
+        err = e if isinstance(e, SynretError) else UsageError(
+            f"cannot write {e.filename or 'stdout'}: {e.strerror or e}" if isinstance(e, OSError)
+            else "out of memory" + (f": {e}" if str(e) else ""))
+        print(f"synret: {err.label}: {err}", file=sys.stderr)
         if verbose:
             traceback.print_exc()
-        return e.exit_code
+        if isinstance(e, OSError) and e.filename is None:  # stdout: its flush at exit goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return err.exit_code
     finally:
         # glibc keeps freed arrays resident unless they sit at the heap's
         # top, so a process running several commands would carry them into

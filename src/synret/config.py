@@ -36,6 +36,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.d < 1 or self.max_frames < 1:
             raise UsageError("d and max_frames must be positive")
+        if 8 * (25 * self.d**2 + (31 + self.max_frames) * self.d) > sys.maxsize:
+            raise UsageError("d and max_frames give a parameter buffer too large to address")
         if self.lambda_frame < 1 or self.lambda_patch < 1:
             raise UsageError("lambda_frame and lambda_patch must be >= 1")
         if self.heads < 1:

@@ -2,11 +2,15 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import synret
 from synret.cli import main
 from synret.tensor_store import read_tensor, write_tensor
 
@@ -769,6 +773,141 @@ def test_train_checks_out_before_the_first_step(fixture_dir, config_path, tmp_pa
     assert err.startswith("synret: usage error: cannot write ") and len(err.splitlines()) == 1
     assert steps == []
     assert afile.read_text() == "keep\n"
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["--dump-config", "build-hierarchy", "gen-fixtures", "eval"])
+def test_closed_stdout_is_one_line_of_usage_error(fixture_dir, checkpoint, config_path, tmp_path,
+                                                  command):
+    """stdout is a pipe whose reader has gone, and block-buffered as on any
+    pipe, so the write fails when the run flushes it: one stderr line and
+    exit 1, with no `Exception ignored` from a second flush at exit. The
+    files the command writes are whole."""
+    manifest = str(fixture_dir / "manifest.json")
+    argv = {"--dump-config": ["--dump-config"],
+            "build-hierarchy": ["build-hierarchy", str(fixture_dir / "pair0000.conllu")],
+            "gen-fixtures": ["gen-fixtures", "--seed", "3", "--pairs", "4", "--tokens", "5",
+                             "--frames", "3", "--patches", "4", "--dim", "8",
+                             "--out", str(tmp_path / "fx2")],
+            "eval": ["eval", "--manifest", manifest, "--params", str(checkpoint),
+                     "--config", str(config_path), "--report", str(tmp_path / "r.json")]}[command]
+    want = {}
+    if command == "eval":
+        assert main(argv[:-1] + [str(tmp_path / "want.json")]) == 0
+        want = {Path("r.json"): (tmp_path / "want.json").read_bytes()}
+    elif command == "gen-fixtures":  # the fixture's own flags
+        want = {Path("fx2") / f.name: f.read_bytes() for f in fixture_dir.iterdir()}
+    before = _files(tmp_path)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(synret.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH", "")])
+    read, write = os.pipe()
+    os.close(read)  # so that the child's write fails with EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-X", "dev", "-m", "synret.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == "synret: usage error: cannot write stdout: Broken pipe\n"
+    after = _files(tmp_path)
+    assert {name: data for name, data in after.items() if name not in before} == want
+
+
+@pytest.mark.parametrize("command", ["--dump-config", "build-hierarchy"])
+def test_stdout_closed_at_start_drops_what_it_would_print(fixture_dir, capsys, monkeypatch,
+                                                         command):
+    """Python sets `sys.stdout` to None when fd 1 is closed as it starts; then,
+    as `print` does, the command drops its output and exits 0."""
+    argv = {"--dump-config": ["--dump-config"],
+            "build-hierarchy": ["build-hierarchy", str(fixture_dir / "pair0000.conllu")]}[command]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 5.82 TiB for an array with shape (800000001848,) and data type float64",
+     "out of memory: Unable to allocate 5.82 TiB for an array with shape (800000001848,) "
+     "and data type float64"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_is_one_line_of_usage_error(fixture_dir, config_path, tmp_path,
+                                                           capsys, monkeypatch, message, line):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("synret.cli.init_params", no_memory)
+    out = tmp_path / "ckpt"
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(fixture_dir / "manifest.json"),
+                 "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"synret: usage error: {line}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["eval-manifest", "eval-config", "eval-link-to-manifest",
+                                  "score-checkpoint-tensor", "score-sidecar-meta",
+                                  "build-hierarchy"])
+def test_output_that_is_an_input_is_usage_error(fixture_dir, checkpoint, config_path, tmp_path,
+                                                capsys, case):
+    manifest = fixture_dir / "manifest.json"
+    conllu = fixture_dir / "pair0000.conllu"
+    (tmp_path / "link.json").symlink_to(manifest)
+    common = ["--manifest", str(manifest), "--params", str(checkpoint), "--config",
+              str(config_path)]
+    command, out, refused = {
+        "eval-manifest": (["eval", *common, "--report"], manifest, manifest),
+        "eval-config": (["eval", *common, "--report"], config_path, config_path),
+        "eval-link-to-manifest": (["eval", *common, "--report"], tmp_path / "link.json",
+                                  tmp_path / "link.json"),
+        "score-checkpoint-tensor": (["score", *common, "--out"], checkpoint / "mlp1.w1.shet",
+                                    checkpoint / "mlp1.w1.shet"),
+        "score-sidecar-meta": (["score", *common, "--out"], checkpoint / "meta",
+                               checkpoint / "meta.json"),
+        "build-hierarchy": (["build-hierarchy", str(conllu), "-o"], conllu, conllu),
+    }[case]
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert main(command + [str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"synret: usage error: cannot write {refused}: it is one of this run's inputs\n")
+    assert _files(tmp_path) == before
+    # a new file beside the inputs is no input, on a rerun either
+    assert main(command + [str(out.parent / "new")]) == 0
+    assert main(command + [str(out.parent / "new")]) == 0
+
+
+_TOO_LARGE = "d and max_frames give a parameter buffer too large to address"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["gen-fixtures", "--seed", "1", "--pairs", "1", "--dim", str(10**19), "--out", "{out}"],
+     "usage error: the fixture's arrays would not fit in the address space"),
+    (["gen-fixtures", "--seed", "1", "--pairs", "1", "--patches", str(10**17), "--out", "{out}"],
+     "usage error: the fixture's arrays would not fit in the address space"),
+    (["train", "--manifest", "{manifest}", "--config", "{big}", "--out", "{out}"],
+     f"usage error: {_TOO_LARGE}"),
+    (["eval", "--manifest", "{manifest}", "--params", "{ckpt}", "--report", "{out}"],
+     f"data error: {{ckpt}}/meta.json: {_TOO_LARGE}"),
+], ids=["gen-fixtures-dim", "gen-fixtures-patches", "train-config", "eval-checkpoint-meta"])
+def test_sizes_past_the_address_space_are_refused_before_out(fixture_dir, checkpoint, tmp_path,
+                                                            capsys, argv, line):
+    """Only sizes past `sys.maxsize` bytes, for which no allocation can be
+    granted, are real here."""
+    paths = {"manifest": fixture_dir / "manifest.json", "big": tmp_path / "big.json",
+             "ckpt": checkpoint, "out": tmp_path / "out"}
+    paths["big"].write_text(json.dumps({"d": 8, "max_frames": 10**18, "batch_size": 2}))
+    meta = json.loads((checkpoint / "meta.json").read_text())
+    (checkpoint / "meta.json").write_text(json.dumps({**meta, "max_frames": 10**18}))
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == (2 if argv[0] == "eval" else 1)
+    assert capsys.readouterr().err == f"synret: {line.format(**paths)}\n"
+    assert not paths["out"].exists()
 
 
 def _manifest_with_last_pair(tmp_path, **last):
