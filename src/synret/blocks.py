@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DataError
 from .params import LayerNormParams, MlpParams, TransformerParams
@@ -31,6 +30,7 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 def _gelu_with_cdf(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact-erf GELU, z * Phi(z), and Phi(z)."""
+    from scipy.special import erf  # here: a command that computes no GELU never loads scipy
     cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
     return z * cdf, cdf
 

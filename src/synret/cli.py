@@ -16,6 +16,8 @@ import sys
 import tempfile
 import traceback
 import warnings
+from contextlib import suppress
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .params import init_params, load_checkpoint, save_checkpoint
 from .pipeline import text_forward, video_forward
 from .scoring import dsl_postprocess, fuse_pair, gallery_chunks, score_matrix
 from .selfcheck import run_selfcheck
-from .tensor_store import gen_fixture, write_file, write_set, write_tensor
+from .tensor_store import gen_fixture, read_manifest, resolve, write_file, write_set, write_tensor
 from .train import loss_log, train
 
 
@@ -126,6 +128,30 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _refuse_inputs(outputs, inputs) -> None:
+    """Before a command's first write: an output that is one of its inputs is a
+    usage error. Each path is stat'ed once; (device, inode) sees through links."""
+    taken = {os.stat(p)[1:3] for p in inputs if p}  # (st_ino, st_dev) of each file read
+    for out in filter(None, outputs):
+        with suppress(OSError):  # an output that cannot be stat'ed is no input
+            if os.stat(out)[1:3] in taken:
+                raise UsageError(f"cannot write {out}: it is one of this run's inputs")
+
+
+def _load(args, params, ckpt=()):
+    """The manifest's bundles, checked to fit `params`, and the run's inputs:
+    --config, the manifest and every file its records name, and `ckpt`."""
+    bundles = load_bundles(args.manifest)
+    check_fits(bundles, params.d, params.max_frames)
+    files = (resolve(args.manifest, f) for r in read_manifest(args.manifest) for f in astuple(r)[1:])
+    return bundles, [args.config, args.manifest, *files, *ckpt]
+
+
+def _checkpoint_files(directory, params) -> list[Path]:
+    names = ["meta.json", *(f"{name}.shet" for name, _ in params.named_tensors())]
+    return [Path(directory, name) for name in names]
+
+
 def _cmd_gen_fixtures(args) -> int:
     for flag in ("pairs", "tokens", "frames", "patches", "dim"):
         if getattr(args, flag) < 1:  # a bad flag is a usage error, raised before --out exists
@@ -143,8 +169,7 @@ def _cmd_build_hierarchy(args) -> int:
         raw = Path(args.conllu).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read {args.conllu}: {e}") from None
-    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.conllu):
-        raise UsageError(f"cannot write {args.out}: it is one of this run's inputs")
+    _refuse_inputs([args.out], [args.conllu])
     doc = hierarchy_to_json(build_hierarchy(parse_conllu(raw)))
     if args.out:
         write_file(args.out, doc)
@@ -172,14 +197,14 @@ def _fuse_chunk(chunk, params, cfg) -> list[tuple[dict, dict]]:
 def _cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     params = load_checkpoint(args.params)
-    bundles = load_bundles(args.manifest)
-    check_fits(bundles, params.d, params.max_frames)
+    bundles, inputs = _load(args, params, _checkpoint_files(args.params, params))
     chunks = gallery_chunks(lambda chunk: _fuse_chunk(chunk, params, cfg), bundles, params)
     tensors, index = {}, {}
     for b, (fused, picks) in zip(bundles, [pair for chunk in chunks for pair in chunk]):
         files = {name: f"{b.pair_id}.{name}.shet" for name in fused}
         tensors.update((files[name], value) for name, value in fused.items())
         index[b.pair_id] = {"tensors": files, **picks}
+    _refuse_inputs([Path(args.out, f) for f in (*tensors, "index.json")], inputs)
     write_set(args.out, tensors, {"index.json": _json(index)})  # after the last pair is fused
     print(f"wrote features for {len(bundles)} pairs to {args.out}")
     return 0
@@ -190,13 +215,8 @@ def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...], outputs: 
     under --dsl weighted by the dual-softmax prior once per direction. A
     non-finite result is one line of numerical error, with no numpy warning."""
     params = load_checkpoint(args.params)
-    bundles = load_bundles(args.manifest)
-    check_fits(bundles, params.d, params.max_frames)
-    ckpt_files = ["meta.json", *(f"{name}.shet" for name, _ in params.named_tensors())]
-    inputs = [args.manifest, args.config, *(Path(args.params, f) for f in ckpt_files)]
-    for out in filter(os.path.exists, outputs):  # before any output is touched
-        if any(src and os.path.samefile(out, src) for src in inputs):
-            raise UsageError(f"cannot write {out}: it is one of this run's inputs")
+    bundles, inputs = _load(args, params, _checkpoint_files(args.params, params))
+    _refuse_inputs(outputs, inputs)
     matrices = [score_matrix(bundles, bundles, params, cfg)]
     if args.dsl:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -228,11 +248,11 @@ def _cmd_score(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    bundles = load_bundles(args.manifest)
-    check_fits(bundles, cfg.d, cfg.max_frames)
     params = init_params(cfg.seed, cfg.d, heads=cfg.heads,
                          max_frames=cfg.max_frames, tau=cfg.tau)
+    bundles, inputs = _load(args, params)
     out = Path(args.out)
+    _refuse_inputs([out / "loss.csv", *_checkpoint_files(out, params)], inputs)
     made = [p for p in (out, *out.parents) if not p.exists()]  # --out is checked before step 1
     out.mkdir(parents=True, exist_ok=True)
     tempfile.TemporaryFile(dir=out).close()

@@ -137,9 +137,8 @@ def load_bundle(record: PairRecord, manifest_path) -> FeatureBundle:
 
 def load_bundles(manifest_path) -> list[FeatureBundle]:
     """Every pair of a manifest, checked as `load_bundle` checks one. The
-    patch payloads, nearly all of the bytes, stay in their files: a gallery
-    path reads one chunk's at a time (`FeatureBundle.read_patches`), and a
-    caller that revisits every pair reads them all once (`hold_patches`)."""
+    patch payloads, nearly all of the bytes, stay in their files until a
+    gallery chunk or a training batch uses them (`FeatureBundle.read_patches`)."""
     records = read_manifest(manifest_path)
     if not records:
         raise DataError(f"{manifest_path}: empty manifest")

@@ -75,15 +75,16 @@ def in_order(fn, items: list, workers: int) -> list:
     taken on the caller's thread, where numpy keeps its error state
     (`np.errstate`): a new thread would otherwise start from the defaults.
 
-    While the threads run, BLAS is held to one thread, so that the workers
-    do not oversubscribe the cores; where it cannot be held, the calls run
-    on the caller's thread, one after another. Before the first thread
-    starts, glibc is held to one malloc arena. Each thread would otherwise
-    get an arena of its own, and the memory they keep after the calls return
-    would add to the peak of whatever the process runs next."""
+    BLAS is held to one thread, on one worker too, so that the workers do
+    not oversubscribe the cores and no byte depends on the count; where it
+    cannot be held, the calls run on the caller's thread, one after another.
+    Before the first thread starts, glibc is held to one malloc arena: each
+    thread would otherwise get an arena of its own, and the memory they keep
+    after the calls return would add to the peak of what the process runs next."""
     workers = min(workers, len(items))
     if workers <= 1 or not BLAS_PINNABLE:
-        return [fn(item) for item in items]
+        with blas_threads(1):
+            return [fn(item) for item in items]
     if _mallopt is not None:
         _mallopt(_M_ARENA_MAX, 1)
     contexts = [contextvars.copy_context() for _ in items]

@@ -775,6 +775,72 @@ def test_train_checks_out_before_the_first_step(fixture_dir, config_path, tmp_pa
     assert afile.read_text() == "keep\n"
 
 
+def test_train_reads_only_the_payloads_of_the_batches_it_draws(desk_manifest, tmp_path,
+                                                               monkeypatch):
+    """8 pairs at B=2 for one step: the two drawn payloads are read, once
+    each, and no other."""
+    dataset = importlib.import_module("synret.dataset")
+    train_module = importlib.import_module("synret.train")
+    read, reads = dataset.PatchFile.read, []
+    monkeypatch.setattr(dataset.PatchFile, "read",
+                        lambda self: reads.append(Path(self.path).resolve()) or read(self))
+    step, drawn = train_module.loss_and_backward, []
+    monkeypatch.setattr(train_module, "loss_and_backward",
+                        lambda batch, *rest: drawn.extend(b.pair_id for b in batch)
+                        or step(batch, *rest))
+    assert _desk_train(desk_manifest, tmp_path, tmp_path / "ckpt", batch_size=2) == 0
+    fx = Path(desk_manifest).resolve().parent
+    assert len(drawn) == 2 and reads == [fx / f"{pair}.patches.shet" for pair in drawn]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_payload_rewritten_during_train_is_one_line_exit_2(fixture_dir, config_path, tmp_path,
+                                                           capsys, monkeypatch, existing):
+    """A payload whose dims change after step 1 is read, and refused, when
+    step 2 draws it: nothing trained on a stale copy is written, a new --out
+    is not made and an old one is left byte for byte."""
+    out = tmp_path / "new" / "ckpt"
+    argv = ["train", "--manifest", str(fixture_dir / "manifest.json"),
+            "--config", str(config_path), "--out", str(out)]
+    if existing:
+        assert main(argv) == 0
+        before = _snapshot(out)
+    train_module = importlib.import_module("synret.train")
+    step, victims = train_module.loss_and_backward, []
+
+    def step_then_rewrite(batch, *rest):
+        result = step(batch, *rest)
+        if not victims:  # 4 pairs at B=2: step 2 draws the two that step 1 did not
+            drawn = {b.pair_id for b in batch}
+            victims.append(next(p for p in sorted(fixture_dir.glob("*.patches.shet"))
+                                if p.name.split(".")[0] not in drawn))
+            write_tensor(np.zeros((3, 5, 8), dtype=np.float32), victims[0])
+        return result
+
+    monkeypatch.setattr(train_module, "loss_and_backward", step_then_rewrite)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"synret: data error: {victims[0]}: file changed while being read\n")
+    if existing:
+        assert _snapshot(out) == before
+    else:
+        assert not (tmp_path / "new").exists()
+
+
+def test_dump_config_does_not_import_scipy():
+    """`scipy.special` is the larger part of a CLI call's start-up, and only
+    the GELU needs it."""
+    code = ("import sys; from synret.cli import main; main(['--dump-config']); "
+            "print('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(synret.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -851,13 +917,21 @@ def test_running_out_of_memory_is_one_line_of_usage_error(fixture_dir, config_pa
 
 
 @pytest.mark.parametrize("case", ["eval-manifest", "eval-config", "eval-link-to-manifest",
-                                  "score-checkpoint-tensor", "score-sidecar-meta",
-                                  "build-hierarchy"])
+                                  "eval-caption", "score-checkpoint-tensor",
+                                  "score-sidecar-meta", "score-patches", "fuse-own-manifest",
+                                  "train-own-config", "build-hierarchy"])
 def test_output_that_is_an_input_is_usage_error(fixture_dir, checkpoint, config_path, tmp_path,
                                                 capsys, case):
+    """Every command compares its outputs with its inputs before its first
+    write: the manifest and every file its records name, --config and the
+    checkpoint's files."""
     manifest = fixture_dir / "manifest.json"
     conllu = fixture_dir / "pair0000.conllu"
+    patches = fixture_dir / "pair0000.patches.shet"
     (tmp_path / "link.json").symlink_to(manifest)
+    (fixture_dir / "index.json").write_bytes(manifest.read_bytes())  # fuse's own index name
+    (tmp_path / "ckx").mkdir()  # a config under the name of train's loss log
+    (tmp_path / "ckx" / "loss.csv").write_bytes(config_path.read_bytes())
     common = ["--manifest", str(manifest), "--params", str(checkpoint), "--config",
               str(config_path)]
     command, out, refused = {
@@ -865,6 +939,13 @@ def test_output_that_is_an_input_is_usage_error(fixture_dir, checkpoint, config_
         "eval-config": (["eval", *common, "--report"], config_path, config_path),
         "eval-link-to-manifest": (["eval", *common, "--report"], tmp_path / "link.json",
                                   tmp_path / "link.json"),
+        "eval-caption": (["eval", *common, "--report"], conllu, conllu),
+        "score-patches": (["score", *common, "--out"], patches, patches),
+        "fuse-own-manifest": (["fuse", "--manifest", str(fixture_dir / "index.json"), "--params",
+                               str(checkpoint), "--out"], fixture_dir, fixture_dir / "index.json"),
+        "train-own-config": (["train", "--manifest", str(manifest), "--config",
+                              str(tmp_path / "ckx" / "loss.csv"), "--out"], tmp_path / "ckx",
+                             tmp_path / "ckx" / "loss.csv"),
         "score-checkpoint-tensor": (["score", *common, "--out"], checkpoint / "mlp1.w1.shet",
                                     checkpoint / "mlp1.w1.shet"),
         "score-sidecar-meta": (["score", *common, "--out"], checkpoint / "meta",

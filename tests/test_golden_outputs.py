@@ -8,8 +8,9 @@ step, eval, score, fuse), and 12 pairs of mixed lengths, 4 each at 12, 9 and
 5 frames from three fixtures joined in one manifest (train for 2 steps,
 eval, fuse), plus the `--dump-config` output. The 20-pair run also pins the
 float64 bytes of `score_matrix` under its checkpoint, which `score` (float32)
-and `eval` (ranks) can hide. The digests depend on the numpy and BLAS builds,
-which `tests/golden/outputs.json` records.
+and `eval` (ranks) can hide. The digests depend on the numpy and BLAS builds
+and on the BLAS kernel (OpenBLAS picks one per CPU, `OPENBLAS_CORETYPE`
+overrides it), which `tests/golden/outputs.json` records.
 
 A change that moves output bytes on purpose regenerates the file, with a
 CHANGES.md line saying why:
@@ -17,6 +18,7 @@ CHANGES.md line saying why:
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import ctypes
 import hashlib
 import io
 import json
@@ -70,7 +72,19 @@ def build_info() -> dict:
         blas_name = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy older than 1.25 has no dict form
         blas_name = "unknown"
-    return {"numpy": np.__version__, "blas": blas_name}
+    return {"numpy": np.__version__, "blas": blas_name, "core": blas_core()}
+
+
+def blas_core() -> str:
+    """The kernel numpy's OpenBLAS runs, `SkylakeX` or `Haswell` say, read
+    from the library numpy's extension module links."""
+    try:
+        from numpy._core import _multiarray_umath
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):  # numpy 1.x, or another BLAS
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def _gen_fixtures(fx: Path, fixture_args) -> None:
@@ -132,8 +146,9 @@ def test_outputs_match_golden_digests(tmp_path):
               if golden["digests"].get(k) != got.get(k)]
     assert not differ, (
         f"{len(differ)} output digests differ from {GOLDEN.name}, first {differ[0]}; "
-        f"recorded with numpy {golden['numpy']} and BLAS {golden['blas']}, "
-        f"running numpy {here['numpy']} and BLAS {here['blas']}")
+        f"recorded with numpy {golden['numpy']} and BLAS {golden['blas']} on the "
+        f"{golden['core']} kernel, running numpy {here['numpy']} and BLAS "
+        f"{here['blas']} on the {here['core']} kernel")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ thread where output bytes must not depend on the machine."""
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -161,7 +162,7 @@ from synret import scoring
 manifest, ckpt, out = sys.argv[1:]
 bundles, params = load_bundles(manifest), load_checkpoint(ckpt)
 cfg = RunConfig(max_frames=params.max_frames)
-for workers in (2, 1):  # on one worker BLAS runs at the count it was given
+for workers in (2, 1):  # one worker holds BLAS to one thread as two do
     scoring.usable_cpus = lambda: workers
     s = scoring.score_matrix(bundles, bundles, params, cfg)
     print(hashlib.sha256(s.tobytes()).hexdigest())
@@ -169,10 +170,25 @@ assert main(["fuse", "--manifest", manifest, "--params", ckpt, "--out", out]) ==
 """
 
 
-def test_scores_and_fuse_picks_do_not_depend_on_the_blas_thread_count(tmp_path):
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2"))
+
+
+@pytest.mark.parametrize("core", [
+    None,
+    pytest.param("Haswell", marks=pytest.mark.skipif(
+        platform.machine() not in ("x86_64", "AMD64") or not _has_avx2(),
+        reason="OpenBLAS's Haswell kernel needs an x86-64 CPU with AVX2")),
+], ids=["default", "Haswell"])
+def test_scores_and_fuse_picks_do_not_depend_on_the_blas_thread_count(tmp_path, core):
     """At d=512 some layer-3 patch GEMMs round differently at one and two
     OpenBLAS threads; on this fixture two float64 scores moved when they ran
-    at the library's own count."""
+    at the library's own count. On the Haswell kernel, which AVX2-only CPUs
+    and Zen get, caption entity rows moved too, on one worker."""
     manifest = gen_fixture(4, 24, 12, 6, 49, 512, tmp_path / "fx")
     save_checkpoint(init_params(4, 512, max_frames=6), tmp_path / "ckpt", seed=4)
     src = str(Path(synret.__file__).parents[1])
@@ -180,6 +196,9 @@ def test_scores_and_fuse_picks_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("OPENBLAS_CORETYPE", None)  # the default: the kernel OpenBLAS picks
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
         out = tmp_path / f"fused{threads}"
         done = subprocess.run([sys.executable, "-c", _SCORE_AND_FUSE, str(manifest),
                                str(tmp_path / "ckpt"), str(out)],
