@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error (among them an output, a file or
 stdout, that cannot be written or is one of the run's inputs, and running
 out of memory), 2 data error, 3 numerical error (a non-finite value or a
-floating-point fault). Every subcommand accepts --config (JSON overrides of
-the printed defaults) and writes only under paths named in its arguments.
+floating-point fault). fuse, score, train and eval accept --config; every
+subcommand writes only under paths named in its arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import tempfile
 import traceback
 import warnings
 from contextlib import suppress
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +29,11 @@ from .errors import DataError, DataWarning, NumericalError, SynretError, UsageEr
 from .hierarchy import build_hierarchy, hierarchy_to_json
 from .metrics import evaluate_matrix
 from .parallel import malloc_trim as _malloc_trim
-from .params import init_params, load_checkpoint, save_checkpoint
+from .params import checkpoint_files, init_params, load_checkpoint, save_checkpoint
 from .pipeline import text_forward, video_forward
 from .scoring import dsl_postprocess, fuse_pair, gallery_chunks, score_matrix
 from .selfcheck import run_selfcheck
-from .tensor_store import gen_fixture, read_manifest, resolve, write_file, write_set, write_tensor
+from .tensor_store import gen_fixture, write_file, write_set, write_tensor
 from .train import loss_log, train
 
 
@@ -109,8 +108,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--dsl", action="store_true")
     e.add_argument("--literal-patch-norm", action="store_true")
 
-    c = sub.add_parser("selfcheck", help="run the built-in invariant suite")
-    common(c)
+    sub.add_parser("selfcheck", help="run the built-in invariant suite")
     return p
 
 
@@ -129,8 +127,8 @@ def _json(doc) -> str:
 
 
 def _refuse_inputs(outputs, inputs) -> None:
-    """Before a command's first write: an output that is one of its inputs is a
-    usage error. Each path is stat'ed once; (device, inode) sees through links."""
+    """Before a command reads a patch payload: an output that is one of its inputs
+    is a usage error. Each path is stat'ed once; (device, inode) sees through links."""
     taken = {os.stat(p)[1:3] for p in inputs if p}  # (st_ino, st_dev) of each file read
     for out in filter(None, outputs):
         with suppress(OSError):  # an output that cannot be stat'ed is no input
@@ -143,13 +141,7 @@ def _load(args, params, ckpt=()):
     --config, the manifest and every file its records name, and `ckpt`."""
     bundles = load_bundles(args.manifest)
     check_fits(bundles, params.d, params.max_frames)
-    files = (resolve(args.manifest, f) for r in read_manifest(args.manifest) for f in astuple(r)[1:])
-    return bundles, [args.config, args.manifest, *files, *ckpt]
-
-
-def _checkpoint_files(directory, params) -> list[Path]:
-    names = ["meta.json", *(f"{name}.shet" for name, _ in params.named_tensors())]
-    return [Path(directory, name) for name in names]
+    return bundles, [args.config, args.manifest, *(f for b in bundles for f in b.files), *ckpt]
 
 
 def _cmd_gen_fixtures(args) -> int:
@@ -178,8 +170,11 @@ def _cmd_build_hierarchy(args) -> int:
     return 0
 
 
-def _fuse_chunk(chunk, params, cfg) -> list[tuple[dict, dict]]:
-    """Per pair of the chunk, its 9 tensors by name and its selections."""
+_FUSED = ("e1", "e2", "e3", "e3p", "f3p", "ev1", "g", "ev2", "ev3")  # a pair's tensors, in order
+
+
+def _fuse_chunk(chunk, params, cfg) -> list[tuple[tuple, dict]]:
+    """Per pair of the chunk, its tensors in `_FUSED` order and its selections."""
     tc, tape = text_forward(chunk, params)
     e3p, f3p = tape.e3p, tape.f3p
     del tape  # its backward caches would stay alive while the chunk is fused
@@ -187,8 +182,7 @@ def _fuse_chunk(chunk, params, cfg) -> list[tuple[dict, dict]]:
     for i, vid in enumerate(video_forward(chunk, params)[0]):
         one, s3 = tc.single(i), slice(tc.first3[i], tc.first3[i + 1])
         fp = fuse_pair(one, vid, cfg)
-        fused.append(({"e1": one.e1[0], "e2": one.e2, "e3": one.e3, "e3p": e3p[s3],
-                       "f3p": f3p[s3], "ev1": fp.ev1, "g": vid.g, "ev2": fp.ev2, "ev3": fp.ev3},
+        fused.append(((one.e1[0], one.e2, one.e3, e3p[s3], f3p[s3], fp.ev1, vid.g, fp.ev2, fp.ev3),
                       {"frame_selection": fp.frames.tolist(),
                        "patch_selection": fp.patches.tolist()}))
     return fused
@@ -197,14 +191,14 @@ def _fuse_chunk(chunk, params, cfg) -> list[tuple[dict, dict]]:
 def _cmd_fuse(args) -> int:
     cfg = _load_cfg(args)
     params = load_checkpoint(args.params)
-    bundles, inputs = _load(args, params, _checkpoint_files(args.params, params))
+    bundles, inputs = _load(args, params, checkpoint_files(args.params, params))
+    files = [[f"{b.pair_id}.{name}.shet" for name in _FUSED] for b in bundles]
+    _refuse_inputs([Path(args.out, f) for names in (*files, ["index.json"]) for f in names], inputs)
     chunks = gallery_chunks(lambda chunk: _fuse_chunk(chunk, params, cfg), bundles, params)
     tensors, index = {}, {}
-    for b, (fused, picks) in zip(bundles, [pair for chunk in chunks for pair in chunk]):
-        files = {name: f"{b.pair_id}.{name}.shet" for name in fused}
-        tensors.update((files[name], value) for name, value in fused.items())
-        index[b.pair_id] = {"tensors": files, **picks}
-    _refuse_inputs([Path(args.out, f) for f in (*tensors, "index.json")], inputs)
+    for b, names, (fused, picks) in zip(bundles, files, [pair for chunk in chunks for pair in chunk]):
+        tensors.update(zip(names, fused))
+        index[b.pair_id] = {"tensors": dict(zip(_FUSED, names)), **picks}
     write_set(args.out, tensors, {"index.json": _json(index)})  # after the last pair is fused
     print(f"wrote features for {len(bundles)} pairs to {args.out}")
     return 0
@@ -215,7 +209,7 @@ def _score_manifest(args, cfg: RunConfig, directions: tuple[str, ...], outputs: 
     under --dsl weighted by the dual-softmax prior once per direction. A
     non-finite result is one line of numerical error, with no numpy warning."""
     params = load_checkpoint(args.params)
-    bundles, inputs = _load(args, params, _checkpoint_files(args.params, params))
+    bundles, inputs = _load(args, params, checkpoint_files(args.params, params))
     _refuse_inputs(outputs, inputs)
     matrices = [score_matrix(bundles, bundles, params, cfg)]
     if args.dsl:
@@ -252,7 +246,7 @@ def _cmd_train(args) -> int:
                          max_frames=cfg.max_frames, tau=cfg.tau)
     bundles, inputs = _load(args, params)
     out = Path(args.out)
-    _refuse_inputs([out / "loss.csv", *_checkpoint_files(out, params)], inputs)
+    _refuse_inputs([out / "loss.csv", *checkpoint_files(out, params)], inputs)
     made = [p for p in (out, *out.parents) if not p.exists()]  # --out is checked before step 1
     out.mkdir(parents=True, exist_ok=True)
     tempfile.TemporaryFile(dir=out).close()

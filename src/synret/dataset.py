@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -47,6 +47,7 @@ class FeatureBundle:
     # `read_patches`); readers widen what they read (a frame, the picked
     # rows) to float64
     patches: np.ndarray | PatchFile
+    files: tuple[Path, ...] = ()  # the record's caption, text, frame and patch files, resolved
 
     @property
     def d(self) -> int:
@@ -85,7 +86,8 @@ def init_node_features(index: HierarchyIndex, text: np.ndarray):
 def load_bundle(record: PairRecord, manifest_path) -> FeatureBundle:
     """One pair's bundle, every input checked but the patch payload, which
     stays in its file (a `PatchFile`) with its header checked."""
-    conllu_path = resolve(manifest_path, record.text_conllu_path)
+    files = tuple(resolve(manifest_path, f) for f in astuple(record)[1:])
+    conllu_path, text_path, frame_path, patch_path = files
     try:
         raw = Path(conllu_path).read_bytes()
     except OSError as e:
@@ -99,9 +101,8 @@ def load_bundle(record: PairRecord, manifest_path) -> FeatureBundle:
     for w in caught:
         warnings.warn(f"{record.pair_id}: {conllu_path}: {w.message}", DataWarning, stacklevel=2)
 
-    text = read_tensor(resolve(manifest_path, record.text_features_path)).astype(np.float64)
-    frames = read_tensor(resolve(manifest_path, record.frame_cls_path)).astype(np.float64)
-    patch_path = resolve(manifest_path, record.patch_features_path)
+    text = read_tensor(text_path).astype(np.float64)
+    frames = read_tensor(frame_path).astype(np.float64)
     patch_dims = read_tensor_shape(patch_path)
 
     if text.ndim != 2 or frames.ndim != 2 or len(patch_dims) != 3:
@@ -132,6 +133,7 @@ def load_bundle(record: PairRecord, manifest_path) -> FeatureBundle:
         text=text,
         frames=frames,
         patches=PatchFile(patch_path, patch_dims),
+        files=files,
     )
 
 

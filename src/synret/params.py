@@ -188,6 +188,13 @@ def init_params(seed: int, d: int, *, heads: int = 8, max_frames: int = 12,
 # ---------------------------------------------------------------------------
 
 
+def checkpoint_files(directory, p: ModelParams) -> list[Path]:
+    """`meta.json`, then `<name>.shet` per tensor in `named_tensors()` order:
+    the files a checkpoint of `p` has in `directory`, its `texts` aside."""
+    names = ["meta.json", *(f"{name}.shet" for name, _ in p.named_tensors())]
+    return [Path(directory, name) for name in names]
+
+
 def save_checkpoint(p: ModelParams, out_dir, *, seed: int,
                     texts: dict[str, str] | None = None) -> None:
     """The tensors, `meta.json`, then `texts` (say `train`'s loss log), as one
@@ -234,8 +241,8 @@ def load_checkpoint(ckpt_dir) -> ModelParams:
     tensors = p.named_tensors()
     if meta.get("tensors") != [name for name, _ in tensors]:
         raise DataError(f"{meta_path}: tensor list does not match this model layout")
-    for name, view in tensors:
-        value = read_tensor(ckpt / f"{name}.shet")
+    for (name, view), path in zip(tensors, checkpoint_files(ckpt, p)[1:]):
+        value = read_tensor(path)
         if value.shape != view.shape:
             raise DataError(f"tensor {name}: shape {value.shape} != expected {view.shape}")
         view[...] = value  # widened through the view into `flat`

@@ -530,6 +530,35 @@ def test_selfcheck_passes(capsys):
     assert lines[-1] == f"selfcheck: {len(checks)}/{len(checks)} checks passed"
 
 
+@pytest.mark.parametrize("flags", [["--config", "missing.json"], ["--threads", "0"]])
+def test_selfcheck_takes_no_options(capsys, flags):
+    assert main(["selfcheck", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("synret: usage error: unrecognized arguments") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "score", "fuse", "train"])
+def test_each_manifest_command_opens_its_manifest_once(fixture_dir, checkpoint, config_path,
+                                                       tmp_path, monkeypatch, command):
+    import builtins
+    import io
+
+    manifest = fixture_dir / "manifest.json"
+    opened, real_open = [], io.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)  # what pathlib calls
+    monkeypatch.setattr(builtins, "open", spy)
+    out = {"eval": "--report", "score": "--out", "fuse": "--out", "train": "--out"}[command]
+    ckpt = [] if command == "train" else ["--params", str(checkpoint)]
+    assert main([command, "--manifest", str(manifest), *ckpt, "--config", str(config_path),
+                 out, str(tmp_path / "out")]) == 0
+    assert sum(str(f) == str(manifest) for f in opened) == 1
+
+
 @pytest.mark.parametrize("override", [
     '"d": "8"',                     # int is not str
     '"d": 8.0',                     # a float is not an int
@@ -919,17 +948,23 @@ def test_running_out_of_memory_is_one_line_of_usage_error(fixture_dir, config_pa
 @pytest.mark.parametrize("case", ["eval-manifest", "eval-config", "eval-link-to-manifest",
                                   "eval-caption", "score-checkpoint-tensor",
                                   "score-sidecar-meta", "score-patches", "fuse-own-manifest",
-                                  "train-own-config", "build-hierarchy"])
+                                  "fuse-tensor", "train-own-config", "build-hierarchy"])
 def test_output_that_is_an_input_is_usage_error(fixture_dir, checkpoint, config_path, tmp_path,
-                                                capsys, case):
-    """Every command compares its outputs with its inputs before its first
-    write: the manifest and every file its records name, --config and the
-    checkpoint's files."""
+                                                capsys, monkeypatch, case):
+    """Every command compares its outputs with its inputs before it reads a
+    patch payload: the manifest and every file its records name, --config and
+    the checkpoint's files."""
+    from synret.dataset import PatchFile
+
     manifest = fixture_dir / "manifest.json"
     conllu = fixture_dir / "pair0000.conllu"
     patches = fixture_dir / "pair0000.patches.shet"
     (tmp_path / "link.json").symlink_to(manifest)
     (fixture_dir / "index.json").write_bytes(manifest.read_bytes())  # fuse's own index name
+    records = json.loads(manifest.read_text())  # a caption's text under a fused tensor's name
+    records[0]["text_features_path"] = "pair0000.e1.shet"
+    (fixture_dir / "tx.json").write_text(json.dumps(records))
+    (fixture_dir / "pair0000.e1.shet").write_bytes((fixture_dir / "pair0000.text.shet").read_bytes())
     (tmp_path / "ckx").mkdir()  # a config under the name of train's loss log
     (tmp_path / "ckx" / "loss.csv").write_bytes(config_path.read_bytes())
     common = ["--manifest", str(manifest), "--params", str(checkpoint), "--config",
@@ -943,6 +978,8 @@ def test_output_that_is_an_input_is_usage_error(fixture_dir, checkpoint, config_
         "score-patches": (["score", *common, "--out"], patches, patches),
         "fuse-own-manifest": (["fuse", "--manifest", str(fixture_dir / "index.json"), "--params",
                                str(checkpoint), "--out"], fixture_dir, fixture_dir / "index.json"),
+        "fuse-tensor": (["fuse", "--manifest", str(fixture_dir / "tx.json"), "--params",
+                         str(checkpoint), "--out"], fixture_dir, fixture_dir / "pair0000.e1.shet"),
         "train-own-config": (["train", "--manifest", str(manifest), "--config",
                               str(tmp_path / "ckx" / "loss.csv"), "--out"], tmp_path / "ckx",
                              tmp_path / "ckx" / "loss.csv"),
@@ -952,15 +989,19 @@ def test_output_that_is_an_input_is_usage_error(fixture_dir, checkpoint, config_
                                checkpoint / "meta.json"),
         "build-hierarchy": (["build-hierarchy", str(conllu), "-o"], conllu, conllu),
     }[case]
+    reads, read = [], PatchFile.read
+    monkeypatch.setattr(PatchFile, "read", lambda self: reads.append(self.path) or read(self))
     before = _files(tmp_path)
     capsys.readouterr()
     assert main(command + [str(out)]) == 1
     assert capsys.readouterr().err == (
         f"synret: usage error: cannot write {refused}: it is one of this run's inputs\n")
     assert _files(tmp_path) == before
+    assert reads == []
     # a new file beside the inputs is no input, on a rerun either
     assert main(command + [str(out.parent / "new")]) == 0
     assert main(command + [str(out.parent / "new")]) == 0
+    assert bool(reads) == (case != "build-hierarchy")  # the spy sees the runs that go ahead
 
 
 _TOO_LARGE = "d and max_frames give a parameter buffer too large to address"

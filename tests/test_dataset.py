@@ -25,6 +25,14 @@ def test_load_bundles_shapes(fixture):
     assert b.text.dtype == np.float64
 
 
+def test_load_bundle_names_its_record_files_in_record_order(fixture):
+    manifest, records = fixture
+    r = records[1]
+    want = (r.text_conllu_path, r.text_features_path, r.frame_cls_path, r.patch_features_path)
+    assert load_bundle(r, manifest).files == tuple(manifest.parent / f for f in want)
+    assert load_bundles(manifest)[1].files == tuple(manifest.parent / f for f in want)
+
+
 @pytest.mark.parametrize("dims", [(3, 8, 4), (3, 5, 8)])
 def test_patch_payload_whose_dims_changed_since_loading_is_data_error(fixture, tmp_path, dims):
     """Loading checks the header and leaves the payload in its file; a file

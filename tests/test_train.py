@@ -11,7 +11,9 @@ from synret.config import RunConfig
 from synret.dataset import synthetic_bundles
 from synret.errors import DataError, NumericalError
 import synret.params
-from synret.params import Adam, init_params, load_checkpoint, save_checkpoint, zeros_like
+from synret.params import (
+    Adam, checkpoint_files, init_params, load_checkpoint, save_checkpoint, zeros_like,
+)
 from synret.rng import SplitMix64
 from synret.tensor_store import write_tensor
 import synret.train
@@ -366,7 +368,9 @@ def test_synret_train_names_the_module():
 class TestCheckpointRoundtrip:
     def test_roundtrip_f32_quantized(self, tmp_path):
         params = init_params(21, 8, max_frames=3, tau=4.0)
-        save_checkpoint(params, tmp_path, seed=21)
+        save_checkpoint(params, tmp_path, seed=21, texts={"loss.csv": "step,loss\n"})
+        files = checkpoint_files(tmp_path, params)  # what is written, the texts aside
+        assert sorted(files) == sorted(set(tmp_path.iterdir()) - {tmp_path / "loss.csv"})
         back = load_checkpoint(tmp_path)
         assert back.d == 8 and back.heads == 8 and back.tau == 4.0
         for (name, a), (_, b) in zip(params.named_tensors(), back.named_tensors()):
