@@ -3,10 +3,13 @@
 Everything here is float64 and shape-light: vectors are (d,), stacked node
 features are (n, d), and row-wise blocks take any number of stacked rows
 (their backwards take them as (n, d)). Each forward returns its output and a
-cache consumed by the matching backward. A backward returns the gradient
-w.r.t. its input and adds each parameter gradient, with exactly one `+=` per
-leaf, into any parameter-shaped tree whose leaves take `+=` once per
-backward: a zero gradient set (`params.zeros_like`) or `Adam.grads`.
+cache, its tape, which the matching backward consumes: the MLP's hidden
+activations and the transformer's FFN cache and head outputs are deleted
+from it after their last read, so their memory is free for the rest of the
+backward, and a tape is taken by one backward only. A backward returns the
+gradient w.r.t. its input and adds each parameter gradient, with exactly one
+`+=` per leaf, into any parameter-shaped tree whose leaves take `+=` once
+per backward: a zero gradient set (`params.zeros_like`) or `Adam.grads`.
 """
 
 from __future__ import annotations
@@ -122,8 +125,10 @@ def mlp(x: np.ndarray, mp: MlpParams) -> tuple[np.ndarray, MlpCache]:
 def mlp_backward(ybar: np.ndarray, cache: MlpCache, mp: MlpParams,
                  mp_grad: MlpParams) -> np.ndarray:
     mp_grad.w2 += ybar.T @ cache.h
+    del cache.h
     mp_grad.b2 += ybar.sum(axis=0)
     zbar = (ybar @ mp.w2) * _gelu_grad(cache.z, cache.cdf)
+    del cache.z, cache.cdf
     mp_grad.w1 += zbar.T @ cache.x
     mp_grad.b1 += zbar.sum(axis=0)
     return zbar @ mp.w1
@@ -237,12 +242,14 @@ def transformer_backward(ybar: np.ndarray, cache: TransformerCache,
     ffn_mp_grad = MlpParams(w1=tp_grad.ffn_w1, b1=tp_grad.ffn_b1,
                             w2=tp_grad.ffn_w2, b2=tp_grad.ffn_b2)
     x1bar = res_norm_backward(ybar, cache.ffn, ffn_mp, tp.ln_ffn, ffn_mp_grad, tp_grad.ln_ffn)
+    del cache.ffn
 
     wbar = layer_norm_backward(x1bar, cache.ln_attn_cache, tp.ln_attn, tp_grad.ln_attn)
     x0bar = wbar.copy()
     attn_out_bar = wbar
 
     tp_grad.wo += attn_out_bar.T @ cache.heads_out
+    del cache.heads_out
     heads_out_bar = attn_out_bar @ tp.wo
 
     qbar, kbar, vbar = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))

@@ -174,7 +174,9 @@ _FUSED = ("e1", "e2", "e3", "e3p", "f3p", "ev1", "g", "ev2", "ev3")  # a pair's 
 
 
 def _fuse_chunk(chunk, params, cfg) -> list[tuple[tuple, dict]]:
-    """Per pair of the chunk, its tensors in `_FUSED` order and its selections."""
+    """Per pair of the chunk, its tensors in `_FUSED` order and its selections.
+    The tensors are the float32 arrays that are written: float64 views would
+    keep the chunk's encoder outputs alive until the last write."""
     tc, tape = text_forward(chunk, params)
     e3p, f3p = tape.e3p, tape.f3p
     del tape  # its backward caches would stay alive while the chunk is fused
@@ -182,9 +184,11 @@ def _fuse_chunk(chunk, params, cfg) -> list[tuple[tuple, dict]]:
     for i, vid in enumerate(video_forward(chunk, params)[0]):
         one, s3 = tc.single(i), slice(tc.first3[i], tc.first3[i + 1])
         fp = fuse_pair(one, vid, cfg)
-        fused.append(((one.e1[0], one.e2, one.e3, e3p[s3], f3p[s3], fp.ev1, vid.g, fp.ev2, fp.ev3),
-                      {"frame_selection": fp.frames.tolist(),
-                       "patch_selection": fp.patches.tolist()}))
+        with np.errstate(over="ignore"):  # an overflow to inf is refused by `write_set`
+            tensors = tuple(t.astype(np.float32) for t in (one.e1[0], one.e2, one.e3, e3p[s3],
+                                                           f3p[s3], fp.ev1, vid.g, fp.ev2, fp.ev3))
+        fused.append((tensors, {"frame_selection": fp.frames.tolist(),
+                                "patch_selection": fp.patches.tolist()}))
     return fused
 
 

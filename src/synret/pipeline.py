@@ -13,11 +13,12 @@ starts with their backward. Frame and patch selection, which combines the
 two sides, is `scoring.score_videos`'s.
 
 Like every block in `blocks`, each forward returns its features and a tape,
-and the matching backward takes the tape back: `text_forward` returns
-(TextCache, TextTape) and `video_forward` (videos, TransformerCache). A
-caller that only scores drops the tape in the same expression
-(`text_forward(chunk, params)[0]`), so it is freed before the next chunk is
-encoded.
+and the matching backward consumes the tape, freeing its largest
+activations as it reads them, so a tape goes through one backward only:
+`text_forward` returns (TextCache, TextTape) and `video_forward` (videos,
+TransformerCache). A caller that only scores drops the tape in the same
+expression (`text_forward(chunk, params)[0]`), so it is freed before the
+next chunk is encoded.
 """
 
 from __future__ import annotations

@@ -241,23 +241,23 @@ def score_videos_backward(s_bar: np.ndarray, tc: TextCache, videos: list[Video],
     l_bar = lbar[:, :, None] * cols.attn * (1.0 + cols.logits - cols.s1[:, :, None])
 
     # layers 2 and 3: e2 . ev2 and e3 . ev3 over the picked rows; each
-    # action's picked g rows take one scatter-add per shape, element by
-    # element, offset to its video's rows (numpy's fast path for `at`)
+    # video's picked g rows take one scatter-add, element by element, in
+    # (action, slot) order (numpy's fast path for `at`), so the transient is
+    # A x k_frame x d, not A x B x k_frame x d
     d = tc.e2.shape[1]
     c2 = lbar[tc.owner2] * tc.w2[:, None]
     c3 = lbar[tc.owner3] * tc.w3[:, None]
     n_v = [vid.g.shape[0] for vid in videos]
     first = np.cumsum(n_v) - n_v
     g_bar = np.zeros((sum(n_v), d))
-    for at in groups([vid.patches.shape[:2] for vid in videos]):
-        k_frame = cols.sizes[at[0]][1]
-        rows = cols.frames[:, at, :k_frame] + first[at, None]
-        add = (c2[:, at] / k_frame)[:, :, None, None] * tc.e2[:, None, None, :]
-        np.add.at(g_bar.reshape(-1), (rows[..., None] * d + np.arange(d)).reshape(-1),
-                  np.broadcast_to(add, (*rows.shape, d)).reshape(-1))
     w2_bar = lbar[tc.owner2] * cols.score2
     w3_bar = lbar[tc.owner3] * cols.score3
     for b, (vid, col) in enumerate(zip(videos, cols)):
+        k_frame = col.frames.shape[1]
+        add = (c2[:, b] / k_frame)[:, None, None] * tc.e2[:, None, :]
+        np.add.at(g_bar[first[b]:first[b] + n_v[b]].reshape(-1),
+                  (col.frames[..., None] * d + np.arange(d)).reshape(-1),
+                  np.broadcast_to(add, (*col.frames.shape, d)).reshape(-1))
         tg.e1 += np.ascontiguousarray(l_bar[:, b, :n_v[b]]) @ vid.frames
         ev2, ev3 = pool(col, tc, vid, cfg)
         tg.e2 += c2[:, b, None] * ev2

@@ -69,13 +69,17 @@ def loss_and_backward(bundles: list[FeatureBundle], params: ModelParams,
     temporal-encoding gradient. The caption side, weights first, and the
     temporal layer then run their backward once each over the whole batch.
     Every sum runs in a fixed order, so gradients are bit-reproducible.
+    The videos, with their patch payloads, are dropped once the kernel
+    backward has read them, and the caption side once its backward has run.
     Returns the loss and the batch's score matrix.
     """
     tc, text_tape, videos, video_tape, cols = _batch_forward(bundles, params, cfg)
     loss, ds = symmetric_ce_loss(cols.scores, cfg.tau)
     tg = TextGrad.zeros(tc)
     g_bar = score_videos_backward(ds, tc, videos, cols, cfg, tg)
+    del videos
     text_backward(tg, tc, text_tape, params, grads)
+    del tc, text_tape, tg
     video_backward(g_bar, video_tape, params, grads)
     return loss, cols.scores
 
@@ -112,7 +116,7 @@ def train(bundles: list[FeatureBundle], params: ModelParams,
     leftover pairs that cannot fill a batch are skipped that epoch. Stops
     after `steps` steps, or earlier once a step's loss falls below
     `stop_loss`. Each batch's patch payloads are read when it is drawn
-    (`video_forward`) and freed when its step ends.
+    (`video_forward`) and freed after its step's kernel backward.
     """
     b = cfg.batch_size
     if len(bundles) < b:

@@ -1,6 +1,7 @@
 """Similarity assembly, learned weights, score matrices, and DSL."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from synret.blocks import softmax
 from synret.config import RunConfig
 from synret.conllu import parse_conllu
-from synret.dataset import FeatureBundle
+from synret.dataset import FeatureBundle, synthetic_bundles
 from synret.errors import DataError
 from synret.hierarchy import build_hierarchy, index_hierarchy
 from synret.params import init_params
@@ -469,3 +470,27 @@ def test_batch_columns_equal_one_video_calls_bit_for_bit(golden_dir, lambda_fram
     for name in ("e1", "e2", "e3", "m2", "w2", "w3"):
         assert np.array_equal(getattr(tg, name), getattr(want_tg, name)), name
     assert np.array_equal(g_bar, np.concatenate(want_g_bar))
+
+
+def test_kernel_backward_memory_is_linear_in_the_batch():
+    """The frame-gradient scatter runs per video, so one `score_videos_backward`
+    call at B=16 peaks below one A x B x k_frame x d float64 array: a
+    whole-batch scatter builds an index and a value array of that size.
+    lambda_patch = 1 keeps `pool`'s per-video patch gather, which is also
+    linear in B, small beside it."""
+    d = 32
+    bundles = synthetic_bundles(33, 16, 6, 4, 9, d)
+    params = init_params(33, d, max_frames=4)
+    cfg = RunConfig(d=d, max_frames=4, lambda_patch=1)
+    tc = text_forward(bundles, params)[0]
+    videos = video_forward(bundles, params)[0]
+    cols = score_videos(tc, videos, cfg)
+    s_bar = SplitMix64(34).uniform_sym(cols.scores.shape)
+    tg = TextGrad.zeros(tc)
+    tracemalloc.start()
+    try:
+        score_videos_backward(s_bar, tc, videos, cols, cfg, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cols.frames.size * d * 8

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from synret.config import RunConfig
-from synret.dataset import synthetic_bundles
+from synret.dataset import PatchFile, load_bundles, synthetic_bundles
 from synret.errors import DataError, NumericalError
 import synret.params
 from synret.params import (
     Adam, checkpoint_files, init_params, load_checkpoint, save_checkpoint, zeros_like,
 )
+from synret.pipeline import text_backward, video_backward
 from synret.rng import SplitMix64
-from synret.tensor_store import write_tensor
+from synret.tensor_store import gen_fixture, write_tensor
 import synret.train
 from synret.train import (
     batch_loss_and_grads,
@@ -302,6 +303,58 @@ class TestTraining:
             assert len(moments) == 1 and moments[0]() is None
         finally:
             gc.enable()
+
+    def test_a_step_frees_its_payloads_before_the_caption_backward(self, tmp_path,
+                                                                    monkeypatch):
+        """No patch payload read by `train` is alive when a step's
+        `text_backward` starts: the videos go once the kernel backward has
+        read them. The cyclic collector is off, so nothing waits for it."""
+        read, payloads, alive = PatchFile.read, [], []
+
+        def spy_read(self):
+            patches = read(self)
+            payloads.append(weakref.ref(patches))
+            return patches
+
+        def spy_text_backward(*args):
+            alive.append(sum(ref() is not None for ref in payloads))
+            return text_backward(*args)
+
+        monkeypatch.setattr(PatchFile, "read", spy_read)
+        monkeypatch.setattr(synret.train, "text_backward", spy_text_backward)
+        bundles = load_bundles(gen_fixture(19, 4, 5, 3, 4, 8, tmp_path))
+        cfg = RunConfig(d=8, max_frames=3, seed=19, batch_size=2, steps=2, lr=1e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(train(bundles, init_params(19, 8, max_frames=3), cfg)) == 2
+        finally:
+            gc.enable()
+        assert len(payloads) == 4 and alive == [0, 0]
+
+    def test_the_temporal_backward_consumes_its_ffn_activations(self, monkeypatch):
+        """Once `video_backward` returns, the FFN activations of the tape it
+        took are gone, though the step still holds the tape."""
+        freed = []
+
+        def spy_video_backward(g_bar, tape, *rest):
+            ffn = tape.ffn
+            refs = [weakref.ref(a) for a in (ffn.mlp_cache.x, ffn.mlp_cache.z, ffn.mlp_cache.h,
+                                             ffn.mlp_cache.cdf, ffn.ln_cache.xhat)]
+            del ffn
+            video_backward(g_bar, tape, *rest)
+            freed.append(all(ref() is None for ref in refs))
+
+        monkeypatch.setattr(synret.train, "video_backward", spy_video_backward)
+        bundles = synthetic_bundles(20, 4, 5, 3, 4, 8)
+        cfg = RunConfig(d=8, max_frames=3, seed=20, batch_size=2, steps=2, lr=1e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            train(bundles, init_params(20, 8, max_frames=3), cfg)
+        finally:
+            gc.enable()
+        assert freed == [True, True]
 
     @pytest.mark.parametrize("block", [7, synret.params.ADAM_BLOCK])
     def test_train_equals_whole_gradient_sets_and_the_adam_formula(self, monkeypatch, block):
